@@ -13,15 +13,9 @@ import argparse
 import sys
 
 from satrelay import outage
-from satrelay.channel import AVERAGE_SHADOWING, HEAVY_SHADOWING, LinkSNR
+from satrelay.channel import LinkSNR
+from satrelay.cli import CONDITIONS
 from satrelay.outage import HopPair, StaircaseConfig, Threshold
-
-CONDITIONS = {
-    "HH": (HEAVY_SHADOWING, HEAVY_SHADOWING),
-    "HA": (HEAVY_SHADOWING, AVERAGE_SHADOWING),
-    "AH": (AVERAGE_SHADOWING, HEAVY_SHADOWING),
-    "AA": (AVERAGE_SHADOWING, AVERAGE_SHADOWING),
-}
 
 LADDER = [(50, 15.0), (200, 30.0), (800, 45.0), (3200, 60.0)]
 

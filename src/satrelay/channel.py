@@ -6,7 +6,8 @@ SNR Lambda = eta * |h|^2; the severity integer m, half multipath power b,
 and LoS power omega fully describe |h|^2.
 
 Provides the PDF / CDF / survival function / mean in closed form, a
-constructive sampler, the CDF of a K-fold i.i.d. sum (via log-scaled
+constructive (physical) sampler, an exact Erlang-mixture sampler for K-fold
+i.i.d. sums, the CDF of a K-fold i.i.d. sum (via log-scaled
 Whittaker functions), and the linearized high-SNR approximations of both
 CDFs.
 """
@@ -39,6 +40,7 @@ __all__ = [
     "sf",
     "mean_snr",
     "sample",
+    "sample_sum",
     "sum_cdf",
     "asymptotic_cdf",
     "asymptotic_sum_cdf",
@@ -223,6 +225,25 @@ def sample(p: SRParams, link: LinkSNR, rng: np.random.Generator, size=None):
     zim = rng.normal(0.0, math.sqrt(p.b), size=size)
     a = np.sqrt(a2)
     lam = link.eta * ((a * np.cos(phi) + zre) ** 2 + (a * np.sin(phi) + zim) ** 2)
+    return float(lam) if size is None else lam
+
+
+def sample_sum(p: SRParams, link: LinkSNR, k: int, rng: np.random.Generator, size=None):
+    """Draw the sum of k i.i.d. Lambda from its exact Erlang mixture.
+
+    For integer m the density is a mixture of Gamma(j+1, scale eta/theta)
+    laws, theta = beta - delta, whose weights alpha zeta_j j!/theta^(j+1)
+    are exactly the Binomial(m-1, delta/beta) pmf.  A k-fold sum is then
+    eta * Gamma(k + J) / theta with J ~ Binomial(k(m-1), delta/beta): two
+    draws per sample (J, then the gamma), whatever k is.  k = 1 draws one
+    Lambda.  Same law as `sample` (and as summing k `sample` draws), but a
+    different stream.
+    """
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    drv = derive(p)
+    j = rng.binomial(k * (p.m - 1), drv.delta / drv.beta, size=size)
+    lam = rng.standard_gamma(k + j) * (link.eta / (drv.beta - drv.delta))
     return float(lam) if size is None else lam
 
 

@@ -191,13 +191,17 @@ def run(spec: ExperimentSpec, workers: int = 1) -> list[RunRow]:
 
     Rows are keyed (scheme, condition, K, snr_db) in spec order; per-row
     Monte Carlo seeds derive from (spec.mc.seed, row index), so results
-    do not depend on the worker count.
+    do not depend on the worker count.  A table with fewer rows than
+    workers gives each row's simulator workers // rows block threads.
     """
     points = list(_row_points(spec))
+    sim_workers = max(1, workers // len(points))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(
-                pool.map(lambda ip: _compute_row(spec, ip[1], ip[0], 1), enumerate(points))
+                pool.map(
+                    lambda ip: _compute_row(spec, ip[1], ip[0], sim_workers), enumerate(points)
+                )
             )
     return [_compute_row(spec, pt, i, 1) for i, pt in enumerate(points)]
 
@@ -472,14 +476,15 @@ def _spec_from_args(args) -> tuple[ExperimentSpec, int]:
                 seed=int(cfg.get("seed", base.seed)),
                 ci_level=float(cfg.get("ci_level", base.ci_level)),
             )
-        if cfg.get("mc", "").lower() in ("false", "0", "no"):
-            updates["mc"] = None
         if "csv" in cfg:
             updates["csv_path"] = cfg["csv"]
         if "svg" in cfg:
             updates["svg_path"] = cfg["svg"]
         if updates:
             spec = replace(spec, **updates)
+
+    if cfg.get("mc", "").lower() in ("false", "0", "no"):
+        spec = replace(spec, mc=None)
 
     if args.no_mc:
         spec = replace(spec, mc=None)

@@ -5,11 +5,28 @@ independent substream keyed by (seed, i) via SeedSequence spawn keys over
 a Philox counter-based generator.  Because the block layout never depends
 on the worker count, sequential and parallel runs produce bit-identical
 estimates.
+
+Every SNR is drawn with `channel.sample_sum`, the exact Erlang-mixture
+sampler (one binomial and one gamma draw per sample, no trigonometry).
+Within a block the draw order is fixed:
+
+- SS and SC: one single-hop draw per hop, ns then sg, satellite by
+  satellite, so SC with one satellite draws exactly like SS and the SC
+  branches of K satellites are the first K of any larger set.
+- MRC: one K-fold sum per distinct (SRParams, LinkSNR) pair on each side,
+  the ns sums first, then the sg sums, each in first-appearance order.  An
+  i.i.d. list costs one binomial and one gamma draw per side; a non-i.i.d.
+  list stays exact.
+
+`channel.sample` keeps the physical construction (LoS amplitude, phase and
+complex Gaussian), so the CDF checks and the mixture sampler are checked
+against an independent draw.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -107,9 +124,17 @@ def _run_blocks(kernel, cfg: MCConfig, workers: int) -> OutageEstimate:
 def _branch_snrs(hops: list[HopPair], rng: np.random.Generator, n: int):
     """Per-branch (Lambda_ns, Lambda_sg) draws in fixed satellite order."""
     for hop in hops:
-        lam_ns = channel.sample(hop.ns[0], hop.ns[1], rng, size=n)
-        lam_sg = channel.sample(hop.sg[0], hop.sg[1], rng, size=n)
+        lam_ns = channel.sample_sum(hop.ns[0], hop.ns[1], 1, rng, size=n)
+        lam_sg = channel.sample_sum(hop.sg[0], hop.sg[1], 1, rng, size=n)
         yield lam_ns, lam_sg
+
+
+def _side_sum(links, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Sum of one side's hop SNRs: one k-fold draw per distinct
+    (SRParams, LinkSNR) pair, in first-appearance order."""
+    return sum(
+        channel.sample_sum(p, link, k, rng, size=n) for (p, link), k in Counter(links).items()
+    )
 
 
 def simulate_ss(hops: HopPair, thr: Threshold, cfg: MCConfig, workers: int = 1) -> OutageEstimate:
@@ -153,11 +178,8 @@ def simulate_mrc(
     cm = c_mrc([h.ns for h in hops_per_sat])
 
     def kernel(rng: np.random.Generator, n: int) -> int:
-        sum_ns = np.zeros(n)
-        sum_sg = np.zeros(n)
-        for lam_ns, lam_sg in _branch_snrs(hops_per_sat, rng, n):
-            sum_ns += lam_ns
-            sum_sg += lam_sg
+        sum_ns = _side_sum([h.ns for h in hops_per_sat], rng, n)
+        sum_sg = _side_sum([h.sg for h in hops_per_sat], rng, n)
         snr = sum_sg * sum_ns / (sum_sg + cm)
         return int(np.count_nonzero(snr <= g))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 from satrelay import channel
 from satrelay.channel import (
@@ -226,6 +226,28 @@ class TestSample:
     def test_scalar_draw(self, sr_params, link10):
         value = channel.sample(sr_params, link10, np.random.default_rng(1))
         assert isinstance(value, float) and value >= 0.0
+
+
+class TestSampleSum:
+    @pytest.mark.parametrize("k", [1, 2, 5, 16])
+    def test_two_sample_ks_against_physical_sum(self, sr_params, k):
+        # The mixture sampler against k summed physical draws: two
+        # independent constructions of the same law.
+        link = LinkSNR(10.0)
+        rng = np.random.default_rng(31_000 + k)
+        n = 1_000_000
+        mixture = channel.sample_sum(sr_params, link, k, rng, size=n)
+        physical = sum(channel.sample(sr_params, link, rng, size=n) for _ in range(k))
+        assert stats.ks_2samp(mixture, physical, method="asymp").statistic < 0.005
+
+    def test_scalar_draw(self, sr_params, link10):
+        value = channel.sample_sum(sr_params, link10, 3, np.random.default_rng(1))
+        assert isinstance(value, float) and value > 0.0
+
+    @pytest.mark.parametrize("k", [0, -1, 2.0, True])
+    def test_bad_k_rejected(self, link10, k):
+        with pytest.raises(ValueError):
+            channel.sample_sum(HEAVY_SHADOWING, link10, k, np.random.default_rng(1), size=4)
 
 
 class TestSumContext:

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from satrelay import cli
+from satrelay import cli, mcsim
 from satrelay.cli import CSV_HEADER, RunRow, emit_csv, emit_svg, run
 from satrelay.mcsim import MCConfig, OutageEstimate
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -182,6 +182,41 @@ class TestConfigFile:
         assert cli.main(["run", "--config", str(conf), "--no-mc", "--csv", str(out)]) == 0
         row = out.read_text().strip().split("\n")[1].split(",")
         assert row[6] == ""  # --no-mc wins over config trials
+
+    def test_mc_false_in_custom_config(self, tmp_path):
+        conf = tmp_path / "exp.conf"
+        out = tmp_path / "o.csv"
+        conf.write_text(
+            "schemes = SS\nconditions = HH\nk_values = 1\nsnr_db = 10\n"
+            f"trials = 20000\nmc = false\ncsv = {out}\n"
+        )
+        assert cli.main(["run", "--config", str(conf)]) == 0
+        row = out.read_text().strip().split("\n")[1].split(",")
+        assert row[6:] == ["", "", "", "", ""]
+
+    def test_spare_workers_reach_the_simulator(self, tmp_path, monkeypatch):
+        # One row at two workers: the row gets both as Monte Carlo block
+        # threads (600k trials = two blocks), and the bytes do not change.
+        seen = []
+        simulate = mcsim.simulate_ss
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["workers"])
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(mcsim, "simulate_ss", spy)
+        conf = tmp_path / "one.conf"
+        conf.write_text(
+            "schemes = SS\nconditions = HH\nk_values = 1\nsnr_db = 10\n"
+            "trials = 600000\nseed = 4\n"
+        )
+        csvs = []
+        for workers in ("1", "2"):
+            csvs.append(tmp_path / f"w{workers}.csv")
+            argv = ["run", "--config", str(conf), "--workers", workers, "--csv", str(csvs[-1])]
+            assert cli.main(argv) == 0
+        assert seen == [1, 2]
+        assert csvs[0].read_bytes() == csvs[1].read_bytes()
 
 
 class TestMain:
