@@ -8,15 +8,23 @@ estimates.
 
 Every SNR is drawn with `channel.sample_sum`, the exact Erlang-mixture
 sampler (one binomial and one gamma draw per sample, no trigonometry).
-Within a block the draw order is fixed:
+A block draws only the variates that can still change its outage count,
+in a fixed order:
 
-- SS and SC: one single-hop draw per hop, ns then sg, satellite by
-  satellite, so SC with one satellite draws exactly like SS and the SC
-  branches of K satellites are the first K of any larger set.
+- SS: n ns draws, then n sg draws.
+- SC: the first branch draws exactly like SS (so SC with one satellite is
+  SS, bit for bit).  Branch k >= 2 draws ns only for the trials still in
+  outage after branches 1..k-1, then sg only for those with
+  Lambda_ns > gamma, since Lambda_ns <= gamma already forces
+  Lambda_GS < gamma.  Branches are independent, so given the previous
+  count the trials left in outage are Binomial(count, p_k) and the count
+  keeps its exact law.  The first K branches are shared across K, so at
+  one seed the count never rises with K.
 - MRC: one K-fold sum per distinct (SRParams, LinkSNR) pair on each side,
-  the ns sums first, then the sg sums, each in first-appearance order.  An
-  i.i.d. list costs one binomial and one gamma draw per side; a non-i.i.d.
-  list stays exact.
+  each in first-appearance order: the ns sums for all n trials, then the
+  sg sums only where the ns sum exceeds gamma, since
+  Lambda_GS < sum(ns) whenever C_m > 0.  An i.i.d. list costs one binomial
+  and one gamma draw per side; a non-i.i.d. list stays exact.
 
 `channel.sample` keeps the physical construction (LoS amplitude, phase and
 complex Gaussian), so the CDF checks and the mixture sampler are checked
@@ -26,9 +34,11 @@ against an independent draw.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 from statistics import NormalDist
 
 import numpy as np
@@ -121,19 +131,25 @@ def _run_blocks(kernel, cfg: MCConfig, workers: int) -> OutageEstimate:
     return _wilson(hits, cfg.trials, cfg.ci_level)
 
 
-def _branch_snrs(hops: list[HopPair], rng: np.random.Generator, n: int):
-    """Per-branch (Lambda_ns, Lambda_sg) draws in fixed satellite order."""
-    for hop in hops:
-        lam_ns = channel.sample_sum(hop.ns[0], hop.ns[1], 1, rng, size=n)
-        lam_sg = channel.sample_sum(hop.sg[0], hop.sg[1], 1, rng, size=n)
-        yield lam_ns, lam_sg
+def _hop_snr(hop: HopPair, rng: np.random.Generator, n: int):
+    """(Lambda_ns, Lambda_sg) for n trials of one satellite, ns first."""
+    lam_ns = channel.sample_sum(*hop.ns, 1, rng, size=n)
+    lam_sg = channel.sample_sum(*hop.sg, 1, rng, size=n)
+    return lam_ns, lam_sg
+
+
+def _relayed(lam_ns: np.ndarray, lam_sg: np.ndarray) -> np.ndarray:
+    """Variable-gain end-to-end SNR sg*ns / (sg + 1 + ns)."""
+    return lam_sg * lam_ns / (lam_sg + 1.0 + lam_ns)
 
 
 def _side_sum(links, rng: np.random.Generator, n: int) -> np.ndarray:
     """Sum of one side's hop SNRs: one k-fold draw per distinct
     (SRParams, LinkSNR) pair, in first-appearance order."""
-    return sum(
-        channel.sample_sum(p, link, k, rng, size=n) for (p, link), k in Counter(links).items()
+    # reduce, not sum: sum would copy the first draw into 0 + draw.
+    return reduce(
+        operator.add,
+        (channel.sample_sum(p, link, k, rng, size=n) for (p, link), k in Counter(links).items()),
     )
 
 
@@ -142,9 +158,7 @@ def simulate_ss(hops: HopPair, thr: Threshold, cfg: MCConfig, workers: int = 1) 
     g = thr.gamma_th
 
     def kernel(rng: np.random.Generator, n: int) -> int:
-        lam_ns, lam_sg = next(_branch_snrs([hops], rng, n))
-        snr = lam_sg * lam_ns / (lam_sg + 1.0 + lam_ns)
-        return int(np.count_nonzero(snr <= g))
+        return int(np.count_nonzero(_relayed(*_hop_snr(hops, rng, n)) <= g))
 
     return _run_blocks(kernel, cfg, workers)
 
@@ -156,13 +170,18 @@ def simulate_sc(
     if not hops_per_sat:
         raise ValueError("need at least one satellite")
     g = thr.gamma_th
+    first, *rest = hops_per_sat
 
     def kernel(rng: np.random.Generator, n: int) -> int:
-        best = None
-        for lam_ns, lam_sg in _branch_snrs(hops_per_sat, rng, n):
-            snr = lam_sg * lam_ns / (lam_sg + 1.0 + lam_ns)
-            best = snr if best is None else np.maximum(best, snr)
-        return int(np.count_nonzero(best <= g))
+        alive = int(np.count_nonzero(_relayed(*_hop_snr(first, rng, n)) <= g))
+        for hop in rest:
+            if not alive:
+                break
+            lam_ns = channel.sample_sum(*hop.ns, 1, rng, size=alive)
+            lam_ns = lam_ns[lam_ns > g]
+            lam_sg = channel.sample_sum(*hop.sg, 1, rng, size=lam_ns.size)
+            alive += int(np.count_nonzero(_relayed(lam_ns, lam_sg) <= g)) - lam_ns.size
+        return alive
 
     return _run_blocks(kernel, cfg, workers)
 
@@ -179,8 +198,9 @@ def simulate_mrc(
 
     def kernel(rng: np.random.Generator, n: int) -> int:
         sum_ns = _side_sum([h.ns for h in hops_per_sat], rng, n)
-        sum_sg = _side_sum([h.sg for h in hops_per_sat], rng, n)
+        sum_ns = sum_ns[sum_ns > g]
+        sum_sg = _side_sum([h.sg for h in hops_per_sat], rng, sum_ns.size)
         snr = sum_sg * sum_ns / (sum_sg + cm)
-        return int(np.count_nonzero(snr <= g))
+        return n - sum_ns.size + int(np.count_nonzero(snr <= g))
 
     return _run_blocks(kernel, cfg, workers)

@@ -252,12 +252,14 @@ def ps_ss(hops: HopPair, thr: Threshold, cfg: StaircaseConfig) -> float:
 
 
 def op_sc(hops_per_sat: list[HopPair], thr: Threshold, cfg: StaircaseConfig) -> float:
-    """Selection combining: product of the per-satellite outage probabilities."""
+    """Selection combining: product of the per-satellite outage probabilities,
+    each distinct hop pair evaluated once and multiplied in list order."""
     if not hops_per_sat:
         raise ValueError("need at least one satellite")
+    per_hop = {hop: op_ss(hop, thr, cfg) for hop in dict.fromkeys(hops_per_sat)}
     out = 1.0
     for hop in hops_per_sat:
-        out *= op_ss(hop, thr, cfg)
+        out *= per_hop[hop]
     return out
 
 
@@ -267,7 +269,8 @@ def ps_sc(hops_per_sat: list[HopPair], thr: Threshold, cfg: StaircaseConfig) -> 
     outage."""
     if not hops_per_sat:
         raise ValueError("need at least one satellite")
-    ps = np.array([ps_ss(hop, thr, cfg) for hop in hops_per_sat])
+    per_hop = {hop: ps_ss(hop, thr, cfg) for hop in dict.fromkeys(hops_per_sat)}
+    ps = np.array([per_hop[hop] for hop in hops_per_sat])
     with np.errstate(divide="ignore"):
         return float(-np.expm1(np.sum(np.log1p(-ps))))
 

@@ -200,7 +200,8 @@ def _check_mc_determinism():
     thr = Threshold(gamma_th=1.0)
     link = LinkSNR(5.0)
     hop = HopPair(ns=(HEAVY_SHADOWING, link), sg=(HEAVY_SHADOWING, link))
-    cfg = MCConfig(trials=300_000, seed=77)
+    # Three blocks or more, so workers = 4 really spreads blocks over threads.
+    cfg = MCConfig(trials=1_200_000, seed=77)
     a = mcsim.simulate_sc([hop] * 3, thr, cfg, workers=1)
     b = mcsim.simulate_sc([hop] * 3, thr, cfg, workers=4)
     assert a == b, (a, b)

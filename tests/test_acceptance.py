@@ -13,7 +13,7 @@ status and its measured causes:
   family-wise 99% level: each of the N intervals is built at
   1 - 0.01/N, since per-point 99% intervals would miss ~N/100 points even
   for exact values.  Converged quadrature values miss 0 of the 117
-  points under that level; the staircase values miss 78 (over-cover
+  points under that level; the staircase values miss 79 (over-cover
   bias up to +29% at the lower-edge rule, plus truncation at the fixed
   depth), so it stays red on the program's own fault.
 - 5 (M = 200, L = 30 gamma moves every point by < 1%) stays red on the

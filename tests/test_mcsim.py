@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satrelay import mcsim, outage
+from satrelay import channel, mcsim, outage
 from satrelay.channel import AVERAGE_SHADOWING, HEAVY_SHADOWING, LinkSNR
 from satrelay.mcsim import MCConfig, OutageEstimate, _wilson
 from satrelay.outage import HopPair, StaircaseConfig, Threshold
@@ -16,6 +16,35 @@ THR = Threshold(gamma_th=1.0)
 def hop_at(db, ns=HEAVY_SHADOWING, sg=HEAVY_SHADOWING):
     link = LinkSNR.from_db(db)
     return HopPair(ns=(ns, link), sg=(sg, link))
+
+
+def physical_outage(scheme, hops, n, seed):
+    """Full-draw outage estimate from the physical per-hop sampler: every
+    ns and sg of every trial is drawn, on a stream of its own."""
+    rng = np.random.default_rng(seed)
+    ns = [channel.sample(*h.ns, rng, size=n) for h in hops]
+    sg = [channel.sample(*h.sg, rng, size=n) for h in hops]
+    if scheme == "SC":
+        snr = np.max([s * x / (s + 1.0 + x) for x, s in zip(ns, sg)], axis=0)
+    else:
+        cm = outage.c_mrc([h.ns for h in hops])
+        snr = sum(sg) * sum(ns) / (sum(sg) + cm)
+    return float(np.mean(snr <= THR.gamma_th))
+
+
+class SampleSpy:
+    """Records the parameters and the draws of every channel.sample_sum call."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        real = channel.sample_sum
+
+        def spy(p, link, k, rng, size=None):
+            out = real(p, link, k, rng, size=size)
+            self.calls.append(((p, link), k, size, out))
+            return out
+
+        monkeypatch.setattr(channel, "sample_sum", spy)
 
 
 class TestConfigs:
@@ -93,10 +122,38 @@ class TestSimulateSC:
         assert mcsim.simulate_sc([hop], THR, cfg) == mcsim.simulate_ss(hop, THR, cfg)
 
     def test_more_satellites_help(self):
+        # The first K branches are shared across K, so at one seed the hit
+        # count never rises as satellites are added.
         cfg = MCConfig(trials=200_000, seed=17)
-        p2 = mcsim.simulate_sc([hop_at(10.0)] * 2, THR, cfg).p_hat
-        p5 = mcsim.simulate_sc([hop_at(10.0)] * 5, THR, cfg).p_hat
-        assert p5 <= p2
+        hits = [mcsim.simulate_sc([hop_at(10.0)] * k, THR, cfg).p_hat for k in range(1, 7)]
+        assert all(later <= earlier for earlier, later in zip(hits, hits[1:]))
+        assert hits[-1] < hits[0]
+
+    def test_draws_only_trials_still_in_outage(self, monkeypatch):
+        # Branch 1 draws all n ns then all n sg; branch k >= 2 draws ns for
+        # the trials still in outage, then sg where Lambda_ns > gamma.
+        hops = [hop_at(12.0), hop_at(9.0, sg=AVERAGE_SHADOWING), hop_at(12.0), hop_at(6.0)]
+        n = 100_000
+        spy = SampleSpy(monkeypatch)
+        est = mcsim.simulate_sc(hops, THR, MCConfig(trials=n, seed=4))
+        assert len(spy.calls) == 2 * len(hops)
+        g = THR.gamma_th
+        alive = n
+        for k, hop in enumerate(hops):
+            ns_link, ns_k, ns_size, lam_ns = spy.calls[2 * k]
+            sg_link, sg_k, sg_size, lam_sg = spy.calls[2 * k + 1]
+            assert (ns_link, sg_link, ns_k, sg_k) == (hop.ns, hop.sg, 1, 1)
+            assert ns_size == alive
+            if k == 0:
+                assert sg_size == n
+                alive = int(np.count_nonzero(lam_sg * lam_ns / (lam_sg + 1.0 + lam_ns) <= g))
+            else:
+                over = lam_ns[lam_ns > g]
+                assert sg_size == over.size < ns_size
+                snr = lam_sg * over / (lam_sg + 1.0 + over)
+                alive += int(np.count_nonzero(snr <= g)) - over.size
+        assert 0 < alive < n
+        assert est.p_hat == alive / n
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -124,22 +181,36 @@ class TestSimulateMRC:
     def test_non_iid_against_physical_sum(self):
         # Two distinct ns pairs (one repeated) and a shared sg pair: the
         # per-pair k-fold draws must match summing physical per-hop draws.
-        from satrelay import channel
-
         sg = (AVERAGE_SHADOWING, LinkSNR.from_db(6.0))
         low = (HEAVY_SHADOWING, LinkSNR.from_db(6.0))
         high = (HEAVY_SHADOWING, LinkSNR.from_db(12.0))
         hops = [HopPair(ns=low, sg=sg), HopPair(ns=high, sg=sg), HopPair(ns=low, sg=sg)]
         n = 1_000_000
         est = mcsim.simulate_mrc(hops, THR, MCConfig(trials=n, seed=808))
-        rng = np.random.default_rng(909)
-        sum_ns = sum(channel.sample(*h.ns, rng, size=n) for h in hops)
-        sum_sg = sum(channel.sample(*h.sg, rng, size=n) for h in hops)
-        cm = outage.c_mrc([h.ns for h in hops])
-        ref = float(np.mean(sum_sg * sum_ns / (sum_sg + cm) <= THR.gamma_th))
+        ref = physical_outage("MRC", hops, n, seed=909)
         # Two independent estimates of ~0.14 at 1e6 trials each: 5 sigma.
         sigma = math.sqrt(2.0 * ref * (1.0 - ref) / n)
         assert abs(est.p_hat - ref) < 5.0 * sigma
+
+    def test_draws_sg_only_above_gamma(self, monkeypatch):
+        # ns sums for every trial, one per distinct pair; sg sums only where
+        # the ns sum exceeds gamma, since Lambda_GS < sum(ns) there.
+        sg = (HEAVY_SHADOWING, LinkSNR.from_db(3.0))
+        low = (AVERAGE_SHADOWING, LinkSNR.from_db(0.0))
+        hops = [HopPair(ns=sg, sg=sg), HopPair(ns=low, sg=sg), HopPair(ns=sg, sg=sg)]
+        n = 100_000
+        spy = SampleSpy(monkeypatch)
+        est = mcsim.simulate_mrc(hops, THR, MCConfig(trials=n, seed=6))
+        ns_calls, sg_calls = spy.calls[:2], spy.calls[2:]
+        assert [(c[0], c[1], c[2]) for c in ns_calls] == [(hops[0].ns, 2, n), (hops[1].ns, 1, n)]
+        sum_ns = sum(c[3] for c in ns_calls)
+        over = sum_ns[sum_ns > THR.gamma_th]
+        assert [(c[0], c[1], c[2]) for c in sg_calls] == [(hops[0].sg, 3, over.size)]
+        assert 0 < over.size < n
+        cm = outage.c_mrc([h.ns for h in hops])
+        sum_sg = sg_calls[0][3]
+        hits = n - over.size + int(np.count_nonzero(sum_sg * over / (sum_sg + cm) <= THR.gamma_th))
+        assert est.p_hat == hits / n
 
     def test_mrc_beats_sc(self):
         cfg = MCConfig(trials=200_000, seed=29)
@@ -153,6 +224,39 @@ class TestSimulateMRC:
             sc = mcsim.simulate_sc(hops, THR, cfg).p_hat
             mrc = mcsim.simulate_mrc(hops, THR, cfg).p_hat
             assert mrc <= sc
+
+
+class TestShortcutExactness:
+    """The kernels skip the draws that cannot change a trial's outcome; at
+    low SNR, where they skip most draws, the estimate must still match a
+    full-draw estimate from the physical sampler on another stream."""
+
+    @pytest.mark.parametrize(
+        "scheme, hops",
+        [
+            ("SC", [hop_at(12.0)] * 5),
+            (
+                "SC",
+                [
+                    hop_at(12.0),
+                    hop_at(9.0, sg=AVERAGE_SHADOWING),
+                    hop_at(6.0, ns=AVERAGE_SHADOWING),
+                    hop_at(12.0),
+                    hop_at(15.0, sg=AVERAGE_SHADOWING),
+                ],
+            ),
+            ("MRC", [hop_at(3.0)] * 5),
+        ],
+        ids=["sc-iid", "sc-non-iid", "mrc-iid"],
+    )
+    def test_against_full_physical_draw(self, scheme, hops):
+        n = 1_000_000
+        simulate = mcsim.simulate_sc if scheme == "SC" else mcsim.simulate_mrc
+        est = simulate(hops, THR, MCConfig(trials=n, seed=2024))
+        ref = physical_outage(scheme, hops, n, seed=4202)
+        # Two independent estimates (0.17 to 0.54) at 1e6 trials each: 5 sigma.
+        sigma = math.sqrt(2.0 * ref * (1.0 - ref) / n)
+        assert abs(est.p_hat - ref) < 5.0 * sigma
 
 
 class TestCIQuality:
