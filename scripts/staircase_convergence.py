@@ -13,8 +13,7 @@ import argparse
 import sys
 
 from satrelay import outage
-from satrelay.channel import LinkSNR
-from satrelay.cli import CONDITIONS
+from satrelay.channel import CONDITIONS, LinkSNR
 from satrelay.outage import HopPair, StaircaseConfig, Threshold
 
 LADDER = [(50, 15.0), (200, 30.0), (800, 45.0), (3200, 60.0)]

@@ -25,7 +25,16 @@ from .channel import (
     sum_cdf,
 )
 from .linkbudget import LinkBudget, feasible_range, slant_range_km, snr_db
-from .mcsim import MCConfig, OutageEstimate, simulate_mrc, simulate_sc, simulate_ss
+from .mcsim import (
+    MCConfig,
+    OutageEstimate,
+    simulate_mrc,
+    simulate_mrc_curve,
+    simulate_sc,
+    simulate_sc_curve,
+    simulate_ss,
+    simulate_ss_curve,
+)
 from .outage import (
     HopPair,
     StaircaseConfig,

@@ -34,6 +34,7 @@ __all__ = [
     "SumSRContext",
     "HEAVY_SHADOWING",
     "AVERAGE_SHADOWING",
+    "CONDITIONS",
     "derive",
     "pdf",
     "cdf",
@@ -72,6 +73,15 @@ class SRParams:
 # Land-mobile-satellite reference conditions (Abdi et al. parameterization).
 HEAVY_SHADOWING = SRParams(m=2, b=0.063, omega=0.0005)
 AVERAGE_SHADOWING = SRParams(m=5, b=0.251, omega=0.279)
+
+# Condition code -> (node->satellite params, satellite->GS params); the
+# first letter names the uplink hop's shadowing.
+CONDITIONS: dict[str, tuple[SRParams, SRParams]] = {
+    "HH": (HEAVY_SHADOWING, HEAVY_SHADOWING),
+    "HA": (HEAVY_SHADOWING, AVERAGE_SHADOWING),
+    "AH": (AVERAGE_SHADOWING, HEAVY_SHADOWING),
+    "AA": (AVERAGE_SHADOWING, AVERAGE_SHADOWING),
+}
 
 
 @dataclass(frozen=True)
@@ -252,7 +262,8 @@ class SumSRContext:
     """Combinatorial constants for the CDF of a K-fold i.i.d. SR sum.
 
     d = max{K, floor(mK)}, c = (d-K)^+, epsilon = mK - d.  For integer m
-    these reduce to d = mK, c = (m-1)K, epsilon = 0.
+    these reduce to d = mK, c = (m-1)K, epsilon = 0; `SRParams` admits only
+    integer m, so a nonzero epsilon is rejected.
     """
 
     K: int
@@ -265,6 +276,8 @@ class SumSRContext:
             raise ValueError("K must be >= 1")
         if self.c != max(self.d - self.K, 0):
             raise ValueError("c must equal (d - K)^+")
+        if self.epsilon != 0.0:
+            raise ValueError("epsilon must be 0: only integer m is supported")
 
     @classmethod
     def for_fading(cls, p: SRParams, K: int) -> "SumSRContext":
@@ -296,20 +309,15 @@ def _sum_cdf_terms(
     ln_signs: list[np.ndarray] = []
     ln_mags: list[np.ndarray] = []
 
-    def add_term(l: int, dd: int, ln_extra: float) -> None:
-        # ln G(x, l, dd, eta) = (dd-l) ln(x/eta) - z - lnGamma(dd-l+1) + ln 1F1,
-        # the (beta-delta) powers cancel between the prefactor and M's z^(nu+1/2).
-        sign_f, ln_f = _kummer_1f1_ln_grid(1.0 - l, 1.0 + dd - l, z, ctrl)
-        ln_g = (dd - l) * ln_x_over_eta - z - ln_gamma(dd - l + 1.0) + ln_f
-        ln_mags.append(ln_extra + ln_g)
-        ln_signs.append(sign_f)
-
     ln_alpha_k = ctx.K * math.log(drv.alpha)
     for l in range(ctx.c + 1):
         ln_base = ln_alpha_k + _ln_binomial(ctx.c, l) + (ctx.c - l) * math.log(drv.beta)
-        add_term(l, ctx.d, ln_base)
-        if ctx.epsilon > 0.0:
-            add_term(l, ctx.d + 1, ln_base + math.log(ctx.epsilon * drv.delta))
+        # ln G(x, l, d, eta) = (d-l) ln(x/eta) - z - lnGamma(d-l+1) + ln 1F1,
+        # the (beta-delta) powers cancel between the prefactor and M's z^(nu+1/2).
+        sign_f, ln_f = _kummer_1f1_ln_grid(1.0 - l, 1.0 + ctx.d - l, z, ctrl)
+        ln_g = (ctx.d - l) * ln_x_over_eta - z - ln_gamma(ctx.d - l + 1.0) + ln_f
+        ln_mags.append(ln_base + ln_g)
+        ln_signs.append(sign_f)
 
     mags = np.stack(ln_mags)
     signs = np.stack(ln_signs)
@@ -328,9 +336,9 @@ def sum_cdf(
 ):
     """CDF of the sum of ctx.K i.i.d. SR SNRs with parameters p, at x >= 0.
 
-    Assembled in log space from Whittaker-function terms; the epsilon
-    correction term vanishes identically for integer m.  Accepts scalars
-    or arrays; x = 0 returns exactly 0.
+    Assembled in log space from Whittaker-function terms (integer m, so
+    no epsilon correction term).  Accepts scalars or arrays; x = 0 returns
+    exactly 0.
     """
     arr, scalar = _as_nonneg_array(x)
     drv = derive(p)

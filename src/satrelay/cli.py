@@ -19,22 +19,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linkbudget, mcsim, outage
-from .channel import AVERAGE_SHADOWING, HEAVY_SHADOWING, LinkSNR, SRParams
+from .channel import CONDITIONS, LinkSNR
 from .mcsim import MCConfig, OutageEstimate
 from .outage import HopPair, StaircaseConfig, Threshold
 
 __all__ = ["ExperimentSpec", "RunRow", "run", "emit_csv", "emit_svg", "main"]
 
 SCHEMES = ("SS", "SC", "MRC")
-
-# Condition code -> (node->satellite params, satellite->GS params); the
-# first letter names the uplink hop's shadowing.
-CONDITIONS: dict[str, tuple[SRParams, SRParams]] = {
-    "HH": (HEAVY_SHADOWING, HEAVY_SHADOWING),
-    "HA": (HEAVY_SHADOWING, AVERAGE_SHADOWING),
-    "AH": (AVERAGE_SHADOWING, HEAVY_SHADOWING),
-    "AA": (AVERAGE_SHADOWING, AVERAGE_SHADOWING),
-}
 
 CSV_HEADER = (
     "scheme,condition,K,snr_db,op_analytic,op_asymptotic,"
@@ -156,54 +147,75 @@ def _row_points(spec: ExperimentSpec):
                     yield scheme, cond, k, float(db)
 
 
-def _compute_row(spec: ExperimentSpec, point, row_index: int, sim_workers: int) -> RunRow:
-    scheme, cond, k, db = point
+def _compute_curve(
+    spec: ExperimentSpec, points, first_index: int, sim_workers: int
+) -> list[RunRow]:
+    """The rows of one (scheme, condition, K) curve; their Monte Carlo
+    columns come from one draw set seeded by the curve's first row index."""
+    scheme, cond, k, _ = points[0]
     ns_params, sg_params = CONDITIONS[cond]
-    link = LinkSNR.from_db(db)
-    hop = HopPair(ns=(ns_params, link), sg=(sg_params, link))
-    hops = [hop] * k
     thr, stair = spec.threshold, spec.staircase
-
-    if scheme == "SS":
-        analytic = outage.op_ss(hop, thr, stair)
-        asymptotic = None
-    elif scheme == "SC":
-        analytic = outage.op_sc(hops, thr, stair)
-        asymptotic = outage.asymp_op_sc(hops, thr)
-    else:
-        analytic = outage.op_mrc(hops, thr, stair)
-        asymptotic = outage.asymp_op_mrc(hops, thr)
-
-    est = None
-    if spec.mc is not None:
-        cfg = replace(spec.mc, seed=_row_seed(spec.mc.seed, row_index))
+    curve, rows = [], []
+    for *_, db in points:
+        link = LinkSNR.from_db(db)
+        hop = HopPair(ns=(ns_params, link), sg=(sg_params, link))
+        hops = [hop] * k
         if scheme == "SS":
-            est = mcsim.simulate_ss(hop, thr, cfg, workers=sim_workers)
+            analytic = outage.op_ss(hop, thr, stair)
+            asymptotic = None
         elif scheme == "SC":
-            est = mcsim.simulate_sc(hops, thr, cfg, workers=sim_workers)
+            analytic = outage.op_sc(hops, thr, stair)
+            asymptotic = outage.asymp_op_sc(hops, thr)
         else:
-            est = mcsim.simulate_mrc(hops, thr, cfg, workers=sim_workers)
-    return RunRow(scheme, cond, k, db, analytic, asymptotic, est)
+            analytic = outage.op_mrc(hops, thr, stair)
+            asymptotic = outage.asymp_op_mrc(hops, thr)
+        curve.append(hops)
+        rows.append(RunRow(scheme, cond, k, db, analytic, asymptotic, None))
+
+    if spec.mc is None:
+        return rows
+    cfg = replace(spec.mc, seed=_row_seed(spec.mc.seed, first_index))
+    if scheme == "SS":
+        ests = mcsim.simulate_ss_curve([hops[0] for hops in curve], thr, cfg, workers=sim_workers)
+    elif scheme == "SC":
+        ests = mcsim.simulate_sc_curve(curve, thr, cfg, workers=sim_workers)
+    else:
+        ests = mcsim.simulate_mrc_curve(curve, thr, cfg, workers=sim_workers)
+    return [replace(row, mc=est) for row, est in zip(rows, ests)]
 
 
 def run(spec: ExperimentSpec, workers: int = 1) -> list[RunRow]:
-    """Compute all grid rows in deterministic order.
+    """Compute all grid rows, returned in spec order.
 
-    Rows are keyed (scheme, condition, K, snr_db) in spec order; per-row
-    Monte Carlo seeds derive from (spec.mc.seed, row index), so results
-    do not depend on the worker count.  A table with fewer rows than
-    workers gives each row's simulator workers // rows block threads.
+    Rows are keyed (scheme, condition, K, snr_db).  Rows that share
+    (scheme, condition, K) form one curve, the unit of work: its Monte
+    Carlo columns come from one draw set whose seed derives from
+    (spec.mc.seed, index of the curve's first row), so a table whose curves
+    hold one row each keeps its per-row seeds, and results do not depend on
+    the worker count.  Curves are spread over `workers` threads; a table
+    with fewer curves than workers gives each curve's simulator
+    workers // curves Monte Carlo block threads.
     """
     points = list(_row_points(spec))
-    sim_workers = max(1, workers // len(points))
+    curves: dict[tuple[str, str, int], list[int]] = {}
+    for i, (scheme, cond, k, _) in enumerate(points):
+        curves.setdefault((scheme, cond, k), []).append(i)
+    sim_workers = max(1, workers // len(curves))
+
+    def one(index: list[int]) -> list[RunRow]:
+        return _compute_curve(spec, [points[i] for i in index], index[0], sim_workers)
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(
-                    lambda ip: _compute_row(spec, ip[1], ip[0], sim_workers), enumerate(points)
-                )
-            )
-    return [_compute_row(spec, pt, i, 1) for i, pt in enumerate(points)]
+            done = list(pool.map(one, curves.values()))
+    else:
+        done = [one(index) for index in curves.values()]
+    placed = {
+        i: row
+        for index, curve_rows in zip(curves.values(), done)
+        for i, row in zip(index, curve_rows)
+    }
+    return [placed[i] for i in range(len(points))]
 
 
 def _fmt(value: float | None) -> str:

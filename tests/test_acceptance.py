@@ -35,6 +35,7 @@ from scipy import integrate
 from satrelay import channel, cli, linkbudget, mcsim, outage
 from satrelay.channel import (
     AVERAGE_SHADOWING,
+    CONDITIONS,
     HEAVY_SHADOWING,
     LinkSNR,
     SumSRContext,
@@ -55,13 +56,6 @@ PARAM_GRID = [
     (AVERAGE_SHADOWING, 1.0),
     (AVERAGE_SHADOWING, 10.0),
 ]
-
-CONDITIONS = {
-    "HH": (HEAVY_SHADOWING, HEAVY_SHADOWING),
-    "HA": (HEAVY_SHADOWING, AVERAGE_SHADOWING),
-    "AH": (AVERAGE_SHADOWING, HEAVY_SHADOWING),
-    "AA": (AVERAGE_SHADOWING, AVERAGE_SHADOWING),
-}
 
 FIG_GRIDS = {
     "HH": tuple(np.arange(0.0, 20.1, 2.0)),

@@ -263,6 +263,11 @@ class TestSumContext:
         with pytest.raises(ValueError):
             SumSRContext.for_fading(HEAVY_SHADOWING, 0)
 
+    def test_nonzero_epsilon_rejected(self):
+        # sum_cdf has no epsilon correction term: only integer m exists.
+        with pytest.raises(ValueError):
+            SumSRContext(K=2, d=5, c=3, epsilon=0.5)
+
 
 class TestSumCdf:
     def test_k1_reduces_to_cdf(self, sr_params, link10):

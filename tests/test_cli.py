@@ -7,8 +7,10 @@ from dataclasses import replace
 import pytest
 
 from satrelay import cli, mcsim
+from satrelay.channel import CONDITIONS, LinkSNR
 from satrelay.cli import CSV_HEADER, RunRow, emit_csv, emit_svg, run
 from satrelay.mcsim import MCConfig, OutageEstimate
+from satrelay.outage import HopPair, Threshold
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
@@ -195,16 +197,16 @@ class TestConfigFile:
         assert row[6:] == ["", "", "", "", ""]
 
     def test_spare_workers_reach_the_simulator(self, tmp_path, monkeypatch):
-        # One row at two workers: the row gets both as Monte Carlo block
+        # One curve at two workers: it gets both as Monte Carlo block
         # threads (600k trials = two blocks), and the bytes do not change.
         seen = []
-        simulate = mcsim.simulate_ss
+        simulate = mcsim.simulate_ss_curve
 
         def spy(*args, **kwargs):
             seen.append(kwargs["workers"])
             return simulate(*args, **kwargs)
 
-        monkeypatch.setattr(mcsim, "simulate_ss", spy)
+        monkeypatch.setattr(mcsim, "simulate_ss_curve", spy)
         conf = tmp_path / "one.conf"
         conf.write_text(
             "schemes = SS\nconditions = HH\nk_values = 1\nsnr_db = 10\n"
@@ -217,6 +219,49 @@ class TestConfigFile:
             assert cli.main(argv) == 0
         assert seen == [1, 2]
         assert csvs[0].read_bytes() == csvs[1].read_bytes()
+
+
+class TestCurves:
+    def test_unsorted_repeated_snr_rows_in_spec_order(self, tmp_path):
+        conf = tmp_path / "curve.conf"
+        conf.write_text(
+            "schemes = SS, SC, MRC\nconditions = AH\nk_values = 3\n"
+            "snr_db = 6, -3, 6, 0\ntrials = 20000\nseed = 7\n"
+        )
+        csvs = []
+        for workers in ("1", "2"):
+            csvs.append(tmp_path / f"w{workers}.csv")
+            argv = ["run", "--config", str(conf), "--workers", workers, "--csv", str(csvs[-1])]
+            assert cli.main(argv) == 0
+        assert csvs[0].read_bytes() == csvs[1].read_bytes()
+        rows = [line.split(",") for line in csvs[0].read_text().splitlines()[1:]]
+        assert [(r[0], float(r[3])) for r in rows] == [
+            (scheme, db) for scheme in ("SS", "SC", "MRC") for db in (6.0, -3.0, 6.0, 0.0)
+        ]
+        for i in range(0, 12, 4):
+            at_6, at_m3, again_6, at_0 = rows[i : i + 4]
+            assert at_6 == again_6  # one draw set per curve
+            assert float(at_m3[6]) >= float(at_0[6]) >= float(at_6[6])
+        # The SC curve is seeded by the index of its first row.
+        ns, sg = CONDITIONS["AH"]
+        links = [LinkSNR.from_db(db) for db in (6, -3, 6, 0)]
+        curve = [[HopPair(ns=(ns, link), sg=(sg, link))] * 3 for link in links]
+        cfg = MCConfig(trials=20000, seed=cli._row_seed(7, 4))
+        est = mcsim.simulate_sc_curve(curve, Threshold.from_rate(0.5), cfg)
+        assert [float(r[6]) for r in rows[4:8]] == [e.p_hat for e in est]
+
+    def test_one_row_curves_keep_row_seeds(self):
+        # fig3's curves hold one row each, so every row keeps the stream of
+        # its own row index.
+        spec = replace(cli._preset_spec("fig3"), mc=MCConfig(trials=3000, seed=11))
+        rows = run(spec, workers=2)
+        for i, r in enumerate(rows):
+            ns, sg = CONDITIONS[r.condition]
+            link = LinkSNR.from_db(r.snr_db)
+            hops = [HopPair(ns=(ns, link), sg=(sg, link))] * r.k
+            cfg = replace(spec.mc, seed=cli._row_seed(11, i))
+            simulate = mcsim.simulate_sc if r.scheme == "SC" else mcsim.simulate_mrc
+            assert r.mc == simulate(hops, spec.threshold, cfg)
 
 
 class TestMain:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,12 @@ from satrelay.mcsim import MCConfig, OutageEstimate, _wilson
 from satrelay.outage import HopPair, StaircaseConfig, Threshold
 
 THR = Threshold(gamma_th=1.0)
+CURVE = {
+    "SS": mcsim.simulate_ss_curve,
+    "SC": mcsim.simulate_sc_curve,
+    "MRC": mcsim.simulate_mrc_curve,
+}
+SINGLE = {"SS": mcsim.simulate_ss, "SC": mcsim.simulate_sc, "MRC": mcsim.simulate_mrc}
 
 
 def hop_at(db, ns=HEAVY_SHADOWING, sg=HEAVY_SHADOWING):
@@ -18,18 +25,56 @@ def hop_at(db, ns=HEAVY_SHADOWING, sg=HEAVY_SHADOWING):
     return HopPair(ns=(ns, link), sg=(sg, link))
 
 
-def physical_outage(scheme, hops, n, seed):
-    """Full-draw outage estimate from the physical per-hop sampler: every
-    ns and sg of every trial is drawn, on a stream of its own."""
+def physical_outage(scheme, rows, n, seed):
+    """Full-draw outage estimates from the physical per-hop sampler, one per
+    row (a list of hops; all rows share fading parameters): every ns and sg
+    of every trial is drawn at unit SNR, on a stream of its own, and each
+    row scales them by its own links' eta (Lambda = eta |h|^2)."""
     rng = np.random.default_rng(seed)
-    ns = [channel.sample(*h.ns, rng, size=n) for h in hops]
-    sg = [channel.sample(*h.sg, rng, size=n) for h in hops]
-    if scheme == "SC":
-        snr = np.max([s * x / (s + 1.0 + x) for x, s in zip(ns, sg)], axis=0)
-    else:
+    unit = LinkSNR(1.0)
+    ns = [channel.sample(h.ns[0], unit, rng, size=n) for h in rows[0]]
+    sg = [channel.sample(h.sg[0], unit, rng, size=n) for h in rows[0]]
+    estimates = []
+    for hops in rows:
+        lam_ns = [h.ns[1].eta * x for h, x in zip(hops, ns)]
+        lam_sg = [h.sg[1].eta * s for h, s in zip(hops, sg)]
+        if scheme == "SC":
+            snr = np.max([s * x / (s + 1.0 + x) for x, s in zip(lam_ns, lam_sg)], axis=0)
+        else:
+            cm = outage.c_mrc([h.ns for h in hops])
+            snr = sum(lam_sg) * sum(lam_ns) / (sum(lam_sg) + cm)
+        estimates.append(float(np.mean(snr <= THR.gamma_th)))
+    return estimates
+
+
+def one_block_hits(scheme, hops, n, seed):
+    """The single-row kernels' draw order and event, written out for one
+    block: SS draws n ns then n sg; SC's first branch draws like SS and
+    branch k >= 2 draws ns for the trials still in outage, then sg where
+    Lambda_ns > gamma; MRC draws the ns sums for all n trials, then the sg
+    sums where the ns sum exceeds gamma."""
+    rng = mcsim._block_rng(seed, 0)
+    g = THR.gamma_th
+    if scheme == "MRC":
+        ns_pairs, sg_pairs = Counter(h.ns for h in hops), Counter(h.sg for h in hops)
+        sum_ns = sum(channel.sample_sum(*link, k, rng, size=n) for link, k in ns_pairs.items())
+        sum_ns = sum_ns[sum_ns > g]
+        sum_sg = sum(
+            channel.sample_sum(*link, k, rng, size=sum_ns.size) for link, k in sg_pairs.items()
+        )
         cm = outage.c_mrc([h.ns for h in hops])
-        snr = sum(sg) * sum(ns) / (sum(sg) + cm)
-    return float(np.mean(snr <= THR.gamma_th))
+        return n - sum_ns.size + int(np.count_nonzero(sum_sg * sum_ns / (sum_sg + cm) <= g))
+    alive = n
+    for k, hop in enumerate(hops):
+        lam_ns = channel.sample_sum(*hop.ns, 1, rng, size=alive)
+        if k:
+            lam_ns = lam_ns[lam_ns > g]
+        lam_sg = channel.sample_sum(*hop.sg, 1, rng, size=lam_ns.size)
+        hits = int(np.count_nonzero(lam_sg * lam_ns / (lam_sg + 1.0 + lam_ns) <= g))
+        alive = hits if k == 0 else alive - lam_ns.size + hits
+        if not alive:
+            break
+    return alive
 
 
 class SampleSpy:
@@ -187,7 +232,7 @@ class TestSimulateMRC:
         hops = [HopPair(ns=low, sg=sg), HopPair(ns=high, sg=sg), HopPair(ns=low, sg=sg)]
         n = 1_000_000
         est = mcsim.simulate_mrc(hops, THR, MCConfig(trials=n, seed=808))
-        ref = physical_outage("MRC", hops, n, seed=909)
+        ref = physical_outage("MRC", [hops], n, seed=909)[0]
         # Two independent estimates of ~0.14 at 1e6 trials each: 5 sigma.
         sigma = math.sqrt(2.0 * ref * (1.0 - ref) / n)
         assert abs(est.p_hat - ref) < 5.0 * sigma
@@ -253,10 +298,83 @@ class TestShortcutExactness:
         n = 1_000_000
         simulate = mcsim.simulate_sc if scheme == "SC" else mcsim.simulate_mrc
         est = simulate(hops, THR, MCConfig(trials=n, seed=2024))
-        ref = physical_outage(scheme, hops, n, seed=4202)
+        ref = physical_outage(scheme, [hops], n, seed=4202)[0]
         # Two independent estimates (0.17 to 0.54) at 1e6 trials each: 5 sigma.
         sigma = math.sqrt(2.0 * ref * (1.0 - ref) / n)
         assert abs(est.p_hat - ref) < 5.0 * sigma
+
+
+class TestCurves:
+    """A curve's rows share one draw set made at its lowest-SNR links."""
+
+    @staticmethod
+    def row(scheme, hops):
+        return hops[0] if scheme == "SS" else hops
+
+    @pytest.mark.parametrize(
+        "scheme, hops",
+        [
+            ("SS", [hop_at(10.0, sg=AVERAGE_SHADOWING)]),
+            ("SC", [hop_at(10.0), hop_at(7.0, sg=AVERAGE_SHADOWING), hop_at(10.0)]),
+            ("MRC", [hop_at(3.0), hop_at(6.0, ns=AVERAGE_SHADOWING), hop_at(3.0)]),
+        ],
+    )
+    def test_one_row_curve_draws_as_single_row_kernels(self, scheme, hops):
+        # One block, so the whole estimate is the written-out kernel's count.
+        n, seed = 200_000, 41
+        row = self.row(scheme, hops)
+        cfg = MCConfig(trials=n, seed=seed)
+        [est] = CURVE[scheme]([row], THR, cfg)
+        assert est == SINGLE[scheme](row, THR, cfg)
+        assert est.p_hat == one_block_hits(scheme, hops, n, seed) / n
+
+    @pytest.mark.parametrize("scheme", ["SS", "SC", "MRC"])
+    def test_hits_never_rise_with_snr(self, scheme):
+        dbs = [-6.0 + 1.5 * i for i in range(11)]
+        rows = [self.row(scheme, [hop_at(db, ns=AVERAGE_SHADOWING)] * 5) for db in dbs]
+        est = CURVE[scheme](rows, THR, MCConfig(trials=300_000, seed=77))
+        p = [e.p_hat for e in est]
+        assert all(later <= earlier for earlier, later in zip(p, p[1:]))
+        assert p[-1] < p[0]
+
+    def test_rows_in_any_order(self):
+        # Rows come back in the order given; a repeated SNR repeats its row.
+        dbs = [9.0, 0.0, 4.5, 0.0, -3.0]
+        rows = [[hop_at(db)] * 4 for db in dbs]
+        cfg = MCConfig(trials=50_000, seed=5)
+        est = mcsim.simulate_sc_curve(rows, THR, cfg)
+        order = sorted(range(len(dbs)), key=dbs.__getitem__)
+        ascending = mcsim.simulate_sc_curve([rows[i] for i in order], THR, cfg)
+        assert est == [ascending[order.index(i)] for i in range(len(dbs))]
+        assert est[1] == est[3]
+        assert est[4].p_hat >= est[1].p_hat >= est[2].p_hat >= est[0].p_hat
+
+    def test_malformed_curves_rejected(self):
+        cfg = MCConfig(trials=10, seed=0)
+        with pytest.raises(ValueError):
+            mcsim.simulate_ss_curve([], THR, cfg)
+        with pytest.raises(ValueError):  # fading parameters differ
+            mcsim.simulate_ss_curve([hop_at(3.0), hop_at(6.0, sg=AVERAGE_SHADOWING)], THR, cfg)
+        with pytest.raises(ValueError):  # satellite counts differ
+            mcsim.simulate_mrc_curve([[hop_at(3.0)], [hop_at(6.0)] * 2], THR, cfg)
+        with pytest.raises(ValueError):  # the two hops move by different factors
+            odd = HopPair(ns=hop_at(6.0).ns, sg=hop_at(7.0).sg)
+            mcsim.simulate_ss_curve([hop_at(3.0), odd], THR, cfg)
+
+    @pytest.mark.parametrize("scheme", ["SC", "MRC"])
+    def test_every_row_against_full_physical_draw(self, scheme):
+        # Fig. 2's AH K=5 sweep: SC keeps only the trials in outage at -6 dB
+        # for branches 2..5 and MRC skips the sg sums where the ns sum is
+        # below gamma at 9 dB; each row must still match a full draw.
+        rows = [[hop_at(-6.0 + 1.5 * i, ns=AVERAGE_SHADOWING)] * 5 for i in range(11)]
+        n = 1_000_000
+        est = CURVE[scheme](rows, THR, MCConfig(trials=n, seed=2025))
+        ref = physical_outage(scheme, rows, n, seed=5202)
+        for e, r in zip(est, ref):
+            # Two independent estimates at 1e6 trials each: 5 sigma, and no
+            # less than five hits where the reference saw next to none.
+            sigma = math.sqrt(2.0 * r * (1.0 - r) / n)
+            assert abs(e.p_hat - r) < max(5.0 * sigma, 5.0 / n)
 
 
 class TestCIQuality:
