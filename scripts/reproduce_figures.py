@@ -19,7 +19,7 @@ def main() -> int:
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for preset in ("fig1", "fig2", "fig3"):
+    for preset in cli.PRESETS:
         rc = cli.main(
             [
                 "run",

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,24 +35,56 @@ CSV_HEADER = (
 DEFAULT_TRIALS = 1_000_000
 DEFAULT_SEED = 20240915
 
+# The paper's three figure sets as run tables: `run --preset figN` is a
+# config holding `preset = figN` over exactly these keys.
+PRESETS: dict[str, dict[str, str]] = {
+    "fig1": {
+        "schemes": "SS, SC, MRC",
+        "conditions": "HH, HA",
+        "k_values": "5",
+        "snr_db": "0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20",
+    },
+    "fig2": {
+        "schemes": "SS, SC, MRC",
+        "conditions": "AH, AA",
+        "k_values": "5",
+        "snr_db": "-6, -4.5, -3, -1.5, 0, 1.5, 3, 4.5, 6, 7.5, 9",
+    },
+    "fig3": {
+        "schemes": "SC, MRC",
+        "conditions": "HH, HA, AH, AA",
+        "k_values": "2, 3, 4, 5, 6",
+        "snr_db_hh": "13.5",
+        "snr_db_ha": "13.5",
+        "snr_db_ah": "7.5",
+        "snr_db_aa": "7.5",
+    },
+}
+
+# Every key a run table may hold; any other key is an error.
+CONFIG_KEYS = (
+    "preset", "schemes", "conditions", "k_values", "snr_db",
+    *(f"snr_db_{c.lower()}" for c in CONDITIONS),
+    "rate_r", "gamma_th", "steps_m", "depth_l",
+    "mc", "trials", "seed", "ci_level", "csv", "svg", "workers",
+)
+
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment: grids, schemes, approximation knobs, outputs."""
 
-    preset: str
     schemes: tuple[str, ...]
     conditions: tuple[str, ...]
     k_values: tuple[int, ...]
-    snr_grid_db: tuple[float, ...]
+    snr_db: dict[str, tuple[float, ...]]  # transmit SNR grid per condition
     staircase: StaircaseConfig
     threshold: Threshold
     mc: MCConfig | None
     csv_path: str
     svg_path: str | None = None
-    # Per-condition SNR grids (the K-sweep preset pins one eta per condition);
-    # conditions absent from this map fall back to snr_grid_db.
-    condition_snr_db: dict[str, tuple[float, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.schemes:
@@ -67,12 +99,8 @@ class ExperimentSpec:
         for c in self.conditions:
             if c not in CONDITIONS:
                 raise ValueError(f"unknown condition {c!r} (expected HH, HA, AH, AA)")
-        for c in self.conditions:
-            if not self.grid_for(c):
+            if not self.snr_db.get(c):
                 raise ValueError(f"no SNR grid for condition {c}")
-
-    def grid_for(self, condition: str) -> tuple[float, ...]:
-        return self.condition_snr_db.get(condition, self.snr_grid_db)
 
 
 @dataclass(frozen=True)
@@ -86,52 +114,6 @@ class RunRow:
     mc: OutageEstimate | None
 
 
-def _preset_spec(name: str) -> ExperimentSpec:
-    thr = Threshold.from_rate(0.5)
-    stair = StaircaseConfig.for_threshold(thr)
-    mc = MCConfig(trials=DEFAULT_TRIALS, seed=DEFAULT_SEED)
-    common = dict(
-        staircase=stair,
-        threshold=thr,
-        mc=mc,
-        csv_path=f"{name}.csv",
-    )
-    if name == "fig1":
-        return ExperimentSpec(
-            preset=name,
-            schemes=("SS", "SC", "MRC"),
-            conditions=("HH", "HA"),
-            k_values=(5,),
-            snr_grid_db=tuple(np.arange(0.0, 20.1, 2.0)),
-            **common,
-        )
-    if name == "fig2":
-        return ExperimentSpec(
-            preset=name,
-            schemes=("SS", "SC", "MRC"),
-            conditions=("AH", "AA"),
-            k_values=(5,),
-            snr_grid_db=tuple(np.arange(-6.0, 9.1, 1.5)),
-            **common,
-        )
-    if name == "fig3":
-        return ExperimentSpec(
-            preset=name,
-            schemes=("SC", "MRC"),
-            conditions=("HH", "HA", "AH", "AA"),
-            k_values=(2, 3, 4, 5, 6),
-            snr_grid_db=(),
-            condition_snr_db={
-                "HH": (13.5,),
-                "HA": (13.5,),
-                "AH": (7.5,),
-                "AA": (7.5,),
-            },
-            **common,
-        )
-    raise ValueError(f"unknown preset {name!r} (expected fig1, fig2, fig3)")
-
-
 def _row_seed(base_seed: int, row_index: int) -> int:
     seq = np.random.SeedSequence(
         entropy=base_seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(row_index,)
@@ -143,7 +125,7 @@ def _row_points(spec: ExperimentSpec):
     for scheme in spec.schemes:
         for cond in spec.conditions:
             for k in spec.k_values:
-                for db in spec.grid_for(cond):
+                for db in spec.snr_db[cond]:
                     yield scheme, cond, k, float(db)
 
 
@@ -425,102 +407,74 @@ def _split_list(value: str) -> list[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
-def _spec_from_args(args) -> tuple[ExperimentSpec, int]:
-    cfg: dict[str, str] = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = parse_config_text(fh.read())
+def _spec_from_table(table: dict[str, str]) -> tuple[ExperimentSpec, int]:
+    """The spec and worker count of a run table (config key -> text value).
 
-    preset = args.preset or cfg.get("preset", "custom")
+    A table naming a preset lies over that preset's table, key by key.
+    """
+    unknown = [key for key in table if key not in CONFIG_KEYS]
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    preset = table.get("preset", "custom")
     if preset != "custom":
-        spec = _preset_spec(preset)
-    else:
-        needed = [k for k in ("schemes", "conditions", "k_values") if k not in cfg]
-        if needed:
-            raise ValueError(
-                f"custom run needs a --config defining {', '.join(needed)}"
+        if preset not in PRESETS:
+            raise ValueError(f"unknown preset {preset!r} (expected {', '.join(PRESETS)}, custom)")
+        table = {**PRESETS[preset], **table}
+    needed = [k for k in ("schemes", "conditions", "k_values") if k not in table]
+    if needed:
+        raise ValueError(f"custom run needs a --config defining {', '.join(needed)}")
+    if "gamma_th" in table and "rate_r" in table:
+        raise ValueError("give gamma_th or rate_r, not both")
+    mc = table.get("mc", "true").lower()
+    if mc not in _BOOLEANS:
+        raise ValueError(f"mc must be one of {', '.join(_BOOLEANS)}, got {table['mc']!r}")
+    workers = int(table.get("workers", 1))
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+    thr = (
+        Threshold(gamma_th=float(table["gamma_th"]))
+        if "gamma_th" in table
+        else Threshold.from_rate(float(table.get("rate_r", 0.5)))
+    )
+    conditions = tuple(c.upper() for c in _split_list(table["conditions"]))
+    spec = ExperimentSpec(
+        schemes=tuple(s.upper() for s in _split_list(table["schemes"])),
+        conditions=conditions,
+        k_values=tuple(int(k) for k in _split_list(table["k_values"])),
+        snr_db={
+            c: tuple(
+                float(v)
+                for v in _split_list(table.get(f"snr_db_{c.lower()}", table.get("snr_db", "")))
             )
-        thr = (
-            Threshold(gamma_th=float(cfg["gamma_th"]))
-            if "gamma_th" in cfg
-            else Threshold.from_rate(float(cfg.get("rate_r", 0.5)))
+            for c in conditions
+        },
+        staircase=StaircaseConfig(
+            steps_m=int(table.get("steps_m", 50)),
+            depth_l=float(table["depth_l"]) if "depth_l" in table else 15.0 * thr.gamma_th,
+        ),
+        threshold=thr,
+        mc=MCConfig(
+            trials=int(table.get("trials", DEFAULT_TRIALS)),
+            seed=int(table.get("seed", DEFAULT_SEED)),
+            ci_level=float(table.get("ci_level", 0.99)),
         )
-        per_cond = {
-            cond: tuple(float(v) for v in _split_list(cfg[f"snr_db_{cond.lower()}"]))
-            for cond in CONDITIONS
-            if f"snr_db_{cond.lower()}" in cfg
-        }
-        spec = ExperimentSpec(
-            preset="custom",
-            schemes=tuple(s.upper() for s in _split_list(cfg["schemes"])),
-            conditions=tuple(c.upper() for c in _split_list(cfg["conditions"])),
-            k_values=tuple(int(k) for k in _split_list(cfg["k_values"])),
-            snr_grid_db=tuple(float(v) for v in _split_list(cfg.get("snr_db", ""))),
-            condition_snr_db=per_cond,
-            staircase=StaircaseConfig(
-                steps_m=int(cfg.get("steps_m", 50)),
-                depth_l=float(cfg["depth_l"])
-                if "depth_l" in cfg
-                else 15.0 * thr.gamma_th,
-            ),
-            threshold=thr,
-            mc=MCConfig(
-                trials=int(cfg.get("trials", DEFAULT_TRIALS)),
-                seed=int(cfg.get("seed", DEFAULT_SEED)),
-                ci_level=float(cfg.get("ci_level", 0.99)),
-            ),
-            csv_path=cfg.get("csv", "custom.csv"),
-            svg_path=cfg.get("svg"),
-        )
-
-    # Config overrides for presets, then CLI flags on top of both.
-    if preset != "custom" and cfg:
-        updates = {}
-        if "steps_m" in cfg or "depth_l" in cfg:
-            updates["staircase"] = StaircaseConfig(
-                steps_m=int(cfg.get("steps_m", spec.staircase.steps_m)),
-                depth_l=float(cfg.get("depth_l", spec.staircase.depth_l)),
-            )
-        if "trials" in cfg or "seed" in cfg or "ci_level" in cfg:
-            base = spec.mc or MCConfig(trials=DEFAULT_TRIALS, seed=DEFAULT_SEED)
-            updates["mc"] = MCConfig(
-                trials=int(cfg.get("trials", base.trials)),
-                seed=int(cfg.get("seed", base.seed)),
-                ci_level=float(cfg.get("ci_level", base.ci_level)),
-            )
-        if "csv" in cfg:
-            updates["csv_path"] = cfg["csv"]
-        if "svg" in cfg:
-            updates["svg_path"] = cfg["svg"]
-        if updates:
-            spec = replace(spec, **updates)
-
-    if cfg.get("mc", "").lower() in ("false", "0", "no"):
-        spec = replace(spec, mc=None)
-
-    if args.no_mc:
-        spec = replace(spec, mc=None)
-    elif args.trials is not None or args.seed is not None:
-        base = spec.mc or MCConfig(trials=DEFAULT_TRIALS, seed=DEFAULT_SEED)
-        spec = replace(
-            spec,
-            mc=MCConfig(
-                trials=args.trials if args.trials is not None else base.trials,
-                seed=args.seed if args.seed is not None else base.seed,
-                ci_level=base.ci_level,
-            ),
-        )
-    if args.csv:
-        spec = replace(spec, csv_path=args.csv)
-    if args.svg:
-        spec = replace(spec, svg_path=args.svg)
-
-    workers = args.workers if args.workers else int(cfg.get("workers", 1))
+        if _BOOLEANS[mc]
+        else None,
+        csv_path=table.get("csv", f"{preset}.csv"),
+        svg_path=table.get("svg"),
+    )
     return spec, workers
 
 
 def _cmd_run(args) -> int:
-    spec, workers = _spec_from_args(args)
+    table: dict[str, str] = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            table = parse_config_text(fh.read())
+    # Each run flag stores into its own config key: flags > config > preset.
+    table.update((k, str(v)) for k, v in vars(args).items() if k in CONFIG_KEYS and v is not None)
+    spec, workers = _spec_from_table(table)
     rows = run(spec, workers=workers)
     emit_csv(rows, spec.csv_path)
     print(f"wrote {spec.csv_path} ({len(rows)} rows)")
@@ -565,14 +519,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment grid")
-    p_run.add_argument("--preset", choices=("fig1", "fig2", "fig3", "custom"))
+    p_run.add_argument("--preset", choices=(*PRESETS, "custom"))
     p_run.add_argument("--config", help="flat key=value config file")
     p_run.add_argument("--seed", type=int, help="Monte Carlo base seed")
     p_run.add_argument("--trials", type=int, help="Monte Carlo trials per row")
     p_run.add_argument("--csv", help="output CSV path")
     p_run.add_argument("--svg", help="output SVG chart path")
-    p_run.add_argument("--no-mc", action="store_true", help="skip Monte Carlo columns")
-    p_run.add_argument("--workers", type=int, default=0, help="row worker pool size")
+    p_run.add_argument(
+        "--no-mc", dest="mc", action="store_const", const="false", help="skip Monte Carlo columns"
+    )
+    p_run.add_argument("--workers", type=int, help="row worker pool size")
     p_run.set_defaults(func=_cmd_run)
 
     p_lb = sub.add_parser("linkbudget", help="feasible SNR range for the reference uplink")

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -6,16 +7,20 @@ from dataclasses import replace
 
 import pytest
 
-from satrelay import cli, mcsim
+from satrelay import cli, mcsim, outage
 from satrelay.channel import CONDITIONS, LinkSNR
 from satrelay.cli import CSV_HEADER, RunRow, emit_csv, emit_svg, run
 from satrelay.mcsim import MCConfig, OutageEstimate
-from satrelay.outage import HopPair, Threshold
+from satrelay.outage import HopPair, StaircaseConfig, Threshold
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
+def preset_spec(preset):
+    return cli._spec_from_table({"preset": preset})[0]
+
+
 def analytic_spec(preset, csv_path, svg_path=None):
-    spec = cli._preset_spec(preset)
+    spec = preset_spec(preset)
     return replace(spec, mc=None, csv_path=str(csv_path), svg_path=svg_path and str(svg_path))
 
 
@@ -25,7 +30,7 @@ class TestSpecValidation:
         assert len(rows) == 40  # 2 schemes x 4 conditions x 5 K values
 
     def test_bad_names_rejected(self):
-        base = cli._preset_spec("fig1")
+        base = preset_spec("fig1")
         with pytest.raises(ValueError):
             replace(base, schemes=("XX",))
         with pytest.raises(ValueError):
@@ -35,7 +40,7 @@ class TestSpecValidation:
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
-            cli._preset_spec("fig9")
+            preset_spec("fig9")
 
 
 class TestRun:
@@ -196,6 +201,69 @@ class TestConfigFile:
         row = out.read_text().strip().split("\n")[1].split(",")
         assert row[6:] == ["", "", "", "", ""]
 
+    def test_config_keys_override_preset(self, tmp_path):
+        # Every config key lies over the preset's table: fig3 cut to one
+        # condition and one K, at R = 1 (gamma_th = 3, default depth 45).
+        conf = tmp_path / "f3.conf"
+        out = tmp_path / "f3.csv"
+        conf.write_text("preset = fig3\nconditions = HH\nk_values = 2\nrate_r = 1.0\n")
+        assert cli.main(["run", "--config", str(conf), "--no-mc", "--csv", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        ns, sg = CONDITIONS["HH"]
+        link = LinkSNR.from_db(13.5)
+        hops = [HopPair(ns=(ns, link), sg=(sg, link))] * 2
+        thr, stair = Threshold(gamma_th=3.0), StaircaseConfig(steps_m=50, depth_l=45.0)
+        assert [(r[0], r[1], r[2], float(r[3])) for r in rows] == [
+            ("SC", "HH", "2", 13.5),
+            ("MRC", "HH", "2", 13.5),
+        ]
+        assert float(rows[0][4]) == outage.op_sc(hops, thr, stair)
+        assert float(rows[1][4]) == outage.op_mrc(hops, thr, stair)
+
+    @pytest.mark.parametrize(
+        "extra, flags, named",
+        [
+            ("trails = 5000\nsede = 3\n", [], ["trails", "sede"]),
+            ("mc = flase\n", [], ["flase"]),
+            ("gamma_th = 1.0\nrate_r = 0.5\n", [], ["gamma_th", "rate_r"]),
+            ("workers = 0\n", [], ["workers"]),
+            ("", ["--workers", "0"], ["workers"]),
+        ],
+        ids=["unknown-keys", "mc-not-boolean", "gamma-th-and-rate", "workers-key", "workers-flag"],
+    )
+    def test_bad_config_rejected(self, tmp_path, capsys, extra, flags, named):
+        conf = tmp_path / "bad.conf"
+        out = tmp_path / "bad.csv"
+        conf.write_text(
+            "schemes = SS\nconditions = HH\nk_values = 1\nsnr_db = 10\ntrials = 2000\n" + extra
+        )
+        assert cli.main(["run", "--config", str(conf), "--csv", str(out), *flags]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().split("\n")[-1])
+        assert payload["error"] == "ValueError"
+        assert all(word in payload["message"] for word in named)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
+    def test_presets_are_config_tables(self, tmp_path, preset):
+        conf = tmp_path / f"{preset}.conf"
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in cli.PRESETS[preset].items()))
+        outputs = []
+        for source in (["--preset", preset], ["--config", str(conf)]):
+            csv, svg = tmp_path / f"{source[0][2:]}.csv", tmp_path / f"{source[0][2:]}.svg"
+            argv = ["run", *source, "--no-mc", "--csv", str(csv), "--svg", str(svg)]
+            assert cli.main(argv) == 0
+            outputs.append((csv.read_bytes(), svg.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_mc_false_in_config_survives_trials_flag(self, tmp_path):
+        conf = tmp_path / "exp.conf"
+        out = tmp_path / "o.csv"
+        conf.write_text("schemes = SS\nconditions = HH\nk_values = 1\nsnr_db = 10\nmc = false\n")
+        argv = ["run", "--config", str(conf), "--trials", "5000", "--seed", "3", "--csv", str(out)]
+        assert cli.main(argv) == 0
+        row = out.read_text().strip().split("\n")[1].split(",")
+        assert row[6:] == ["", "", "", "", ""]
+
     def test_spare_workers_reach_the_simulator(self, tmp_path, monkeypatch):
         # One curve at two workers: it gets both as Monte Carlo block
         # threads (600k trials = two blocks), and the bytes do not change.
@@ -253,7 +321,7 @@ class TestCurves:
     def test_one_row_curves_keep_row_seeds(self):
         # fig3's curves hold one row each, so every row keeps the stream of
         # its own row index.
-        spec = replace(cli._preset_spec("fig3"), mc=MCConfig(trials=3000, seed=11))
+        spec = replace(preset_spec("fig3"), mc=MCConfig(trials=3000, seed=11))
         rows = run(spec, workers=2)
         for i, r in enumerate(rows):
             ns, sg = CONDITIONS[r.condition]
@@ -322,6 +390,8 @@ class TestMain:
             ],
             capture_output=True,
             text=True,
+            # `-m` imports from the working directory: the package under test.
+            cwd=pathlib.Path(cli.__file__).parents[1],
         )
         assert proc.returncode == 0, proc.stderr
         assert csv.exists()
