@@ -52,14 +52,6 @@ from .outage import (
     staircase_success_probability,
     staircase_truncation_bound,
 )
-from .specfun import (
-    DEFAULT_SERIES,
-    SeriesControl,
-    SeriesConvergenceError,
-    kummer_1f1,
-    ln_gamma,
-    pochhammer,
-    whittaker_m_ln,
-)
+from .specfun import SeriesConvergenceError, kummer_1f1, ln_gamma, whittaker_m_ln
 
 __version__ = "0.1.0"

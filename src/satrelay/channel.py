@@ -5,11 +5,13 @@ Nakagami-m distributed.  All computations happen on the instantaneous
 SNR Lambda = eta * |h|^2; the severity integer m, half multipath power b,
 and LoS power omega fully describe |h|^2.
 
-Provides the PDF / CDF / survival function / mean in closed form, a
-constructive (physical) sampler, an exact Erlang-mixture sampler for K-fold
-i.i.d. sums, the CDF of a K-fold i.i.d. sum (via log-scaled
-Whittaker functions), and the linearized high-SNR approximations of both
-CDFs.
+For integer m, Lambda is an exact finite Erlang mixture: a
+Gamma(j + 1, scale eta/theta) law with theta = beta - delta, taken with the
+Binomial(m - 1, delta/beta) probability of j.  One helper returns that
+mixture, and the PDF / CDF / survival function / mean and the K-fold
+sum sampler all read it.  Also provided: a constructive (physical)
+sampler, the CDF of a K-fold i.i.d. sum (via log-scaled Whittaker
+functions), and the linearized high-SNR approximations of both CDFs.
 """
 
 from __future__ import annotations
@@ -19,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (
-    DEFAULT_SERIES,
-    SeriesControl,
-    _kummer_1f1_ln_grid,
-    ln_gamma,
-    pochhammer,
-)
+from .specfun import _MAX_TERMS, _kummer_1f1_ln_grid, ln_gamma
 
 __all__ = [
     "SRParams",
@@ -52,8 +48,8 @@ __all__ = [
 class SRParams:
     """Shadowed-Rician fading parameters (m, b, omega).
 
-    m is the Nakagami shadowing severity (integer, so the kappa-sums of
-    the closed forms are finite), 2b the average multipath power, omega
+    m is the Nakagami shadowing severity (integer, so the SNR law is a
+    finite Erlang mixture), 2b the average multipath power, omega
     the average LoS power.
     """
 
@@ -125,75 +121,64 @@ def derive(p: SRParams) -> SRDerived:
     )
 
 
-def _zeta_weights(p: SRParams, drv: SRDerived) -> np.ndarray:
-    """zeta(kappa) = (-1)^kappa (1-m)_kappa delta^kappa / (kappa!)^2, kappa = 0..m-1.
+def _erlang_mixture(p: SRParams) -> tuple[np.ndarray, float, float]:
+    """(w, q, theta): Lambda / eta is Gamma(j + 1, scale 1/theta) with probability w[j].
 
-    All weights are nonnegative for integer m.
+    w is the Binomial(m - 1, q = delta/beta) pmf, j = 0..m-1, divided by its
+    float sum so roundoff leaves no mass defect; theta = beta - delta is the
+    common rate.
     """
-    out = np.empty(p.m)
-    for k in range(p.m):
-        out[k] = (
-            (-1.0) ** k
-            * pochhammer(1.0 - p.m, k)
-            * drv.delta**k
-            / math.factorial(k) ** 2
-        )
-    return out
+    drv = derive(p)
+    q = drv.delta / drv.beta
+    n = p.m - 1
+    w = np.array([math.comb(n, j) * q**j * (1.0 - q) ** (n - j) for j in range(p.m)])
+    return w / w.sum(), q, drv.beta - drv.delta
 
 
 def _as_nonneg_array(x, name: str = "x") -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
     if np.any(arr < 0.0):
         raise ValueError(f"{name} must be >= 0")
     return arr, arr.ndim == 0
 
 
 def pdf(p: SRParams, link: LinkSNR, x):
-    """Density of Lambda at x >= 0 (accepts scalars or arrays)."""
+    """Density of Lambda at x >= 0 (accepts scalars or arrays):
+    (theta/eta) e^{-t} sum_j w_j t^j / j!, with t = theta x / eta."""
     arr, scalar = _as_nonneg_array(x)
-    drv = derive(p)
-    zeta = _zeta_weights(p, drv)
-    lam = (drv.beta - drv.delta) / link.eta
-    u = arr / link.eta
+    w, _, theta = _erlang_mixture(p)
+    t = (theta / link.eta) * arr
     poly = np.zeros_like(arr)
-    for k in range(p.m - 1, -1, -1):
-        poly = poly * u + zeta[k]
-    out = (drv.alpha / link.eta) * poly * np.exp(-lam * arr)
+    for j in range(p.m - 1, -1, -1):
+        poly = poly * t + w[j] / math.factorial(j)
+    out = (theta / link.eta) * poly * np.exp(-t)
     return float(out) if scalar else out
 
 
 def _survival_terms(p: SRParams, link: LinkSNR, arr: np.ndarray) -> np.ndarray:
-    """Unclamped Pr[Lambda > x], the complement in the closed form of cdf.
+    """Unclamped Pr[Lambda > x] = e^{-t} sum_j w_j sum_{i<=j} t^i / i!.
 
     Every term is nonnegative, so the sum keeps full relative precision
     in the far tail where 1 - cdf would round to 0.
     """
-    drv = derive(p)
-    zeta = _zeta_weights(p, drv)
-    lam = (drv.beta - drv.delta) / link.eta
-    t = lam * arr
-    # pois accumulates e^{-t} * sum_{p<=kappa} t^p/p! across kappa.
+    w, _, theta = _erlang_mixture(p)
+    t = (theta / link.eta) * arr
+    # pois accumulates sum_{i<=j} t^i/i! across j.
     pois_term = np.ones_like(arr)
     pois_sum = np.ones_like(arr)
     tail = np.zeros_like(arr)
-    bd = drv.beta - drv.delta
-    for k in range(p.m):
-        if k > 0:
-            pois_term = pois_term * t / k
+    for j in range(p.m):
+        if j > 0:
+            pois_term = pois_term * t / j
             pois_sum = pois_sum + pois_term
-        w = zeta[k] * math.factorial(k) / bd ** (k + 1)
-        tail = tail + w * pois_sum
-    return drv.alpha * np.exp(-t) * tail
+        tail = tail + w[j] * pois_sum
+    return np.exp(-t) * tail
 
 
 def cdf(p: SRParams, link: LinkSNR, x):
-    """CDF of Lambda at x >= 0, clamped to [0, 1] against roundoff drift.
-
-    Identical term-by-term to the closed form
-    1 - alpha * sum_kappa zeta(kappa) kappa!/(beta-delta)^(kappa+1)
-          * e^(-lam x) * sum_{p<=kappa} (lam x)^p / p!,
-    i.e. the kappa-wise incomplete-Gamma expansion of the density.
-    """
+    """CDF of Lambda at x >= 0: 1 - sf, clamped to [0, 1] against roundoff drift."""
     arr, scalar = _as_nonneg_array(x)
     out = np.clip(1.0 - _survival_terms(p, link, arr), 0.0, 1.0)
     return float(out) if scalar else out
@@ -202,7 +187,7 @@ def cdf(p: SRParams, link: LinkSNR, x):
 def sf(p: SRParams, link: LinkSNR, x):
     """Survival function Pr[Lambda > x] at x >= 0, clamped to [0, 1].
 
-    Summed directly from the nonnegative closed-form terms (no `1 - cdf`),
+    Summed directly from the nonnegative mixture terms (no `1 - cdf`),
     so it stays relatively accurate in the far tail where cdf rounds to 1.
     """
     arr, scalar = _as_nonneg_array(x)
@@ -211,14 +196,9 @@ def sf(p: SRParams, link: LinkSNR, x):
 
 
 def mean_snr(p: SRParams, link: LinkSNR) -> float:
-    """Closed-form E[Lambda] = alpha * sum_kappa zeta(kappa) eta Gamma(kappa+2)/(beta-delta)^(kappa+2)."""
-    drv = derive(p)
-    zeta = _zeta_weights(p, drv)
-    bd = drv.beta - drv.delta
-    acc = 0.0
-    for k in range(p.m):
-        acc += zeta[k] * math.factorial(k + 1) / bd ** (k + 2)
-    return drv.alpha * link.eta * acc
+    """E[Lambda] = (eta/theta) sum_j w_j (j + 1), the mixture's mean."""
+    w, _, theta = _erlang_mixture(p)
+    return link.eta * float(np.dot(w, np.arange(1, p.m + 1))) / theta
 
 
 def sample(p: SRParams, link: LinkSNR, rng: np.random.Generator, size=None):
@@ -241,19 +221,18 @@ def sample(p: SRParams, link: LinkSNR, rng: np.random.Generator, size=None):
 def sample_sum(p: SRParams, link: LinkSNR, k: int, rng: np.random.Generator, size=None):
     """Draw the sum of k i.i.d. Lambda from its exact Erlang mixture.
 
-    For integer m the density is a mixture of Gamma(j+1, scale eta/theta)
-    laws, theta = beta - delta, whose weights alpha zeta_j j!/theta^(j+1)
-    are exactly the Binomial(m-1, delta/beta) pmf.  A k-fold sum is then
-    eta * Gamma(k + J) / theta with J ~ Binomial(k(m-1), delta/beta): two
+    Lambda is Gamma(J + 1, scale eta/theta) with J ~ Binomial(m-1, q),
+    q = delta/beta (`_erlang_mixture`), so a k-fold sum is
+    eta * Gamma(k + J) / theta with J ~ Binomial(k(m-1), q): two
     draws per sample (J, then the gamma), whatever k is.  k = 1 draws one
     Lambda.  Same law as `sample` (and as summing k `sample` draws), but a
     different stream.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-    drv = derive(p)
-    j = rng.binomial(k * (p.m - 1), drv.delta / drv.beta, size=size)
-    lam = rng.standard_gamma(k + j) * (link.eta / (drv.beta - drv.delta))
+    _, q, theta = _erlang_mixture(p)
+    j = rng.binomial(k * (p.m - 1), q, size=size)
+    lam = rng.standard_gamma(k + j) * (link.eta / theta)
     return float(lam) if size is None else lam
 
 
@@ -293,16 +272,13 @@ def _ln_binomial(c: int, l: int) -> float:
     return ln_gamma(c + 1.0) - ln_gamma(l + 1.0) - ln_gamma(c - l + 1.0)
 
 
-def _sum_cdf_terms(
-    drv: SRDerived,
-    eta: float,
-    ctx: SumSRContext,
-    x: np.ndarray,
-    ctrl: SeriesControl,
-) -> np.ndarray:
+def _sum_cdf_terms(drv: SRDerived, eta: float, ctx: SumSRContext, x: np.ndarray) -> np.ndarray:
     """Signed log-space assembly of the sum CDF over an array of x > 0."""
     bd = drv.beta - drv.delta
     z = bd * x / eta
+    # The ascending 1F1 needs roughly z + O(sqrt(z)) terms at its largest z.
+    z_max = float(z.max(initial=0.0))
+    max_terms = max(_MAX_TERMS, int(z_max + 10.0 * math.sqrt(z_max) + 60.0))
     with np.errstate(divide="ignore"):
         ln_x_over_eta = np.log(x / eta)
 
@@ -314,7 +290,7 @@ def _sum_cdf_terms(
         ln_base = ln_alpha_k + _ln_binomial(ctx.c, l) + (ctx.c - l) * math.log(drv.beta)
         # ln G(x, l, d, eta) = (d-l) ln(x/eta) - z - lnGamma(d-l+1) + ln 1F1,
         # the (beta-delta) powers cancel between the prefactor and M's z^(nu+1/2).
-        sign_f, ln_f = _kummer_1f1_ln_grid(1.0 - l, 1.0 + ctx.d - l, z, ctrl)
+        sign_f, ln_f = _kummer_1f1_ln_grid(1.0 - l, 1.0 + ctx.d - l, z, max_terms)
         ln_g = (ctx.d - l) * ln_x_over_eta - z - ln_gamma(ctx.d - l + 1.0) + ln_f
         ln_mags.append(ln_base + ln_g)
         ln_signs.append(sign_f)
@@ -327,22 +303,16 @@ def _sum_cdf_terms(
     return np.where(np.isfinite(peak), total * np.exp(peak_safe), 0.0)
 
 
-def sum_cdf(
-    p: SRParams,
-    link: LinkSNR,
-    ctx: SumSRContext,
-    x,
-    ctrl: SeriesControl = DEFAULT_SERIES,
-):
+def sum_cdf(p: SRParams, link: LinkSNR, ctx: SumSRContext, x):
     """CDF of the sum of ctx.K i.i.d. SR SNRs with parameters p, at x >= 0.
 
     Assembled in log space from Whittaker-function terms (integer m, so
-    no epsilon correction term).  Accepts scalars or arrays; x = 0 returns
-    exactly 0.
+    no epsilon correction term), with a series term budget sized to the
+    largest x.  Accepts scalars or arrays; x = 0 returns exactly 0.
     """
     arr, scalar = _as_nonneg_array(x)
     drv = derive(p)
-    out = np.clip(_sum_cdf_terms(drv, link.eta, ctx, np.atleast_1d(arr), ctrl), 0.0, 1.0)
+    out = np.clip(_sum_cdf_terms(drv, link.eta, ctx, np.atleast_1d(arr)), 0.0, 1.0)
     out = out.reshape(arr.shape)
     return float(out) if scalar else out
 

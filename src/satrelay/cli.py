@@ -437,6 +437,7 @@ def _spec_from_table(table: dict[str, str]) -> tuple[ExperimentSpec, int]:
         if "gamma_th" in table
         else Threshold.from_rate(float(table.get("rate_r", 0.5)))
     )
+    stairs = StaircaseConfig.for_threshold(thr)
     conditions = tuple(c.upper() for c in _split_list(table["conditions"]))
     spec = ExperimentSpec(
         schemes=tuple(s.upper() for s in _split_list(table["schemes"])),
@@ -450,8 +451,8 @@ def _spec_from_table(table: dict[str, str]) -> tuple[ExperimentSpec, int]:
             for c in conditions
         },
         staircase=StaircaseConfig(
-            steps_m=int(table.get("steps_m", 50)),
-            depth_l=float(table["depth_l"]) if "depth_l" in table else 15.0 * thr.gamma_th,
+            steps_m=int(table.get("steps_m", stairs.steps_m)),
+            depth_l=float(table.get("depth_l", stairs.depth_l)),
         ),
         threshold=thr,
         mc=MCConfig(

@@ -8,7 +8,7 @@ G/T, sub-carrier bandwidth).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 __all__ = [
@@ -39,8 +39,14 @@ class LinkBudget:
     extra_losses_db: float = 3.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not self.altitude_km > 0.0:
             raise ValueError("altitude_km must be > 0")
+        if not self.frequency_hz > 0.0:
+            raise ValueError("frequency_hz must be > 0")
         if not 0.0 < self.elevation_deg <= 90.0:
             raise ValueError("elevation_deg must be in (0, 90]")
         if not self.bandwidth_hz > 0.0:

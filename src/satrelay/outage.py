@@ -20,7 +20,6 @@ import numpy as np
 
 from . import channel
 from .channel import LinkSNR, SRParams, SumSRContext
-from .specfun import DEFAULT_SERIES, SeriesControl
 
 __all__ = [
     "StaircaseConfig",
@@ -59,8 +58,9 @@ class StaircaseConfig:
             raise ValueError("depth_l must be > 0")
 
     @classmethod
-    def for_threshold(cls, thr: "Threshold", steps_m: int = 50, depth_factor: float = 15.0) -> "StaircaseConfig":
-        return cls(steps_m=steps_m, depth_l=depth_factor * thr.gamma_th)
+    def for_threshold(cls, thr: "Threshold", steps_m: int = 50) -> "StaircaseConfig":
+        """The reference configuration: M = steps_m, L = 15 * gamma_th."""
+        return cls(steps_m=steps_m, depth_l=15.0 * thr.gamma_th)
 
 
 @dataclass(frozen=True)
@@ -215,17 +215,10 @@ def _sr_sf(pair: tuple[SRParams, LinkSNR]):
     return lambda x: channel.sf(params, link, x)
 
 
-def _sum_cdf(pair: tuple[SRParams, LinkSNR], K: int, ctrl: SeriesControl):
+def _sum_cdf(pair: tuple[SRParams, LinkSNR], K: int):
     params, link = pair
     ctx = SumSRContext.for_fading(params, K)
-    return lambda x: channel.sum_cdf(params, link, ctx, x, ctrl)
-
-
-def _series_for_max_z(z_max: float) -> SeriesControl:
-    """Series budget sized to the largest Whittaker argument a staircase
-    will produce; the ascending 1F1 needs roughly z + O(sqrt(z)) terms."""
-    terms = max(DEFAULT_SERIES.max_terms, int(z_max + 10.0 * math.sqrt(z_max) + 60.0))
-    return SeriesControl(rel_tolerance=DEFAULT_SERIES.rel_tolerance, max_terms=terms)
+    return lambda x: channel.sum_cdf(params, link, ctx, x)
 
 
 def op_ss(hops: HopPair, thr: Threshold, cfg: StaircaseConfig) -> float:
@@ -293,34 +286,17 @@ def _require_iid(hops_per_sat: list[HopPair]) -> HopPair:
     return first
 
 
-def op_mrc(
-    hops_per_sat: list[HopPair],
-    thr: Threshold,
-    cfg: StaircaseConfig,
-    series: SeriesControl | None = None,
-) -> float:
+def op_mrc(hops_per_sat: list[HopPair], thr: Threshold, cfg: StaircaseConfig) -> float:
     """Fixed-gain MRC outage: Pr[(Delta_sg)(Delta_ns - gamma) <= C_m gamma],
-    with Delta_* the K-fold sums of per-hop SNRs (i.i.d. satellites only).
-
-    When series is None the truncation budget is sized from the largest
-    abscissa the staircase needs (low transmit SNR pushes the Whittaker
-    argument well past what the stock 500-term budget converges for).
-    """
+    with Delta_* the K-fold sums of per-hop SNRs (i.i.d. satellites only)."""
     if not hops_per_sat:
         raise ValueError("need at least one satellite")
     hop = _require_iid(hops_per_sat)
     k = len(hops_per_sat)
     cm = c_mrc([h.ns for h in hops_per_sat])
-    if series is None:
-        reach = math.sqrt(cm * thr.gamma_th) + thr.gamma_th + cfg.depth_l
-        z_max = 0.0
-        for params, link in (hop.sg, hop.ns):
-            drv = channel.derive(params)
-            z_max = max(z_max, (drv.beta - drv.delta) * reach / link.eta)
-        series = _series_for_max_z(z_max)
     return staircase_probability(
-        _sum_cdf(hop.sg, k, series),
-        _sum_cdf(hop.ns, k, series),
+        _sum_cdf(hop.sg, k),
+        _sum_cdf(hop.ns, k),
         0.0,
         thr.gamma_th,
         cm * thr.gamma_th,

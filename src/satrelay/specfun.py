@@ -1,51 +1,33 @@
 """Scalar special functions used by the shadowed-Rician statistics.
 
-Everything here is pure and stateless; the only configuration is the
-series-truncation control.  The confluent hypergeometric series is
-evaluated by its ascending power series only, so callers feeding it
-arguments outside the convergent regime get a SeriesConvergenceError
-instead of a silently degraded value.
+Everything here is pure and stateless.  The confluent hypergeometric
+series is evaluated by its ascending power series only, to a fixed
+relative tolerance within a term budget, so callers feeding it arguments
+outside the convergent regime get a SeriesConvergenceError instead of a
+silently degraded value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SeriesControl",
     "SeriesConvergenceError",
-    "DEFAULT_SERIES",
     "ln_gamma",
-    "pochhammer",
     "kummer_1f1",
     "whittaker_m_ln",
 ]
 
 
 class SeriesConvergenceError(ArithmeticError):
-    """A power series failed to reach tolerance within max_terms."""
+    """A power series failed to reach tolerance within its term budget."""
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation control for infinite series."""
-
-    rel_tolerance: float = 1e-12
-    max_terms: int = 500
-
-    def __post_init__(self) -> None:
-        if not self.rel_tolerance > 0.0:
-            raise ValueError("rel_tolerance must be > 0")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-# Defaults sized for the moderate arguments produced by the fading grids;
-# 500 terms covers z up to roughly 100.
-DEFAULT_SERIES = SeriesControl()
+_REL_TOLERANCE = 1e-12
+# Sized for moderate arguments: 500 terms covers z up to roughly 100.
+_MAX_TERMS = 500
 
 
 def ln_gamma(x: float) -> float:
@@ -55,16 +37,6 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def pochhammer(a: float, n: int) -> float:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
-    if n < 0:
-        raise ValueError(f"pochhammer requires n >= 0, got {n}")
-    out = 1.0
-    for j in range(n):
-        out *= a + j
-    return out
-
-
 def _check_1f1_domain(b: float, z) -> None:
     if b <= 0.0 and b == math.floor(b):
         raise ValueError(f"1F1 undefined for nonpositive-integer b = {b}")
@@ -72,18 +44,19 @@ def _check_1f1_domain(b: float, z) -> None:
         raise ValueError("1F1 series restricted to z >= 0 here")
 
 
-def kummer_1f1(a: float, b: float, z: float, ctrl: SeriesControl = DEFAULT_SERIES) -> float:
+def kummer_1f1(a: float, b: float, z: float) -> float:
     """Confluent hypergeometric 1F1(a; b; z) by ascending series.
 
     Uses Neumaier-compensated summation and stops once the latest term is
-    below rel_tolerance of the running sum (or the series terminates
-    exactly, as it does for nonpositive-integer a).
+    below 1e-12 of the running sum (or the series terminates exactly, as
+    it does for nonpositive-integer a); raises SeriesConvergenceError
+    after 500 terms.
     """
     _check_1f1_domain(b, z)
     total = 1.0
     comp = 0.0
     term = 1.0
-    for n in range(ctrl.max_terms):
+    for n in range(_MAX_TERMS):
         term *= (a + n) * z / ((b + n) * (n + 1))
         t = total + term
         if abs(total) >= abs(term):
@@ -91,18 +64,16 @@ def kummer_1f1(a: float, b: float, z: float, ctrl: SeriesControl = DEFAULT_SERIE
         else:
             comp += (term - t) + total
         total = t
-        if term == 0.0 or abs(term) <= ctrl.rel_tolerance * abs(total + comp):
+        if term == 0.0 or abs(term) <= _REL_TOLERANCE * abs(total + comp):
             return total + comp
-    raise SeriesConvergenceError(
-        f"1F1({a}; {b}; {z}) did not converge within {ctrl.max_terms} terms"
-    )
+    raise SeriesConvergenceError(f"1F1({a}; {b}; {z}) did not converge within {_MAX_TERMS} terms")
 
 
 _RESCALE_AT = 1e250
 
 
 def _kummer_1f1_ln_grid(
-    a: float, b: float, z: np.ndarray, ctrl: SeriesControl
+    a: float, b: float, z: np.ndarray, max_terms: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized log-scaled 1F1 over an array of nonnegative z.
 
@@ -116,10 +87,10 @@ def _kummer_1f1_ln_grid(
     term = np.ones_like(z)
     ln_scale = np.zeros_like(z)
     done = np.zeros(z.shape, dtype=bool)
-    for n in range(ctrl.max_terms):
+    for n in range(max_terms):
         term = term * ((a + n) / ((b + n) * (n + 1))) * z
         total = total + np.where(done, 0.0, term)
-        done |= np.abs(term) <= ctrl.rel_tolerance * np.abs(total)
+        done |= np.abs(term) <= _REL_TOLERANCE * np.abs(total)
         done |= term == 0.0
         if done.all():
             with np.errstate(divide="ignore"):
@@ -131,14 +102,12 @@ def _kummer_1f1_ln_grid(
             term = term / s
             ln_scale = ln_scale + np.log(s)
     raise SeriesConvergenceError(
-        f"1F1({a}; {b}; z) did not converge within {ctrl.max_terms} terms "
+        f"1F1({a}; {b}; z) did not converge within {max_terms} terms "
         f"(max z = {z.max():g})"
     )
 
 
-def whittaker_m_ln(
-    mu: float, nu: float, z: float, ctrl: SeriesControl = DEFAULT_SERIES
-) -> tuple[float, float]:
+def whittaker_m_ln(mu: float, nu: float, z: float) -> tuple[float, float]:
     """Log-scaled Whittaker function M_{mu,nu}(z) for z > 0.
 
     Returns (sign, ln|M|) so that M = sign * exp(ln|M|).  The log form
@@ -147,7 +116,7 @@ def whittaker_m_ln(
     """
     if z <= 0.0:
         raise ValueError(f"whittaker_m_ln requires z > 0, got {z}")
-    f = kummer_1f1(nu - mu + 0.5, 1.0 + 2.0 * nu, z, ctrl)
+    f = kummer_1f1(nu - mu + 0.5, 1.0 + 2.0 * nu, z)
     if f == 0.0:
         return 0.0, -math.inf
     sign = math.copysign(1.0, f)

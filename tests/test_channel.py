@@ -105,6 +105,15 @@ class TestPdf:
         with pytest.raises(ValueError):
             channel.pdf(sr_params, link10, -1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, [1.0, math.nan]])
+    def test_non_finite_x_rejected(self, sr_params, link10, bad):
+        ctx = SumSRContext.for_fading(sr_params, 2)
+        for law in (channel.pdf, channel.cdf, channel.sf):
+            with pytest.raises(ValueError, match="x must be finite"):
+                law(sr_params, link10, bad)
+        with pytest.raises(ValueError, match="x must be finite"):
+            channel.sum_cdf(sr_params, link10, ctx, bad)
+
 
 class TestCdf:
     def test_boundaries(self, sr_params, link10):
@@ -272,10 +281,12 @@ class TestSumContext:
 class TestSumCdf:
     def test_k1_reduces_to_cdf(self, sr_params, link10):
         ctx = SumSRContext.for_fading(sr_params, 1)
-        xs = np.linspace(0.25, 30.0, 20)
-        got = channel.sum_cdf(sr_params, link10, ctx, xs)
-        want = channel.cdf(sr_params, link10, xs)
-        assert np.max(np.abs(got - want) / want) < 1e-6
+        # eta = 0.25 out to x = 60 puts the Whittaker argument past 400
+        for link, x_max in ((link10, 30.0), (LinkSNR(0.25), 60.0)):
+            xs = np.linspace(0.25, x_max, 20)
+            got = channel.sum_cdf(sr_params, link, ctx, xs)
+            want = channel.cdf(sr_params, link, xs)
+            assert np.max(np.abs(got - want) / want) < 1e-6
 
     def test_k5_against_monte_carlo(self):
         p, link = HEAVY_SHADOWING, LinkSNR(10.0)

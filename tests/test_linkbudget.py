@@ -1,8 +1,10 @@
+import json
 import math
 from dataclasses import replace
 
 import pytest
 
+from satrelay import cli
 from satrelay.linkbudget import LinkBudget, feasible_range, reference_grid, slant_range_km, snr_db
 
 BASE = LinkBudget(
@@ -66,6 +68,32 @@ class TestSnrDb:
                 g_over_t_dbk=-10.0,
                 bandwidth_hz=15e3,
             )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("frequency_hz", 0.0),
+            ("frequency_hz", -950e6),
+            ("frequency_hz", math.nan),
+            ("altitude_km", math.inf),
+            ("eirp_dbm", math.nan),
+            ("g_over_t_dbk", -math.inf),
+            ("extra_losses_db", math.nan),
+        ],
+    )
+    def test_bad_input_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(BASE, **{field: value})
+
+    @pytest.mark.parametrize("frequency", ["nan", "0"])
+    def test_cli_rejects_bad_frequency(self, capsys, frequency):
+        rc = cli.main(["linkbudget", "--frequency-hz", frequency])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        payload = json.loads(captured.err.strip().split("\n")[-1])
+        assert payload["error"] == "ValueError"
+        assert "frequency_hz" in payload["message"]
 
 
 class TestFeasibleRange:

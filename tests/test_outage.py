@@ -155,18 +155,20 @@ class TestOpSC:
 
 
 def _cdf_mp(pair, x):
-    """Shadowed-Rician CDF in mpmath arithmetic at the current precision."""
+    """Shadowed-Rician CDF in mpmath arithmetic at the current precision:
+    one minus the survival function of the Gamma(k + 1, rate beta - delta)
+    mixture with Binomial(m - 1, delta/beta) weights."""
     params, link = pair
     drv = channel.derive(params)
-    zeta = channel._zeta_weights(params, drv)
-    bd = mpmath.mpf(drv.beta) - drv.delta
-    t = bd * mpmath.mpf(x) / link.eta
+    q = mpmath.mpf(drv.delta) / drv.beta
+    t = (mpmath.mpf(drv.beta) - drv.delta) * mpmath.mpf(x) / link.eta
+    n = params.m - 1
     tail = mpmath.fsum(
-        mpmath.mpf(zeta[k]) * math.factorial(k) / bd ** (k + 1)
+        mpmath.binomial(n, k) * q**k * (1 - q) ** (n - k)
         * mpmath.fsum(t**i / math.factorial(i) for i in range(k + 1))
         for k in range(params.m)
     )
-    return 1 - drv.alpha * mpmath.exp(-t) * tail
+    return 1 - mpmath.exp(-t) * tail
 
 
 def _staircase_mp(pair_x, pair_y, a, b, rhs, cfg):
