@@ -232,8 +232,16 @@ def sample_sum(p: SRParams, link: LinkSNR, k: int, rng: np.random.Generator, siz
         raise ValueError(f"k must be a positive integer, got {k!r}")
     _, q, theta = _erlang_mixture(p)
     j = rng.binomial(k * (p.m - 1), q, size=size)
-    lam = rng.standard_gamma(k + j) * (link.eta / theta)
-    return float(lam) if size is None else lam
+    if size is None:
+        return float(rng.standard_gamma(k + j) * (link.eta / theta))
+    # One float array, reused for the shape, the gamma draws and the scaling,
+    # so a large draw holds no whole-array temporaries.
+    lam = j.astype(float)
+    del j
+    lam += k
+    rng.standard_gamma(lam, out=lam)
+    lam *= link.eta / theta
+    return lam
 
 
 @dataclass(frozen=True)

@@ -132,13 +132,13 @@ def _row_points(spec: ExperimentSpec):
 def _compute_curve(
     spec: ExperimentSpec, points, first_index: int, sim_workers: int
 ) -> list[RunRow]:
-    """The rows of one (scheme, condition, K) curve; their Monte Carlo
+    """The rows of one (scheme, condition) curve; their Monte Carlo
     columns come from one draw set seeded by the curve's first row index."""
-    scheme, cond, k, _ = points[0]
+    scheme, cond, *_ = points[0]
     ns_params, sg_params = CONDITIONS[cond]
     thr, stair = spec.threshold, spec.staircase
     curve, rows = [], []
-    for *_, db in points:
+    for *_, k, db in points:
         link = LinkSNR.from_db(db)
         hop = HopPair(ns=(ns_params, link), sg=(sg_params, link))
         hops = [hop] * k
@@ -170,18 +170,19 @@ def run(spec: ExperimentSpec, workers: int = 1) -> list[RunRow]:
     """Compute all grid rows, returned in spec order.
 
     Rows are keyed (scheme, condition, K, snr_db).  Rows that share
-    (scheme, condition, K) form one curve, the unit of work: its Monte
+    (scheme, condition) form one curve over K and SNR, the unit of work
+    (fig3 has one per scheme and condition, spanning K = 2..6): its Monte
     Carlo columns come from one draw set whose seed derives from
-    (spec.mc.seed, index of the curve's first row), so a table whose curves
-    hold one row each keeps its per-row seeds, and results do not depend on
-    the worker count.  Curves are spread over `workers` threads; a table
-    with fewer curves than workers gives each curve's simulator
+    (spec.mc.seed, index of the curve's first row), so results do not
+    depend on the worker count.  Each row keeps its own K for its analytic
+    and asymptotic columns.  Curves are spread over `workers` threads; a
+    table with fewer curves than workers gives each curve's simulator
     workers // curves Monte Carlo block threads.
     """
     points = list(_row_points(spec))
-    curves: dict[tuple[str, str, int], list[int]] = {}
-    for i, (scheme, cond, k, _) in enumerate(points):
-        curves.setdefault((scheme, cond, k), []).append(i)
+    curves: dict[tuple[str, str], list[int]] = {}
+    for i, (scheme, cond, *_) in enumerate(points):
+        curves.setdefault((scheme, cond), []).append(i)
     sim_workers = max(1, workers // len(curves))
 
     def one(index: list[int]) -> list[RunRow]:

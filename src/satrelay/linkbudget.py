@@ -57,6 +57,9 @@ class LinkBudget:
 
 def slant_range_km(altitude_km: float, elevation_deg: float) -> float:
     """Ground-to-satellite distance: sqrt((Re+h)^2 - Re^2 cos^2(e)) - Re sin(e)."""
+    for name, value in (("altitude_km", altitude_km), ("elevation_deg", elevation_deg)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not altitude_km > 0.0:
         raise ValueError("altitude_km must be > 0")
     if not 0.0 < elevation_deg <= 90.0:

@@ -1,21 +1,28 @@
 """Seeded Monte Carlo oracle for the three combining schemes.
 
-The unit of simulation is a *curve*: a list of rows with the same fading
-parameters and satellite count whose links differ only by a common SNR
-factor, such as one (scheme, condition, K) swept over transmit SNR.  Each
-scheme has one curve kernel (`simulate_ss_curve`, `simulate_sc_curve`,
+The unit of simulation is a *curve*: a (K x SNR) grid of rows of one
+scheme and one pair of fading conditions, such as fig3's K = 2..6 at one
+SNR or fig1's one K over eleven SNRs.  Every row's hop list is a prefix of
+the curve's longest list, and the rows' links differ by one SNR factor;
+every (K, SNR) pair of the grid must be present.  Each scheme has one
+curve kernel (`simulate_ss_curve`, `simulate_sc_curve`,
 `simulate_mrc_curve`) that returns one estimate per row from one draw set.
-Every SNR is drawn once at the curve's lowest-SNR links and scaled by
-eta_row / eta_lowest for each row; the factor is exactly 1.0 for a one-row
-curve.  Each row's outage event is tested on the unscaled draws in an
-equivalent form divided by the factor, so the lowest row, and a one-row
-curve, use the single-row arithmetic bit for bit.  A transmit SNR only
-scales the drawn variates, so every row's hit count keeps its exact
-Binomial(n, p(eta)) law.  Every end-to-end SNR here grows with that
-factor, so a trial out of outage at one row stays out at every higher-SNR
-row: each trial keeps the number of leading rows (in ascending SNR) at
-which it is in outage, row j counts the trials with more than j, and at
-one seed the hit count never rises with SNR within a curve.
+Every SNR is drawn once, at the links of the longest list at the lowest
+SNR, and scaled by eta_row / eta_lowest for each row; the factor is
+exactly 1.0 for a one-row curve.  Each row's outage event is tested on the
+unscaled draws in an equivalent form divided by the factor, so the lowest
+row, and a one-row curve, use the single-row arithmetic bit for bit.  A
+transmit SNR only scales the drawn variates, so every row's hit count
+keeps its exact Binomial(n, p(eta)) law.  Every end-to-end SNR here grows
+with that factor, so a trial out of outage at one row stays out at every
+higher-SNR row: each trial keeps the number of leading rows (in ascending
+SNR) at which it is in outage, row j counts the trials with more than j,
+and at one seed the hit count never rises with SNR within a curve.  It
+grows with K too, so a trial out of outage at the lowest SNR needs no more
+draws at larger K, and at one seed the hit count never rises with K.
+A curve of one K draws exactly as it did before curves spanned K, and in
+a curve of several K the smallest K's rows draw as that K's curve alone.
+SS rows do not depend on K, so an SS row repeats at every K.
 `simulate_ss`, `simulate_sc` and `simulate_mrc` are the one-row curves.
 
 Trials are partitioned into fixed-size blocks; block i draws from an
@@ -36,14 +43,19 @@ outage counts, in a fixed order:
   with Lambda_ns > gamma at the highest SNR, since Lambda_ns <= gamma
   already forces Lambda_GS < gamma at every row.  Which draw goes to which
   trial depends only on earlier draws, and branches are independent, so
-  every row's count keeps its exact law.  The first K branches are shared
-  across K, so at one seed the count never rises with K.
-- MRC: one K-fold sum per distinct (SRParams, LinkSNR) pair on each side,
-  each in first-appearance order: the ns sums for all n trials, then the
-  sg sums only where the ns sum at the highest SNR exceeds gamma, since
-  Lambda_GS < sum(ns) whenever C_m > 0.  Each row uses its own C_m.  An
-  i.i.d. list costs one binomial and one gamma draw per side; a non-i.i.d.
-  list stays exact.
+  every row's count keeps its exact law.  Row K reads its counts right
+  after branch K, so a branch is drawn once for every K of the curve.
+- MRC: running sums over the curve's satellite counts K_1 < K_2 < ...
+  Each side's sum draws one k-fold sum per distinct (SRParams, LinkSNR)
+  pair of the links it adds, in first-appearance order.  At K_1: the ns
+  sums for all n trials, then the sg sums only where the ns sum at the
+  highest SNR exceeds gamma, since Lambda_GS < sum(ns) whenever C_m > 0.
+  At each later K, for the trials still in outage at the lowest SNR: the
+  ns sums grow by the next links, the sg sums drawn before grow by the
+  next links, and a trial whose ns sum passes gamma for the first time
+  draws its whole K-fold sg sum.  Each (K, SNR) row uses its own C_m.  An
+  i.i.d. list costs one binomial and one gamma draw per side and K; a
+  non-i.i.d. list stays exact.
 
 `channel.sample` keeps the physical construction (LoS amplitude, phase and
 complex Gaussian), so the CDF checks and the mixture sampler are checked
@@ -147,8 +159,8 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _run_blocks(kernel, cfg: MCConfig, workers: int) -> list[OutageEstimate]:
-    """kernel(rng, n) -> outage counts, one per distinct SNR, for one block
-    of n trials."""
+    """kernel(rng, n) -> outage counts, one per cell of the curve's
+    (K x SNR) grid, for one block of n trials."""
     sizes = [_BLOCK] * (cfg.trials // _BLOCK)
     if cfg.trials % _BLOCK:
         sizes.append(cfg.trials % _BLOCK)
@@ -164,31 +176,47 @@ def _run_blocks(kernel, cfg: MCConfig, workers: int) -> list[OutageEstimate]:
     return [_wilson(int(h), cfg.trials, cfg.ci_level) for h in hits]
 
 
-def _snr_axis(links_per_row: list[list[tuple[channel.SRParams, channel.LinkSNR]]]):
-    """Where a curve's rows sit on its SNR axis: (factors, first, pos).
+def _grid(curve: list[list[HopPair]]):
+    """Where a curve's rows sit on its (K, SNR) grid: (hops, ks, factors, first, cells).
 
-    factors are the distinct eta_row / eta_lowest in ascending order
-    (factors[0] == 1.0 exactly), first[j] is the first row at factors[j],
-    and pos[i] is the index of row i's factor.
+    ks are the distinct satellite counts and factors the distinct
+    eta_row / eta_lowest (factors[0] == 1.0 exactly), both ascending.
+    first[a, b] is the first row at (ks[a], factors[b]), and row i sits at
+    the flat cell cells[i] = a * factors.size + b.  hops is the hop list of
+    the first row at the largest K and the lowest SNR, whose links every
+    draw is made at.
     """
-    if not links_per_row:
+    if not curve:
         raise ValueError("a curve needs at least one row")
-    shape = [p for p, _ in links_per_row[0]]
-    if any([p for p, _ in links] != shape for links in links_per_row):
-        raise ValueError("rows of a curve must share fading parameters and satellite count")
-    etas = np.array([[link.eta for _, link in links] for links in links_per_row])
-    ratios = etas / etas[np.argmin(etas[:, 0])]
-    if not np.allclose(ratios, ratios[:, :1], rtol=1e-9, atol=0.0):
-        raise ValueError("the links of a curve's rows must differ by one SNR factor")
-    return np.unique(ratios[:, 0], return_index=True, return_inverse=True)
+    if not all(curve):
+        raise ValueError("need at least one satellite")
+    longest = max(curve, key=len)
+    shape = [(h.ns[0], h.sg[0]) for h in longest]
+    if any([(h.ns[0], h.sg[0]) for h in hops] != shape[: len(hops)] for hops in curve):
+        raise ValueError("the hop lists of a curve must be prefixes of one list of fading parameters")
+    etas = [np.array([[h.ns[1].eta, h.sg[1].eta] for h in hops]) for hops in curve]
+    base = np.array([[h.ns[1].eta, h.sg[1].eta] for h in longest])
+    for row in etas:
+        ratios = row / base[: len(row)]
+        if not np.allclose(ratios, ratios[0, 0], rtol=1e-9, atol=0.0):
+            raise ValueError("the links of a curve's rows must differ by one SNR factor")
+    lead = np.array([row[0, 0] for row in etas])
+    factors, fpos = np.unique(lead / lead.min(), return_inverse=True)
+    ks, kpos = np.unique([len(hops) for hops in curve], return_inverse=True)
+    cells = kpos * factors.size + fpos
+    found, first = np.unique(cells, return_index=True)
+    if found.size != ks.size * factors.size:
+        raise ValueError("a curve's rows must cover every pair of its satellite counts and SNRs")
+    first = first.reshape(ks.size, factors.size)
+    return curve[first[-1, 0]], ks, factors, first, cells
 
 
-def _leading_outages(num: np.ndarray, den: np.ndarray, offsets, limits) -> np.ndarray:
+def _leading_outages(num: np.ndarray, den: np.ndarray, offsets, limits, shift=0.0) -> np.ndarray:
     """Per trial, the number of leading rows j = 0, 1, ... at which
-    num / (den + offsets[j]) <= limits[j].
+    num / ((den + shift) + offsets[j]) <= limits[j].
 
-    Row 0 compares num / den itself, so it is the one-row arithmetic bit
-    for bit.  A trial out of outage at one row stays out at every later
+    Row 0 compares num / (den + shift) itself, so it is the one-row
+    arithmetic bit for bit; den + shift is formed one slice at a time.  A trial out of outage at one row stays out at every later
     (higher-SNR) row, which `live` keeps exact under roundoff too.  Rows
     are evaluated one slice of trials at a time, so the temporaries stay
     small, and a slice stops once none of its trials is in outage.
@@ -196,6 +224,8 @@ def _leading_outages(num: np.ndarray, den: np.ndarray, offsets, limits) -> np.nd
     count = np.zeros(num.size, np.min_scalar_type(len(limits)))
     for lo in range(0, num.size, _SLICE):
         n, d, c = num[lo : lo + _SLICE], den[lo : lo + _SLICE], count[lo : lo + _SLICE]
+        if shift:
+            d = d + shift
         live = n / d <= limits[0]
         c += live
         for off, limit in zip(offsets[1:], limits[1:]):
@@ -220,8 +250,11 @@ def _hop_snr(hop: HopPair, rng: np.random.Generator, n: int):
 
 def _relayed(lam_ns: np.ndarray, lam_sg: np.ndarray):
     """Numerator and denominator of the variable-gain end-to-end SNR
-    sg*ns / (sg + 1 + ns)."""
-    return lam_sg * lam_ns, lam_sg + 1.0 + lam_ns
+    sg*ns / (sg + 1 + ns); the numerator overwrites lam_sg."""
+    den = lam_sg + 1.0
+    den += lam_ns
+    lam_sg *= lam_ns
+    return lam_sg, den
 
 
 def _relayed_rows(factors: np.ndarray, g: float):
@@ -241,18 +274,11 @@ def _side_sum(links, rng: np.random.Generator, n: int) -> np.ndarray:
     )
 
 
-def _hop_links(hops_per_sat: list[HopPair]) -> list[tuple[channel.SRParams, channel.LinkSNR]]:
-    if not hops_per_sat:
-        raise ValueError("need at least one satellite")
-    return [h.ns for h in hops_per_sat] + [h.sg for h in hops_per_sat]
-
-
 def simulate_ss_curve(
     curve: list[HopPair], thr: Threshold, cfg: MCConfig, workers: int = 1
 ) -> list[OutageEstimate]:
     """Single satellite at every row of a curve, one estimate per row."""
-    factors, first, pos = _snr_axis([[hop.ns, hop.sg] for hop in curve])
-    hop = curve[first[0]]
+    [hop], _, factors, _, cells = _grid([[h] for h in curve])
     rows = _relayed_rows(factors, thr.gamma_th)
 
     def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -260,45 +286,49 @@ def simulate_ss_curve(
         return _row_hits(count, factors.size)
 
     estimates = _run_blocks(kernel, cfg, workers)
-    return [estimates[j] for j in pos]
+    return [estimates[c] for c in cells]
 
 
 def simulate_sc_curve(
     curve: list[list[HopPair]], thr: Threshold, cfg: MCConfig, workers: int = 1
 ) -> list[OutageEstimate]:
     """Selection combining at every row of a curve, one estimate per row."""
-    factors, first, pos = _snr_axis([_hop_links(hops) for hops in curve])
-    head, *rest = curve[first[0]]
+    hops, ks, factors, _, cells = _grid(curve)
+    at = {int(k): a for a, k in enumerate(ks)}
     g = thr.gamma_th
     # Lambda_ns <= g at the highest SNR: in outage at every row.
     floor = g / factors[-1]
     rows = _relayed_rows(factors, g)
 
     def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
-        count = _leading_outages(*_relayed(*_hop_snr(head, rng, n)), *rows)
-        # A trial out of outage at the lowest SNR counts at no row, so only
-        # the counts of the trials still in outage are kept, in trial order.
-        # Counters move through index arrays (several times faster than
-        # boolean masks), built only after a branch's draws, so they never
-        # sit beside a sampler call; the draws are thinned by boolean masks.
-        count = count[np.flatnonzero(count)]
-        for hop in rest:
-            if not count.size:
-                break
-            lam_ns = channel.sample_sum(*hop.ns, 1, rng, size=count.size)
-            over = lam_ns > floor
-            lam_ns = lam_ns[over]
-            lam_sg = channel.sample_sum(*hop.sg, 1, rng, size=lam_ns.size)
-            branch = _leading_outages(*_relayed(lam_ns, lam_sg), *rows)
-            at = np.flatnonzero(over)
-            count[at] = np.minimum(count[at], branch)
+        hits = np.zeros((ks.size, factors.size), np.int64)
+        for k, hop in enumerate(hops, 1):
+            if k == 1:
+                count = _leading_outages(*_relayed(*_hop_snr(hop, rng, n)), *rows)
+            elif count.size:
+                # Counters move through index arrays (several times faster
+                # than boolean masks), built only after a branch's draws, so
+                # they never sit beside a sampler call; the draws are
+                # thinned by boolean masks.
+                lam_ns = channel.sample_sum(*hop.ns, 1, rng, size=count.size)
+                over = lam_ns > floor
+                lam_ns = lam_ns[over]
+                lam_sg = channel.sample_sum(*hop.sg, 1, rng, size=lam_ns.size)
+                branch = _leading_outages(*_relayed(lam_ns, lam_sg), *rows)
+                idx = np.flatnonzero(over)
+                count[idx] = np.minimum(count[idx], branch)
+                # Free this branch's arrays before the next branch draws its own.
+                del lam_ns, lam_sg, over, idx, branch
+            # A trial out of outage at the lowest SNR counts at no row, so
+            # only the counts of the trials still in outage are kept, in
+            # trial order; row K reads them right after branch K.
             count = count[np.flatnonzero(count)]
-            # Free this branch's arrays before the next branch draws its own.
-            del lam_ns, lam_sg, over, at, branch
-        return _row_hits(count, factors.size)
+            if k in at:
+                hits[at[k]] = _row_hits(count, factors.size)
+        return hits.ravel()
 
     estimates = _run_blocks(kernel, cfg, workers)
-    return [estimates[j] for j in pos]
+    return [estimates[c] for c in cells]
 
 
 def simulate_mrc_curve(
@@ -306,25 +336,64 @@ def simulate_mrc_curve(
 ) -> list[OutageEstimate]:
     """Maximal ratio combining at every row of a curve, one estimate per row,
     each row with its own fixed-gain constant C_m."""
-    factors, first, pos = _snr_axis([_hop_links(hops) for hops in curve])
-    hops = curve[first[0]]
+    hops, ks, factors, first, cells = _grid(curve)
+    ns_links, sg_links = [h.ns for h in hops], [h.sg for h in hops]
     g = thr.gamma_th
     # sum(ns) <= g at the highest SNR: in outage at every row.
     floor = g / factors[-1]
-    cms = np.array([c_mrc([h.ns for h in curve[i]]) for i in first])
-    # (f sg)(f ns) / (f sg + C_m) <= g is the event
+    cms = np.array([[c_mrc([h.ns for h in curve[i]]) for i in row] for row in first])
+    # Per satellite count, (f sg)(f ns) / (f sg + C_m) <= g is the event
     # sg*ns / ((sg + C_m0) + (C_m / f - C_m0)) <= g / f.
-    offsets, limits = cms / factors - cms[0], g / factors
+    offsets, limits = cms / factors - cms[:, :1], g / factors
 
     def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
-        sum_ns = _side_sum([h.ns for h in hops], rng, n)
-        sum_ns = sum_ns[sum_ns > floor]
-        sum_sg = _side_sum([h.sg for h in hops], rng, sum_ns.size)
-        count = _leading_outages(sum_sg * sum_ns, sum_sg + cms[0], offsets, limits)
-        return n - sum_ns.size + _row_hits(count, factors.size)
+        hits = np.zeros((ks.size, factors.size), np.int64)
+        prev = 0
+        for a, k in enumerate(ks):
+            # Running sums: a trial's ns sum grows by the next links' draws;
+            # its sg sum is drawn whole when the ns sum first passes the
+            # floor and grows by the next links' draws after that.
+            if a == 0:
+                sum_ns = _side_sum(ns_links[:k], rng, n)
+                over = sum_ns > floor
+                sum_sg = _side_sum(sg_links[:k], rng, np.count_nonzero(over))
+            elif not sum_ns.size:
+                break
+            else:
+                sum_ns += _side_sum(ns_links[prev:k], rng, sum_ns.size)
+                sum_sg += _side_sum(sg_links[prev:k], rng, sum_sg.size)
+                now = sum_ns > floor
+                kept = over[now]
+                grown = np.empty(kept.size)
+                grown[kept] = sum_sg
+                del sum_sg
+                grown[~kept] = _side_sum(sg_links[:k], rng, kept.size - np.count_nonzero(kept))
+                sum_sg, over = grown, now
+            num = sum_ns[over]
+            under = sum_ns.size - num.size
+            if a + 1 == ks.size:
+                del sum_ns  # not needed after the largest K
+            num *= sum_sg
+            lead = _leading_outages(num, sum_sg, offsets[a], limits, cms[a, 0])
+            del num
+            if a:
+                # Lambda_GS rises with K at every trial; the minimum keeps
+                # that exact under roundoff.
+                lead[kept] = np.minimum(lead[kept], count)
+            hits[a] = under + _row_hits(lead, factors.size)
+            if a + 1 < ks.size:
+                # A trial out of outage at the lowest SNR stays out at every
+                # larger K, so only the trials still in outage are kept.
+                live = lead > 0
+                keep = ~over
+                keep[over] = live
+                sum_ns, over = sum_ns[keep], over[keep]
+                sum_sg, count = sum_sg[live], lead[live]
+            prev = k
+        return hits.ravel()
 
     estimates = _run_blocks(kernel, cfg, workers)
-    return [estimates[j] for j in pos]
+    return [estimates[c] for c in cells]
 
 
 def simulate_ss(hops: HopPair, thr: Threshold, cfg: MCConfig, workers: int = 1) -> OutageEstimate:

@@ -318,18 +318,35 @@ class TestCurves:
         est = mcsim.simulate_sc_curve(curve, Threshold.from_rate(0.5), cfg)
         assert [float(r[6]) for r in rows[4:8]] == [e.p_hat for e in est]
 
-    def test_one_row_curves_keep_row_seeds(self):
-        # fig3's curves hold one row each, so every row keeps the stream of
-        # its own row index.
+    def test_k_curves_keep_first_row_seeds(self):
+        # fig3 has one curve per (scheme, condition), spanning K = 2..6 and
+        # seeded by the index of its first row, the K = 2 row, which keeps
+        # the one-row stream it had as a curve of its own.
         spec = replace(preset_spec("fig3"), mc=MCConfig(trials=3000, seed=11))
         rows = run(spec, workers=2)
-        for i, r in enumerate(rows):
-            ns, sg = CONDITIONS[r.condition]
-            link = LinkSNR.from_db(r.snr_db)
-            hops = [HopPair(ns=(ns, link), sg=(sg, link))] * r.k
-            cfg = replace(spec.mc, seed=cli._row_seed(11, i))
-            simulate = mcsim.simulate_sc if r.scheme == "SC" else mcsim.simulate_mrc
-            assert r.mc == simulate(hops, spec.threshold, cfg)
+        assert len(rows) == 40
+        for first in range(0, 40, 5):
+            curve_rows = rows[first : first + 5]
+            assert len({(r.scheme, r.condition) for r in curve_rows}) == 1
+            assert [r.k for r in curve_rows] == [2, 3, 4, 5, 6]
+            ns, sg = CONDITIONS[curve_rows[0].condition]
+            link = LinkSNR.from_db(curve_rows[0].snr_db)
+            curve = [[HopPair(ns=(ns, link), sg=(sg, link))] * r.k for r in curve_rows]
+            cfg = replace(spec.mc, seed=cli._row_seed(11, first))
+            scheme = curve_rows[0].scheme
+            simulate = mcsim.simulate_sc_curve if scheme == "SC" else mcsim.simulate_mrc_curve
+            assert [r.mc for r in curve_rows] == simulate(curve, spec.threshold, cfg)
+            one_row = mcsim.simulate_sc if scheme == "SC" else mcsim.simulate_mrc
+            assert curve_rows[0].mc == one_row(curve[0], spec.threshold, cfg)
+
+    def test_ss_rows_repeat_across_k(self):
+        # SS does not depend on K, so its rows at one SNR share their draws.
+        table = {"schemes": "SS", "conditions": "HA", "k_values": "2, 3", "snr_db": "0, 6"}
+        spec, _ = cli._spec_from_table({**table, "trials": "5000"})
+        rows = run(spec)
+        assert [(r.k, r.snr_db) for r in rows] == [(2, 0.0), (2, 6.0), (3, 0.0), (3, 6.0)]
+        assert rows[0].mc == rows[2].mc and rows[1].mc == rows[3].mc
+        assert rows[0].mc.p_hat > rows[1].mc.p_hat
 
 
 class TestMain:

@@ -35,6 +35,19 @@ class TestSlantRange:
         with pytest.raises(ValueError):
             slant_range_km(800.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "altitude, elevation, name",
+        [
+            (math.inf, 30.0, "altitude_km"),
+            (math.nan, 30.0, "altitude_km"),
+            (800.0, math.nan, "elevation_deg"),
+            (800.0, math.inf, "elevation_deg"),
+        ],
+    )
+    def test_non_finite_rejected(self, altitude, elevation, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            slant_range_km(altitude, elevation)
+
 
 class TestSnrDb:
     def test_bandwidth_doubling_costs_3db(self):

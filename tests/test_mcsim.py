@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -18,6 +19,10 @@ CURVE = {
     "MRC": mcsim.simulate_mrc_curve,
 }
 SINGLE = {"SS": mcsim.simulate_ss, "SC": mcsim.simulate_sc, "MRC": mcsim.simulate_mrc}
+# Bound on the traced allocation peak of one fig3 MRC K-curve at 10^5
+# trials: measured 2.69-2.74 MiB (numpy 2.4), where each one-K kernel of
+# the previous sampler peaked at 3.83 MiB.
+MRC_K_CURVE_PEAK = 3.0 * 2**20
 
 
 def hop_at(db, ns=HEAVY_SHADOWING, sg=HEAVY_SHADOWING):
@@ -27,13 +32,15 @@ def hop_at(db, ns=HEAVY_SHADOWING, sg=HEAVY_SHADOWING):
 
 def physical_outage(scheme, rows, n, seed):
     """Full-draw outage estimates from the physical per-hop sampler, one per
-    row (a list of hops; all rows share fading parameters): every ns and sg
-    of every trial is drawn at unit SNR, on a stream of its own, and each
-    row scales them by its own links' eta (Lambda = eta |h|^2)."""
+    row (a list of hops; every row's fading parameters are a prefix of the
+    longest row's): every ns and sg of every trial is drawn at unit SNR, on
+    a stream of its own, and each row scales its first satellites' draws by
+    its own links' eta (Lambda = eta |h|^2)."""
     rng = np.random.default_rng(seed)
     unit = LinkSNR(1.0)
-    ns = [channel.sample(h.ns[0], unit, rng, size=n) for h in rows[0]]
-    sg = [channel.sample(h.sg[0], unit, rng, size=n) for h in rows[0]]
+    longest = max(rows, key=len)
+    ns = [channel.sample(h.ns[0], unit, rng, size=n) for h in longest]
+    sg = [channel.sample(h.sg[0], unit, rng, size=n) for h in longest]
     estimates = []
     for hops in rows:
         lam_ns = [h.ns[1].eta * x for h, x in zip(hops, ns)]
@@ -78,7 +85,10 @@ def one_block_hits(scheme, hops, n, seed):
 
 
 class SampleSpy:
-    """Records the parameters and the draws of every channel.sample_sum call."""
+    """Records the parameters and the draws of every channel.sample_sum call.
+
+    The draws are copied, because the kernels may overwrite the arrays the
+    sampler returns."""
 
     def __init__(self, monkeypatch):
         self.calls = []
@@ -86,7 +96,7 @@ class SampleSpy:
 
         def spy(p, link, k, rng, size=None):
             out = real(p, link, k, rng, size=size)
-            self.calls.append(((p, link), k, size, out))
+            self.calls.append(((p, link), k, size, np.copy(out)))
             return out
 
         monkeypatch.setattr(channel, "sample_sum", spy)
@@ -355,8 +365,10 @@ class TestCurves:
             mcsim.simulate_ss_curve([], THR, cfg)
         with pytest.raises(ValueError):  # fading parameters differ
             mcsim.simulate_ss_curve([hop_at(3.0), hop_at(6.0, sg=AVERAGE_SHADOWING)], THR, cfg)
-        with pytest.raises(ValueError):  # satellite counts differ
-            mcsim.simulate_mrc_curve([[hop_at(3.0)], [hop_at(6.0)] * 2], THR, cfg)
+        with pytest.raises(ValueError):  # hop lists that are not prefixes of one list
+            mcsim.simulate_mrc_curve([[hop_at(3.0)] * 2, [hop_at(3.0, sg=AVERAGE_SHADOWING)]], THR, cfg)
+        with pytest.raises(ValueError):  # a (K, SNR) pair of the grid is missing
+            mcsim.simulate_sc_curve([[hop_at(3.0)], [hop_at(6.0)] * 2], THR, cfg)
         with pytest.raises(ValueError):  # the two hops move by different factors
             odd = HopPair(ns=hop_at(6.0).ns, sg=hop_at(7.0).sg)
             mcsim.simulate_ss_curve([hop_at(3.0), odd], THR, cfg)
@@ -375,6 +387,85 @@ class TestCurves:
             # less than five hits where the reference saw next to none.
             sigma = math.sqrt(2.0 * r * (1.0 - r) / n)
             assert abs(e.p_hat - r) < max(5.0 * sigma, 5.0 / n)
+
+
+class TestKCurves:
+    """A curve's rows may also differ in K: their hop lists are prefixes of
+    the longest list, and every satellite is drawn once."""
+
+    @staticmethod
+    def grid(ks, dbs, **fading):
+        return [[hop_at(db, **fading)] * k for k in ks for db in dbs]
+
+    @pytest.mark.parametrize("scheme", ["SC", "MRC"])
+    def test_smallest_k_rows_draw_as_one_k_curve(self, scheme):
+        # Over three SNRs, the K = 2 rows are the K = 2 SNR curve; at one
+        # SNR, as in fig3, the K = 2 row is the one-row call.
+        cfg = MCConfig(trials=200_000, seed=43)
+        rows = self.grid([2, 3, 4, 5, 6], [0.0, 3.0, 6.0], ns=AVERAGE_SHADOWING)
+        assert CURVE[scheme](rows, THR, cfg)[:3] == CURVE[scheme](rows[:3], THR, cfg)
+        rows = self.grid([2, 3, 4, 5, 6], [3.0], ns=AVERAGE_SHADOWING)
+        assert CURVE[scheme](rows, THR, cfg)[0] == SINGLE[scheme](rows[0], THR, cfg)
+
+    def test_sc_rows_equal_single_row_calls(self):
+        # SC draws branch k alike whatever K follows, so every row of a
+        # one-SNR K-curve, K_max's included, is its own one-row call.
+        rows = self.grid([1, 2, 3, 4, 5, 6], [6.0], sg=AVERAGE_SHADOWING)
+        cfg = MCConfig(trials=200_000, seed=44)
+        est = mcsim.simulate_sc_curve(rows, THR, cfg)
+        assert est == [mcsim.simulate_sc(hops, THR, cfg) for hops in rows]
+
+    @pytest.mark.parametrize("scheme", ["SC", "MRC"])
+    def test_hits_never_rise_with_k_or_snr(self, scheme):
+        ks, dbs = [1, 2, 3, 4, 5, 6], [-3.0, 0.0, 3.0, 6.0]
+        rows = self.grid(ks, dbs, ns=AVERAGE_SHADOWING, sg=AVERAGE_SHADOWING)
+        est = CURVE[scheme](rows, THR, MCConfig(trials=300_000, seed=78))
+        p = np.array([e.p_hat for e in est]).reshape(len(ks), len(dbs))
+        assert np.all(np.diff(p, axis=0) <= 0.0) and np.all(np.diff(p, axis=1) <= 0.0)
+        assert p[-1, 0] < p[0, 0] and p[0, -1] < p[0, 0]
+
+    def test_rows_in_any_order(self):
+        # Rows come back in the order given, whatever order their K and SNR
+        # come in; the curve draws the same set.
+        rows = [[hop_at(db)] * k for k, db in ((4, 3.0), (2, 0.0), (4, 0.0), (2, 3.0))]
+        cfg = MCConfig(trials=50_000, seed=6)
+        est = mcsim.simulate_mrc_curve(rows, THR, cfg)
+        ordered = mcsim.simulate_mrc_curve([rows[i] for i in (1, 3, 2, 0)], THR, cfg)
+        assert est == [ordered[i] for i in (3, 0, 2, 1)]
+
+    @pytest.mark.parametrize("cond", ["HH", "HA", "AH", "AA"])
+    def test_fig3_rows_against_full_physical_draw(self, cond):
+        # Fig. 3's K = 2..6 rows at their condition's SNR: SC draws branch
+        # k >= 3 only for the trials still in outage, and MRC grows running
+        # sums only for them; each row must still match a full draw.
+        ns, sg = channel.CONDITIONS[cond]
+        rows = self.grid([2, 3, 4, 5, 6], [13.5 if cond[0] == "H" else 7.5], ns=ns, sg=sg)
+        n = 1_000_000
+        for scheme in ("SC", "MRC"):
+            est = CURVE[scheme](rows, THR, MCConfig(trials=n, seed=2026))
+            ref = physical_outage(scheme, rows, n, seed=6202)
+            for e, r in zip(est, ref):
+                # Two independent estimates at 1e6 trials each: 5 sigma, and
+                # no less than five hits where the reference saw next to none.
+                sigma = math.sqrt(2.0 * r * (1.0 - r) / n)
+                assert abs(e.p_hat - r) < max(5.0 * sigma, 5.0 / n), (scheme, len(rows))
+
+    @pytest.mark.parametrize("cond", ["HH", "HA", "AH", "AA"])
+    def test_mrc_k_curve_memory(self, cond):
+        # Running sums keep a few trial-length arrays whatever the number of
+        # satellite counts; one more 10^5-trial float array per K (0.76 MiB
+        # each, five K here) would pass the bound.
+        ns, sg = channel.CONDITIONS[cond]
+        rows = self.grid([2, 3, 4, 5, 6], [13.5 if cond[0] == "H" else 7.5], ns=ns, sg=sg)
+        # A first small call keeps one-time allocations out of the trace.
+        mcsim.simulate_mrc_curve(rows, THR, MCConfig(trials=1000, seed=9))
+        tracemalloc.start()
+        try:
+            mcsim.simulate_mrc_curve(rows, THR, MCConfig(trials=100_000, seed=9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= MRC_K_CURVE_PEAK
 
 
 class TestCIQuality:
