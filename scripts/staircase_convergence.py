@@ -34,17 +34,10 @@ def main() -> int:
     print(header)
     for db in args.snr_db:
         link = LinkSNR.from_db(db)
-        hop = HopPair(ns=(ns, link), sg=(sg, link))
-        hops = [hop] * args.k
-        row = []
-        for m, l in LADDER:
-            cfg = StaircaseConfig(steps_m=m, depth_l=l)
-            if args.scheme == "SS":
-                row.append(outage.op_ss(hop, thr, cfg))
-            elif args.scheme == "SC":
-                row.append(outage.op_sc(hops, thr, cfg))
-            else:
-                row.append(outage.op_mrc(hops, thr, cfg))
+        # SS is selection combining over one satellite.
+        hops = [HopPair(ns=(ns, link), sg=(sg, link))] * (1 if args.scheme == "SS" else args.k)
+        op = outage.op_mrc if args.scheme == "MRC" else outage.op_sc
+        row = [op(hops, thr, StaircaseConfig(steps_m=m, depth_l=l)) for m, l in LADDER]
         drift = " ".join(f"{v:.6e}" for v in row)
         rel = abs(row[0] - row[-1]) / row[-1] if row[-1] else 0.0
         print(f"{db:6.1f}  {drift}   (M=50 vs finest: {rel:.2%})")

@@ -33,7 +33,6 @@ from .mcsim import (
     simulate_sc,
     simulate_sc_curve,
     simulate_ss,
-    simulate_ss_curve,
 )
 from .outage import (
     HopPair,

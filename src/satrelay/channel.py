@@ -60,10 +60,10 @@ class SRParams:
     def __post_init__(self) -> None:
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
-        if not self.b > 0.0:
-            raise ValueError(f"b must be > 0, got {self.b}")
-        if self.omega < 0.0:
-            raise ValueError(f"omega must be >= 0, got {self.omega}")
+        if not (math.isfinite(self.b) and self.b > 0.0):
+            raise ValueError(f"b must be finite and > 0, got {self.b}")
+        if not (math.isfinite(self.omega) and self.omega >= 0.0):
+            raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
 
 
 # Land-mobile-satellite reference conditions (Abdi et al. parameterization).
@@ -102,12 +102,17 @@ class LinkSNR:
     eta: float
 
     def __post_init__(self) -> None:
-        if not self.eta > 0.0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
 
     @classmethod
     def from_db(cls, eta_db: float) -> "LinkSNR":
-        return cls(eta=10.0 ** (eta_db / 10.0))
+        try:
+            return cls(eta=10.0 ** (eta_db / 10.0))
+        except (OverflowError, ValueError):
+            raise ValueError(
+                f"eta_db must give a finite linear SNR > 0, got {eta_db} dB"
+            ) from None
 
 
 def derive(p: SRParams) -> SRDerived:

@@ -101,6 +101,11 @@ class ExperimentSpec:
                 raise ValueError(f"unknown condition {c!r} (expected HH, HA, AH, AA)")
             if not self.snr_db.get(c):
                 raise ValueError(f"no SNR grid for condition {c}")
+            for db in self.snr_db[c]:
+                try:
+                    LinkSNR.from_db(db)
+                except ValueError as exc:
+                    raise ValueError(f"snr_db of condition {c}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -133,36 +138,35 @@ def _compute_curve(
     spec: ExperimentSpec, points, first_index: int, sim_workers: int
 ) -> list[RunRow]:
     """The rows of one (scheme, condition) curve; their Monte Carlo
-    columns come from one draw set seeded by the curve's first row index."""
+    columns come from one draw set seeded by the curve's first row index.
+
+    SS is selection combining over one satellite: an SS row runs the SC
+    analytic and Monte Carlo paths on a one-hop list, keeps the table's K
+    and has no asymptote.
+    """
     scheme, cond, *_ = points[0]
     ns_params, sg_params = CONDITIONS[cond]
     thr, stair = spec.threshold, spec.staircase
     curve, rows = [], []
     for *_, k, db in points:
         link = LinkSNR.from_db(db)
-        hop = HopPair(ns=(ns_params, link), sg=(sg_params, link))
-        hops = [hop] * k
-        if scheme == "SS":
-            analytic = outage.op_ss(hop, thr, stair)
-            asymptotic = None
-        elif scheme == "SC":
-            analytic = outage.op_sc(hops, thr, stair)
-            asymptotic = outage.asymp_op_sc(hops, thr)
-        else:
+        satellites = 1 if scheme == "SS" else k
+        hops = [HopPair(ns=(ns_params, link), sg=(sg_params, link))] * satellites
+        if scheme == "MRC":
             analytic = outage.op_mrc(hops, thr, stair)
             asymptotic = outage.asymp_op_mrc(hops, thr)
+        else:
+            analytic = outage.op_sc(hops, thr, stair)
+            asymptotic = outage.asymp_op_sc(hops, thr) if scheme == "SC" else None
         curve.append(hops)
         rows.append(RunRow(scheme, cond, k, db, analytic, asymptotic, None))
 
     if spec.mc is None:
         return rows
     cfg = replace(spec.mc, seed=_row_seed(spec.mc.seed, first_index))
-    if scheme == "SS":
-        ests = mcsim.simulate_ss_curve([hops[0] for hops in curve], thr, cfg, workers=sim_workers)
-    elif scheme == "SC":
-        ests = mcsim.simulate_sc_curve(curve, thr, cfg, workers=sim_workers)
-    else:
-        ests = mcsim.simulate_mrc_curve(curve, thr, cfg, workers=sim_workers)
+    # Looked up at call time, so a replaced module attribute is the one called.
+    simulate = mcsim.simulate_mrc_curve if scheme == "MRC" else mcsim.simulate_sc_curve
+    ests = simulate(curve, thr, cfg, workers=sim_workers)
     return [replace(row, mc=est) for row, est in zip(rows, ests)]
 
 
@@ -393,6 +397,7 @@ def emit_svg(rows: list[RunRow], path: str) -> None:
 
 def parse_config_text(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -400,7 +405,10 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"config line {ln}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in out:
+            raise ValueError(f"config key {key!r} is set twice, on lines {line_of[key]} and {ln}")
+        out[key], line_of[key] = value.strip(), ln
     return out
 
 

@@ -4,9 +4,11 @@ The unit of simulation is a *curve*: a (K x SNR) grid of rows of one
 scheme and one pair of fading conditions, such as fig3's K = 2..6 at one
 SNR or fig1's one K over eleven SNRs.  Every row's hop list is a prefix of
 the curve's longest list, and the rows' links differ by one SNR factor;
-every (K, SNR) pair of the grid must be present.  Each scheme has one
-curve kernel (`simulate_ss_curve`, `simulate_sc_curve`,
-`simulate_mrc_curve`) that returns one estimate per row from one draw set.
+every (K, SNR) pair of the grid must be present.  Selection combining
+over one satellite is the single-satellite scheme (SS), so there are two
+curve kernels, `simulate_sc_curve` (SS rows are its one-satellite rows)
+and `simulate_mrc_curve`, each returning one estimate per row from one
+draw set.
 Every SNR is drawn once, at the links of the longest list at the lowest
 SNR, and scaled by eta_row / eta_lowest for each row; the factor is
 exactly 1.0 for a one-row curve.  Each row's outage event is tested on the
@@ -22,8 +24,8 @@ grows with K too, so a trial out of outage at the lowest SNR needs no more
 draws at larger K, and at one seed the hit count never rises with K.
 A curve of one K draws exactly as it did before curves spanned K, and in
 a curve of several K the smallest K's rows draw as that K's curve alone.
-SS rows do not depend on K, so an SS row repeats at every K.
-`simulate_ss`, `simulate_sc` and `simulate_mrc` are the one-row curves.
+`simulate_ss`, `simulate_sc` and `simulate_mrc` are the one-row curves;
+`simulate_ss(hop)` is `simulate_sc([hop])`.
 
 Trials are partitioned into fixed-size blocks; block i draws from an
 independent substream keyed by (seed, i) via SeedSequence spawn keys over
@@ -36,10 +38,9 @@ sampler (one binomial and one gamma draw per sample, no trigonometry).
 A block draws only the variates that can still change one of its rows'
 outage counts, in a fixed order:
 
-- SS: n ns draws, then n sg draws.
-- SC: the first branch draws exactly like SS (so SC with one satellite is
-  SS, bit for bit).  Branch k >= 2 draws ns only for the trials still in
-  outage at the lowest SNR after branches 1..k-1, then sg only for those
+- SC (and SS, its one-satellite case): the first branch draws n ns, then
+  n sg.  Branch k >= 2 draws ns only for the trials still in outage at
+  the lowest SNR after branches 1..k-1, then sg only for those
   with Lambda_ns > gamma at the highest SNR, since Lambda_ns <= gamma
   already forces Lambda_GS < gamma at every row.  Which draw goes to which
   trial depends only on earlier draws, and branches are independent, so
@@ -83,7 +84,6 @@ __all__ = [
     "simulate_ss",
     "simulate_sc",
     "simulate_mrc",
-    "simulate_ss_curve",
     "simulate_sc_curve",
     "simulate_mrc_curve",
 ]
@@ -241,13 +241,6 @@ def _row_hits(count: np.ndarray, rows: int) -> np.ndarray:
     return np.array([np.count_nonzero(count > j) for j in range(rows)], dtype=np.int64)
 
 
-def _hop_snr(hop: HopPair, rng: np.random.Generator, n: int):
-    """(Lambda_ns, Lambda_sg) for n trials of one satellite, ns first."""
-    lam_ns = channel.sample_sum(*hop.ns, 1, rng, size=n)
-    lam_sg = channel.sample_sum(*hop.sg, 1, rng, size=n)
-    return lam_ns, lam_sg
-
-
 def _relayed(lam_ns: np.ndarray, lam_sg: np.ndarray):
     """Numerator and denominator of the variable-gain end-to-end SNR
     sg*ns / (sg + 1 + ns); the numerator overwrites lam_sg."""
@@ -274,25 +267,11 @@ def _side_sum(links, rng: np.random.Generator, n: int) -> np.ndarray:
     )
 
 
-def simulate_ss_curve(
-    curve: list[HopPair], thr: Threshold, cfg: MCConfig, workers: int = 1
-) -> list[OutageEstimate]:
-    """Single satellite at every row of a curve, one estimate per row."""
-    [hop], _, factors, _, cells = _grid([[h] for h in curve])
-    rows = _relayed_rows(factors, thr.gamma_th)
-
-    def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
-        count = _leading_outages(*_relayed(*_hop_snr(hop, rng, n)), *rows)
-        return _row_hits(count, factors.size)
-
-    estimates = _run_blocks(kernel, cfg, workers)
-    return [estimates[c] for c in cells]
-
-
 def simulate_sc_curve(
     curve: list[list[HopPair]], thr: Threshold, cfg: MCConfig, workers: int = 1
 ) -> list[OutageEstimate]:
-    """Selection combining at every row of a curve, one estimate per row."""
+    """Selection combining at every row of a curve, one estimate per row;
+    SS rows are its rows of one satellite."""
     hops, ks, factors, _, cells = _grid(curve)
     at = {int(k): a for a, k in enumerate(ks)}
     g = thr.gamma_th
@@ -304,7 +283,10 @@ def simulate_sc_curve(
         hits = np.zeros((ks.size, factors.size), np.int64)
         for k, hop in enumerate(hops, 1):
             if k == 1:
-                count = _leading_outages(*_relayed(*_hop_snr(hop, rng, n)), *rows)
+                lam_ns = channel.sample_sum(*hop.ns, 1, rng, size=n)
+                lam_sg = channel.sample_sum(*hop.sg, 1, rng, size=n)
+                count = _leading_outages(*_relayed(lam_ns, lam_sg), *rows)
+                del lam_ns, lam_sg
             elif count.size:
                 # Counters move through index arrays (several times faster
                 # than boolean masks), built only after a branch's draws, so
@@ -397,8 +379,9 @@ def simulate_mrc_curve(
 
 
 def simulate_ss(hops: HopPair, thr: Threshold, cfg: MCConfig, workers: int = 1) -> OutageEstimate:
-    """Single satellite, variable gain: Lambda_GS = sg*ns / (sg + 1 + ns)."""
-    return simulate_ss_curve([hops], thr, cfg, workers)[0]
+    """Single satellite, variable gain: Lambda_GS = sg*ns / (sg + 1 + ns),
+    simulated as selection combining over that one satellite."""
+    return simulate_sc_curve([[hops]], thr, cfg, workers)[0]
 
 
 def simulate_sc(

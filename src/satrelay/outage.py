@@ -54,8 +54,8 @@ class StaircaseConfig:
     def __post_init__(self) -> None:
         if self.steps_m < 1:
             raise ValueError("steps_m must be >= 1")
-        if not self.depth_l > 0.0:
-            raise ValueError("depth_l must be > 0")
+        if not (math.isfinite(self.depth_l) and self.depth_l > 0.0):
+            raise ValueError(f"depth_l must be finite and > 0, got {self.depth_l}")
 
     @classmethod
     def for_threshold(cls, thr: "Threshold", steps_m: int = 50) -> "StaircaseConfig":
@@ -70,12 +70,20 @@ class Threshold:
     gamma_th: float
 
     def __post_init__(self) -> None:
-        if not self.gamma_th > 0.0:
-            raise ValueError("gamma_th must be > 0")
+        # upsilon = gamma_th^2 + gamma_th must be finite too.
+        if not (self.gamma_th > 0.0 and math.isfinite(self.gamma_th * (self.gamma_th + 1.0))):
+            raise ValueError(
+                f"gamma_th must be > 0 with gamma_th^2 + gamma_th finite, got {self.gamma_th}"
+            )
 
     @classmethod
     def from_rate(cls, rate_r: float) -> "Threshold":
-        return cls(gamma_th=2.0 ** (2.0 * rate_r) - 1.0)
+        try:
+            return cls(gamma_th=2.0 ** (2.0 * rate_r) - 1.0)
+        except (OverflowError, ValueError):
+            raise ValueError(
+                f"rate_r must give a finite gamma_th = 2^(2R) - 1 > 0, got {rate_r}"
+            ) from None
 
     @property
     def upsilon(self) -> float:

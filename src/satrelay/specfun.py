@@ -1,10 +1,12 @@
-"""Scalar special functions used by the shadowed-Rician statistics.
+"""Special functions used by the shadowed-Rician statistics.
 
 Everything here is pure and stateless.  The confluent hypergeometric
-series is evaluated by its ascending power series only, to a fixed
-relative tolerance within a term budget, so callers feeding it arguments
-outside the convergent regime get a SeriesConvergenceError instead of a
-silently degraded value.
+function has one implementation, `_kummer_1f1_ln_grid`: its ascending
+power series over an array of z, log-scaled, to a fixed relative
+tolerance within a term budget.  `channel.sum_cdf` runs it on its
+Whittaker arguments, and `kummer_1f1` and `whittaker_m_ln` read it at one
+z.  Callers feeding it arguments outside the convergent regime get a
+SeriesConvergenceError instead of a silently degraded value.
 """
 
 from __future__ import annotations
@@ -42,31 +44,6 @@ def _check_1f1_domain(b: float, z) -> None:
         raise ValueError(f"1F1 undefined for nonpositive-integer b = {b}")
     if np.any(np.asarray(z) < 0.0):
         raise ValueError("1F1 series restricted to z >= 0 here")
-
-
-def kummer_1f1(a: float, b: float, z: float) -> float:
-    """Confluent hypergeometric 1F1(a; b; z) by ascending series.
-
-    Uses Neumaier-compensated summation and stops once the latest term is
-    below 1e-12 of the running sum (or the series terminates exactly, as
-    it does for nonpositive-integer a); raises SeriesConvergenceError
-    after 500 terms.
-    """
-    _check_1f1_domain(b, z)
-    total = 1.0
-    comp = 0.0
-    term = 1.0
-    for n in range(_MAX_TERMS):
-        term *= (a + n) * z / ((b + n) * (n + 1))
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        if term == 0.0 or abs(term) <= _REL_TOLERANCE * abs(total + comp):
-            return total + comp
-    raise SeriesConvergenceError(f"1F1({a}; {b}; {z}) did not converge within {_MAX_TERMS} terms")
 
 
 _RESCALE_AT = 1e250
@@ -107,18 +84,31 @@ def _kummer_1f1_ln_grid(
     )
 
 
+def _kummer_1f1_ln(a: float, b: float, z: float) -> tuple[float, float]:
+    """(sign, ln|1F1(a; b; z)|) at one z: the grid series within 500 terms."""
+    sign, ln_mag = _kummer_1f1_ln_grid(a, b, np.array([z], dtype=float), _MAX_TERMS)
+    return float(sign[0]), float(ln_mag[0])
+
+
+def kummer_1f1(a: float, b: float, z: float) -> float:
+    """Confluent hypergeometric 1F1(a; b; z) from the series `channel.sum_cdf`
+    runs; raises SeriesConvergenceError after 500 terms and OverflowError
+    where the value is beyond float range."""
+    sign, ln_mag = _kummer_1f1_ln(a, b, z)
+    return sign * math.exp(ln_mag)
+
+
 def whittaker_m_ln(mu: float, nu: float, z: float) -> tuple[float, float]:
     """Log-scaled Whittaker function M_{mu,nu}(z) for z > 0.
 
-    Returns (sign, ln|M|) so that M = sign * exp(ln|M|).  The log form
+    Returns (sign, ln|M|) so that M = sign * exp(ln|M|), from
+    M = e^{-z/2} z^{nu+1/2} 1F1(nu - mu + 1/2; 1 + 2 nu; z) with the log
+    of 1F1 read off the same series as `kummer_1f1`.  The log form
     survives the e^{z/2} growth / z^{nu+1/2} decay that makes the plain
     value overflow for the large arguments the sum-CDF produces.
     """
     if z <= 0.0:
         raise ValueError(f"whittaker_m_ln requires z > 0, got {z}")
-    f = kummer_1f1(nu - mu + 0.5, 1.0 + 2.0 * nu, z)
-    if f == 0.0:
-        return 0.0, -math.inf
-    sign = math.copysign(1.0, f)
-    ln_mag = -0.5 * z + (nu + 0.5) * math.log(z) + math.log(abs(f))
-    return sign, ln_mag
+    # A zero 1F1 has sign 0 and ln -inf, so M comes out as (0, -inf).
+    sign, ln_f = _kummer_1f1_ln(nu - mu + 0.5, 1.0 + 2.0 * nu, z)
+    return sign, -0.5 * z + (nu + 0.5) * math.log(z) + ln_f

@@ -46,6 +46,24 @@ class TestParams:
         with pytest.raises(ValueError):
             SRDerived(alpha=1.0, beta=0.5, delta=0.6)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["b", "omega"])
+    def test_non_finite_params_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SRParams(**{"m": 2, "b": 0.1, "omega": 0.1, field: value})
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_non_finite_eta_named(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            LinkSNR(eta)
+
+    @pytest.mark.parametrize("db", [math.nan, math.inf, -math.inf, 1e10, 3090.0, -4000.0])
+    def test_from_db_out_of_range_named(self, db):
+        # 10^(db/10) overflows a float (1e10, 3090), underflows to 0 (-4000)
+        # or is not finite: a ValueError naming eta_db, not an OverflowError.
+        with pytest.raises(ValueError, match="eta_db"):
+            LinkSNR.from_db(db)
+
 
 class TestDerive:
     def test_heavy_hand_values(self):

@@ -228,8 +228,20 @@ class TestConfigFile:
             ("gamma_th = 1.0\nrate_r = 0.5\n", [], ["gamma_th", "rate_r"]),
             ("workers = 0\n", [], ["workers"]),
             ("", ["--workers", "0"], ["workers"]),
+            # Not finite, or overflowing in linear form: named before any row.
+            ("snr_db_hh = inf\n", [], ["snr_db"]),
+            ("snr_db_hh = 1e10\n", ["--no-mc"], ["snr_db"]),
+            ("rate_r = 600\n", [], ["rate_r"]),
+            ("rate_r = inf\n", ["--no-mc"], ["rate_r"]),
+            ("gamma_th = inf\n", [], ["gamma_th"]),
+            ("depth_l = inf\n", ["--no-mc"], ["depth_l"]),
+            ("trials = 3000\n", [], ["'trials'", "lines 5 and 6"]),
         ],
-        ids=["unknown-keys", "mc-not-boolean", "gamma-th-and-rate", "workers-key", "workers-flag"],
+        ids=[
+            "unknown-keys", "mc-not-boolean", "gamma-th-and-rate", "workers-key", "workers-flag",
+            "snr-inf", "snr-overflow", "rate-overflow", "rate-inf", "gamma-th-inf", "depth-inf",
+            "duplicate-key",
+        ],
     )
     def test_bad_config_rejected(self, tmp_path, capsys, extra, flags, named):
         conf = tmp_path / "bad.conf"
@@ -268,13 +280,13 @@ class TestConfigFile:
         # One curve at two workers: it gets both as Monte Carlo block
         # threads (600k trials = two blocks), and the bytes do not change.
         seen = []
-        simulate = mcsim.simulate_ss_curve
+        simulate = mcsim.simulate_sc_curve
 
         def spy(*args, **kwargs):
             seen.append(kwargs["workers"])
             return simulate(*args, **kwargs)
 
-        monkeypatch.setattr(mcsim, "simulate_ss_curve", spy)
+        monkeypatch.setattr(mcsim, "simulate_sc_curve", spy)
         conf = tmp_path / "one.conf"
         conf.write_text(
             "schemes = SS\nconditions = HH\nk_values = 1\nsnr_db = 10\n"

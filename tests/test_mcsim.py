@@ -13,8 +13,15 @@ from satrelay.mcsim import MCConfig, OutageEstimate, _wilson
 from satrelay.outage import HopPair, StaircaseConfig, Threshold
 
 THR = Threshold(gamma_th=1.0)
+
+
+def ss_curve(rows, thr, cfg, workers=1):
+    """SS rows (one hop each) as one-satellite SC rows."""
+    return mcsim.simulate_sc_curve([[hop] for hop in rows], thr, cfg, workers)
+
+
 CURVE = {
-    "SS": mcsim.simulate_ss_curve,
+    "SS": ss_curve,
     "SC": mcsim.simulate_sc_curve,
     "MRC": mcsim.simulate_mrc_curve,
 }
@@ -362,16 +369,16 @@ class TestCurves:
     def test_malformed_curves_rejected(self):
         cfg = MCConfig(trials=10, seed=0)
         with pytest.raises(ValueError):
-            mcsim.simulate_ss_curve([], THR, cfg)
+            mcsim.simulate_sc_curve([], THR, cfg)
         with pytest.raises(ValueError):  # fading parameters differ
-            mcsim.simulate_ss_curve([hop_at(3.0), hop_at(6.0, sg=AVERAGE_SHADOWING)], THR, cfg)
+            mcsim.simulate_sc_curve([[hop_at(3.0)], [hop_at(6.0, sg=AVERAGE_SHADOWING)]], THR, cfg)
         with pytest.raises(ValueError):  # hop lists that are not prefixes of one list
             mcsim.simulate_mrc_curve([[hop_at(3.0)] * 2, [hop_at(3.0, sg=AVERAGE_SHADOWING)]], THR, cfg)
         with pytest.raises(ValueError):  # a (K, SNR) pair of the grid is missing
             mcsim.simulate_sc_curve([[hop_at(3.0)], [hop_at(6.0)] * 2], THR, cfg)
         with pytest.raises(ValueError):  # the two hops move by different factors
             odd = HopPair(ns=hop_at(6.0).ns, sg=hop_at(7.0).sg)
-            mcsim.simulate_ss_curve([hop_at(3.0), odd], THR, cfg)
+            mcsim.simulate_sc_curve([[hop_at(3.0)], [odd]], THR, cfg)
 
     @pytest.mark.parametrize("scheme", ["SC", "MRC"])
     def test_every_row_against_full_physical_draw(self, scheme):

@@ -29,6 +29,18 @@ class TestThreshold:
         with pytest.raises(ValueError):
             Threshold(gamma_th=0.0)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 1e200])
+    def test_non_finite_gamma_named(self, gamma):
+        # 1e200 is finite, but gamma^2 + gamma (upsilon) is not.
+        with pytest.raises(ValueError, match="gamma_th"):
+            Threshold(gamma_th=gamma)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 600.0, 300.0, 0.0])
+    def test_from_rate_out_of_range_named(self, rate):
+        # 2^(2R) overflows at R = 600; at R = 300 gamma^2 does.
+        with pytest.raises(ValueError, match="rate_r"):
+            Threshold.from_rate(rate)
+
     def test_staircase_default_depth(self):
         cfg = StaircaseConfig.for_threshold(Threshold(gamma_th=2.0))
         assert cfg.steps_m == 50
@@ -36,9 +48,12 @@ class TestThreshold:
 
 
 class TestStaircaseConfig:
-    @pytest.mark.parametrize("kwargs", [dict(steps_m=0), dict(depth_l=0.0)])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(steps_m=0), dict(depth_l=0.0), dict(depth_l=math.nan), dict(depth_l=math.inf)],
+    )
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             StaircaseConfig(**{"steps_m": 50, "depth_l": 15.0, **kwargs})
 
 
