@@ -416,6 +416,14 @@ def _split_list(value: str) -> list[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
+def _parse(key: str, text, convert):
+    """convert(text); a value that does not parse raises a ValueError naming its key."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(f"config key {key!r}: {text!r} is not a valid {convert.__name__}") from None
+
+
 def _spec_from_table(table: dict[str, str]) -> tuple[ExperimentSpec, int]:
     """The spec and worker count of a run table (config key -> text value).
 
@@ -437,37 +445,37 @@ def _spec_from_table(table: dict[str, str]) -> tuple[ExperimentSpec, int]:
     mc = table.get("mc", "true").lower()
     if mc not in _BOOLEANS:
         raise ValueError(f"mc must be one of {', '.join(_BOOLEANS)}, got {table['mc']!r}")
-    workers = int(table.get("workers", 1))
+    workers = _parse("workers", table.get("workers", 1), int)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     thr = (
-        Threshold(gamma_th=float(table["gamma_th"]))
+        Threshold(gamma_th=_parse("gamma_th", table["gamma_th"], float))
         if "gamma_th" in table
-        else Threshold.from_rate(float(table.get("rate_r", 0.5)))
+        else Threshold.from_rate(_parse("rate_r", table.get("rate_r", 0.5), float))
     )
     stairs = StaircaseConfig.for_threshold(thr)
     conditions = tuple(c.upper() for c in _split_list(table["conditions"]))
+    # Each condition reads its own SNR key if the table has one, else snr_db.
+    snr_keys = {c: f"snr_db_{c.lower()}" for c in conditions}
+    snr_keys = {c: key if key in table else "snr_db" for c, key in snr_keys.items()}
     spec = ExperimentSpec(
         schemes=tuple(s.upper() for s in _split_list(table["schemes"])),
         conditions=conditions,
-        k_values=tuple(int(k) for k in _split_list(table["k_values"])),
+        k_values=tuple(_parse("k_values", k, int) for k in _split_list(table["k_values"])),
         snr_db={
-            c: tuple(
-                float(v)
-                for v in _split_list(table.get(f"snr_db_{c.lower()}", table.get("snr_db", "")))
-            )
-            for c in conditions
+            c: tuple(_parse(key, v, float) for v in _split_list(table.get(key, "")))
+            for c, key in snr_keys.items()
         },
         staircase=StaircaseConfig(
-            steps_m=int(table.get("steps_m", stairs.steps_m)),
-            depth_l=float(table.get("depth_l", stairs.depth_l)),
+            steps_m=_parse("steps_m", table.get("steps_m", stairs.steps_m), int),
+            depth_l=_parse("depth_l", table.get("depth_l", stairs.depth_l), float),
         ),
         threshold=thr,
         mc=MCConfig(
-            trials=int(table.get("trials", DEFAULT_TRIALS)),
-            seed=int(table.get("seed", DEFAULT_SEED)),
-            ci_level=float(table.get("ci_level", 0.99)),
+            trials=_parse("trials", table.get("trials", DEFAULT_TRIALS), int),
+            seed=_parse("seed", table.get("seed", DEFAULT_SEED), int),
+            ci_level=_parse("ci_level", table.get("ci_level", 0.99), float),
         )
         if _BOOLEANS[mc]
         else None,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from satrelay import channel
 from satrelay.channel import AVERAGE_SHADOWING, HEAVY_SHADOWING, LinkSNR
 
 
@@ -22,3 +23,10 @@ def ks_statistic(sorted_draws: np.ndarray, cdf_values: np.ndarray) -> float:
         float(np.max(i / n - cdf_values)),
         float(np.max(cdf_values - (i - 1) / n)),
     )
+
+
+def quad_upper(p, link) -> float:
+    """Upper limit for scipy quadratures of the SNR density: 50 times the
+    larger of eta and the mixture's Gamma scale eta / (beta - delta)."""
+    drv = channel.derive(p)
+    return 50.0 * max(link.eta, link.eta / (drv.beta - drv.delta))

@@ -20,9 +20,11 @@ status and its measured causes:
   same bias plus truncation at L = 15 gamma (up to 14% for MRC A-A 9 dB
   even with a bias-free rule).
 - 7 (SC needs 6 +- 1.5 dB more SNR than MRC at 1e-2) stays red: the
-  converged model gives 8.38 dB under H-H.  PAPER.md holds only the
-  abstract, so whether the paper's claim or a model detail (C_m, the
-  shadowing presets) is off cannot be settled here.
+  converged model gives 8.38 dB under H-H.  No standard reading of MRC
+  gives the claim: at K = 5 the SC-MRC gaps (H-H / H-A) are 8.36 / 5.72 dB
+  for this package's fixed-gain sum, 2.46 / 3.19 dB for per-branch fixed
+  gain and 3.36 / 3.53 dB for per-branch variable gain (README,
+  "Acceptance status").
 """
 
 import math
@@ -44,7 +46,7 @@ from satrelay.mcsim import MCConfig
 from satrelay.outage import HopPair, StaircaseConfig, Threshold
 from satrelay.specfun import whittaker_m_ln
 
-from conftest import ks_statistic
+from conftest import ks_statistic, quad_upper
 
 THR = Threshold(gamma_th=1.0)
 CFG = StaircaseConfig(steps_m=50, depth_l=15.0)
@@ -76,18 +78,13 @@ def _hops(cond: str, db: float, k: int) -> list[HopPair]:
     return [HopPair(ns=(ns, link), sg=(sg, link))] * k
 
 
-def _quad_upper(p, link):
-    d = channel.derive(p)
-    return 50.0 * max(link.eta, link.eta / (d.beta - d.delta))
-
-
 def test_criterion_01_distribution_correctness():
     t0 = time.time()
     problems = []
     for p, eta in PARAM_GRID:
         link = LinkSNR(eta)
         total, _ = integrate.quad(
-            lambda t: channel.pdf(p, link, t), 0.0, _quad_upper(p, link),
+            lambda t: channel.pdf(p, link, t), 0.0, quad_upper(p, link),
             epsabs=1e-10, limit=200,
         )
         if abs(total - 1.0) >= 1e-6:
@@ -119,7 +116,7 @@ def test_criterion_02_moment_identity():
     for p, eta in PARAM_GRID:
         link = LinkSNR(eta)
         want, _ = integrate.quad(
-            lambda t: t * channel.pdf(p, link, t), 0.0, _quad_upper(p, link),
+            lambda t: t * channel.pdf(p, link, t), 0.0, quad_upper(p, link),
             epsabs=1e-10, limit=200,
         )
         closed = channel.mean_snr(p, link)

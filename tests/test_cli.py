@@ -7,11 +7,12 @@ from dataclasses import replace
 
 import pytest
 
-from satrelay import cli, mcsim, outage
+from satrelay import cli, mcsim, outage, validate
 from satrelay.channel import CONDITIONS, LinkSNR
 from satrelay.cli import CSV_HEADER, RunRow, emit_csv, emit_svg, run
 from satrelay.mcsim import MCConfig, OutageEstimate
 from satrelay.outage import HopPair, StaircaseConfig, Threshold
+
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
@@ -236,11 +237,22 @@ class TestConfigFile:
             ("gamma_th = inf\n", [], ["gamma_th"]),
             ("depth_l = inf\n", ["--no-mc"], ["depth_l"]),
             ("trials = 3000\n", [], ["'trials'", "lines 5 and 6"]),
+            # Values that do not parse name their key.
+            ("steps_m = 5.5\n", ["--no-mc"], ["steps_m", "5.5"]),
+            ("depth_l = deep\n", ["--no-mc"], ["depth_l", "deep"]),
+            ("seed = x\n", [], ["seed"]),
+            ("ci_level = high\n", [], ["ci_level"]),
+            ("workers = two\n", [], ["workers"]),
+            ("rate_r = half\n", [], ["rate_r"]),
+            ("gamma_th = 1,0\n", [], ["gamma_th"]),
+            ("snr_db_hh = 10, ten\n", [], ["snr_db_hh", "ten"]),
         ],
         ids=[
             "unknown-keys", "mc-not-boolean", "gamma-th-and-rate", "workers-key", "workers-flag",
             "snr-inf", "snr-overflow", "rate-overflow", "rate-inf", "gamma-th-inf", "depth-inf",
-            "duplicate-key",
+            "duplicate-key", "steps-m-not-int", "depth-not-float", "seed-not-int",
+            "ci-level-not-float", "workers-not-int", "rate-not-float", "gamma-th-not-float",
+            "snr-not-float",
         ],
     )
     def test_bad_config_rejected(self, tmp_path, capsys, extra, flags, named):
@@ -254,6 +266,14 @@ class TestConfigFile:
         assert payload["error"] == "ValueError"
         assert all(word in payload["message"] for word in named)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("trials", "1e5"), ("k_values", "5, x"), ("snr_db", "10, 1O")]
+    )
+    def test_unparsable_value_names_key(self, key, value):
+        table = {"schemes": "SS", "conditions": "HH", "k_values": "1", "snr_db": "10"}
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            cli._spec_from_table({**table, key: value})
 
     @pytest.mark.parametrize("preset", sorted(cli.PRESETS))
     def test_presets_are_config_tables(self, tmp_path, preset):
@@ -429,4 +449,14 @@ class TestMain:
         assert cli.main(["validate"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") >= 14
+        assert sum(line.startswith("PASS ") for line in out.splitlines()) == len(validate.CHECKS)
+        assert f"{len(validate.CHECKS)}/{len(validate.CHECKS)} checks passed" in out
+
+    def test_validate_reports_a_failing_check(self, capsys, monkeypatch):
+        def broken():
+            raise AssertionError("off by one")
+
+        monkeypatch.setattr(validate, "CHECKS", [("always fails", broken)])
+        assert cli.main(["validate"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["FAIL always fails: off by one", "0/1 checks passed"]

@@ -146,13 +146,6 @@ class TestDeterminism:
         cfg = MCConfig(trials=200_000, seed=123)
         assert mcsim.simulate_ss(hop, THR, cfg) == mcsim.simulate_ss(hop, THR, cfg)
 
-    def test_worker_count_invariance(self):
-        hops = [hop_at(10.0)] * 3
-        cfg = MCConfig(trials=1_200_000, seed=55)
-        a = mcsim.simulate_sc(hops, THR, cfg, workers=1)
-        b = mcsim.simulate_sc(hops, THR, cfg, workers=4)
-        assert a == b
-
     def test_distinct_seeds_differ(self):
         hop = hop_at(10.0)
         a = mcsim.simulate_ss(hop, THR, MCConfig(trials=200_000, seed=1))

@@ -50,7 +50,13 @@ class TestThreshold:
 class TestStaircaseConfig:
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(steps_m=0), dict(depth_l=0.0), dict(depth_l=math.nan), dict(depth_l=math.inf)],
+        [
+            dict(steps_m=0),
+            dict(steps_m=10**11),
+            dict(depth_l=0.0),
+            dict(depth_l=math.nan),
+            dict(depth_l=math.inf),
+        ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -58,16 +64,6 @@ class TestStaircaseConfig:
 
 
 class TestStaircaseProbability:
-    def test_rhs_to_zero_quadrant_limit(self):
-        link = LinkSNR(10.0)
-        fx = lambda x: channel.cdf(AVERAGE_SHADOWING, link, x)
-        fy = lambda y: channel.cdf(HEAVY_SHADOWING, link, y)
-        g = 1.0
-        got = outage.staircase_probability(fx, fy, g, g, 1e-12, CFG)
-        a = float(fx(np.asarray([g]))[0])
-        b = float(fy(np.asarray([g]))[0])
-        assert got == pytest.approx(a + b - a * b, abs=1e-6)
-
     def test_against_2d_monte_carlo(self):
         # 99% CI bracket at a configuration where the staircase error is far
         # below the sampling noise of 1e6 draws (checked against quadrature).
@@ -151,12 +147,6 @@ class TestOpSC:
     def test_k1_equals_op_ss(self):
         hop = hop_at(6.0)
         assert outage.op_sc([hop], THR, CFG) == outage.op_ss(hop, THR, CFG)
-
-    def test_iid_power(self):
-        hop = hop_at(8.0, sg=AVERAGE_SHADOWING)
-        single = outage.op_ss(hop, THR, CFG)
-        combined = outage.op_sc([hop] * 5, THR, CFG)
-        assert combined == pytest.approx(single**5, rel=1e-12)
 
     def test_brackets_monte_carlo(self):
         hops = [hop_at(10.0, sg=AVERAGE_SHADOWING)] * 5
@@ -321,15 +311,6 @@ class TestOpMRC:
         b = HopPair(ns=(AVERAGE_SHADOWING, link), sg=(HEAVY_SHADOWING, link))
         with pytest.raises(ValueError):
             outage.op_mrc([a, b], THR, CFG)
-
-    def test_scheme_ordering(self):
-        for db in (4.0, 8.0, 12.0):
-            hop = hop_at(db)
-            hops = [hop] * 5
-            ss = outage.op_ss(hop, THR, CFG)
-            sc = outage.op_sc(hops, THR, CFG)
-            mrc = outage.op_mrc(hops, THR, CFG)
-            assert mrc <= sc <= ss
 
     def test_series_budget_scales_to_low_snr(self):
         # The fig2 grid's low end pushes the Whittaker argument near 500;
