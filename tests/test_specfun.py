@@ -54,6 +54,12 @@ class TestKummer1F1:
     def test_a_zero_is_one(self):
         assert kummer_1f1(0.0, 3.0, 25.0) == 1.0
 
+    @pytest.mark.parametrize("z", [0.1, 1.0, 10.0, 50.0])
+    def test_exponential_identity(self, z):
+        # 1F1(1; 2; z) = (e^z - 1) / z
+        got = kummer_1f1(1.0, 2.0, z)
+        assert got * z + 1.0 == pytest.approx(math.exp(z), rel=1e-10)
+
     def test_terminating_series(self):
         # a = -2 terminates after three terms: 1 - 2z/b + z^2/(b(b+1))
         b, z = 4.0, 3.0
