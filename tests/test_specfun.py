@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from satrelay import channel, outage
+from satrelay import channel, cli, outage
 from satrelay.channel import AVERAGE_SHADOWING, HEAVY_SHADOWING, LinkSNR
 from satrelay.outage import HopPair, StaircaseConfig, Threshold
 from satrelay.specfun import (
     _BLOCK,
+    _SCAN_AT,
     SeriesConvergenceError,
     _kummer_1f1_ln_grid,
     kummer_1f1,
@@ -79,6 +81,21 @@ class TestKummer1F1:
     def test_negative_z_rejected(self):
         with pytest.raises(ValueError):
             kummer_1f1(1.0, 2.0, -1.0)
+
+    @pytest.mark.parametrize(
+        "fn, args, name",
+        [
+            (kummer_1f1, (1.0, 2.0, math.nan), "z"),
+            (kummer_1f1, (1.0, 2.0, math.inf), "z"),
+            (whittaker_m_ln, (0.0, 0.5, math.inf), "z"),
+            (kummer_1f1, (math.nan, 2.0, 1.0), "a"),
+            (kummer_1f1, (1.0, -math.inf, 1.0), "b"),
+        ],
+        ids=["kummer-z-nan", "kummer-z-inf", "whittaker-z-inf", "kummer-a-nan", "kummer-b-inf"],
+    )
+    def test_non_finite_argument_named(self, fn, args, name):
+        with pytest.raises(ValueError, match=rf"requires finite {name}, got"):
+            fn(*args)
 
     def test_nonconvergence_raises(self):
         # the terms of 1F1(1; 2; 1000) still grow at the 500-term budget
@@ -180,9 +197,9 @@ def assert_matches_per_row(a, b, z, max_terms):
     return sign, ln_mag
 
 
-def _sum_cdf_series_args(monkeypatch, p, k):
-    """The (a, b, z, max_terms) of every series table `op_mrc` runs at
-    -6 dB, K = k, M = 800, L = 45 (the finest staircase-ladder step)."""
+def _record_series_args(monkeypatch):
+    """A list that collects the (a, b, z, max_terms) of every series table
+    `channel.sum_cdf` runs from here on."""
     calls = []
 
     def record(a, b, z, max_terms):
@@ -190,6 +207,13 @@ def _sum_cdf_series_args(monkeypatch, p, k):
         return _kummer_1f1_ln_grid(a, b, z, max_terms)
 
     monkeypatch.setattr(channel, "_kummer_1f1_ln_grid", record)
+    return calls
+
+
+def _sum_cdf_series_args(monkeypatch, p, k):
+    """The (a, b, z, max_terms) of every series table `op_mrc` runs at
+    -6 dB, K = k, M = 800, L = 45 (the finest staircase-ladder step)."""
+    calls = _record_series_args(monkeypatch)
     link = LinkSNR.from_db(-6.0)
     hops = [HopPair(ns=(p, link), sg=(p, link))] * k
     outage.op_mrc(hops, Threshold.from_rate(0.5), StaircaseConfig(800, 45.0))
@@ -239,3 +263,70 @@ class TestBatchedKernel:
         # the first row terminates; the next still grows at 500 terms
         with pytest.raises(SeriesConvergenceError, match=r"1F1\(1\.0; 2\.0; z\).*max z = 1000"):
             _kummer_1f1_ln_grid(a, b, [1000.0], 500)
+
+    @pytest.mark.parametrize("preset", ["fig2", "ladder-m50"])
+    def test_run_tables_match_per_row(self, monkeypatch, tmp_path, preset):
+        # Every table a `satrelay run` of the fig2 preset, or of the coarsest
+        # staircase-ladder step (M = 50, L = 15), asks of the kernel.
+        argv = ["run", "--preset", "fig2"]
+        if preset == "ladder-m50":
+            cfg = tmp_path / "ladder-m50.cfg"
+            cfg.write_text(
+                "schemes = SS, SC, MRC\nconditions = HH, HA, AH, AA\nk_values = 2, 8, 16\n"
+                "snr_db = -6.0, 3.0, 12.0\nrate_r = 0.5\nsteps_m = 50\ndepth_l = 15.0\n"
+            )
+            argv = ["run", "--config", str(cfg)]
+        calls = _record_series_args(monkeypatch)
+        assert cli.main(argv + ["--no-mc", "--csv", str(tmp_path / "out.csv")]) == 0
+        assert calls
+        # some tables start above the scan's threshold, so both regimes run
+        assert max(len(a) * z.size for a, _, z, _ in calls) > _SCAN_AT
+        for a, b, z, max_terms in calls:
+            assert_matches_per_row(a, b, z, max_terms)
+
+    def test_a_one_tails_rescale_and_stop_inside_a_pass(self):
+        # a = 1 rows from z = 590 to 1500 pass 1e250 (ln 1e250 = 575.6) and
+        # then stop, at steps that differ by element, all under the scan.
+        z = np.linspace(590.0, 1500.0, 48)
+        max_terms = int(z.max() + 10.0 * math.sqrt(z.max()) + 60.0)
+        assert 2 * z.size <= _SCAN_AT
+        _, ln_mag = assert_matches_per_row([1.0, 1.0], [2.0, 3.0], z, max_terms)
+        assert ln_mag.min() > math.log(1e250)
+
+    @pytest.mark.parametrize("cols", [1100, 300], ids=["step-loop", "scan"])
+    def test_stop_on_the_last_allowed_term(self, cols):
+        # The second row needs the most terms: with exactly that many the
+        # table converges; with one fewer the error names that row.  With
+        # 1100 equal z the row's elements all stop together above the scan's
+        # threshold; with 300 rising z the table starts under it.
+        if cols > _SCAN_AT:
+            z = np.full(cols, 40.0)
+        else:
+            z = np.linspace(1.0, 40.0, cols)
+        a, b = [-1.0, 1.0, 1.0], [2.0, 2.0, 6.0]
+        needed = 1
+        while True:
+            try:
+                per_row_1f1_ln(a[1], b[1], z, needed)
+                break
+            except SeriesConvergenceError:
+                needed += 1
+        assert_matches_per_row(a, b, z, needed)
+        message = rf"1F1\(1\.0; 2\.0; z\) did not converge within {needed - 1} terms"
+        with pytest.raises(SeriesConvergenceError, match=message):
+            _kummer_1f1_ln_grid(a, b, z, needed - 1)
+
+
+def test_kernel_memory_stays_near_its_output(monkeypatch):
+    """The largest staircase-ladder table (AA, K = 16, M = 800, L = 45, z up
+    to ~330) peaks within 1.5x the bytes of its two output tables."""
+    calls = _sum_cdf_series_args(monkeypatch, AVERAGE_SHADOWING, 16)
+    a, b, z, max_terms = max(calls, key=lambda call: call[2].max())
+    assert (len(a), z.size) == (65, 1602) and z.max() > 300.0
+    tracemalloc.start()
+    try:
+        sign, ln_mag = _kummer_1f1_ln_grid(a, b, z, max_terms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (sign.nbytes + ln_mag.nbytes)
