@@ -12,7 +12,9 @@ mixture, and the PDF / CDF / survival function / mean and the K-fold
 sum sampler all read it.  Also provided: a constructive (physical)
 sampler, the CDF of a K-fold i.i.d. sum (via log-scaled Whittaker
 functions: one batched 1F1 series table per `sum_cdf` call), and the
-linearized high-SNR approximations of both CDFs.
+linearized high-SNR approximations of both CDFs.  A K-fold sum law is
+named by its `SRParams` and K alone: `sum_cdf` takes its constants from
+the params, and its `SumSRContext` carries only K, checked like every K.
 """
 
 from __future__ import annotations
@@ -224,6 +226,12 @@ def sample(p: SRParams, link: LinkSNR, rng: np.random.Generator, size=None):
     return float(lam) if size is None else lam
 
 
+def _check_k(K) -> None:
+    """Refuse a K that is not a positive int; a bool is refused too."""
+    if not isinstance(K, int) or isinstance(K, bool) or K < 1:
+        raise ValueError(f"K must be a positive integer, got {K!r}")
+
+
 def sample_sum(p: SRParams, link: LinkSNR, k: int, rng: np.random.Generator, size=None):
     """Draw the sum of k i.i.d. Lambda from its exact Erlang mixture.
 
@@ -234,8 +242,7 @@ def sample_sum(p: SRParams, link: LinkSNR, k: int, rng: np.random.Generator, siz
     Lambda.  Same law as `sample` (and as summing k `sample` draws), but a
     different stream.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    _check_k(k)
     _, q, theta = _erlang_mixture(p)
     j = rng.binomial(k * (p.m - 1), q, size=size)
     if size is None:
@@ -252,32 +259,18 @@ def sample_sum(p: SRParams, link: LinkSNR, k: int, rng: np.random.Generator, siz
 
 @dataclass(frozen=True)
 class SumSRContext:
-    """Combinatorial constants for the CDF of a K-fold i.i.d. SR sum.
-
-    d = max{K, floor(mK)}, c = (d-K)^+, epsilon = mK - d.  For integer m
-    these reduce to d = mK, c = (m-1)K, epsilon = 0; `SRParams` admits only
-    integer m, so a nonzero epsilon is rejected.
-    """
+    """The K of a K-fold i.i.d. SR sum; `sum_cdf` takes the law's other
+    constants from the SRParams it is given."""
 
     K: int
-    d: int
-    c: int
-    epsilon: float
 
     def __post_init__(self) -> None:
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
-        if self.c != max(self.d - self.K, 0):
-            raise ValueError("c must equal (d - K)^+")
-        if self.epsilon != 0.0:
-            raise ValueError("epsilon must be 0: only integer m is supported")
+        _check_k(self.K)
 
     @classmethod
     def for_fading(cls, p: SRParams, K: int) -> "SumSRContext":
-        if K < 1:
-            raise ValueError(f"K must be >= 1, got {K}")
-        d = max(K, math.floor(p.m * K))
-        return cls(K=K, d=d, c=max(d - K, 0), epsilon=float(p.m * K - d))
+        """The context of the sum of K SNRs of fading p; it holds K alone."""
+        return cls(K)
 
 
 def _ln_binomial(c: int, l: int) -> float:
@@ -286,8 +279,10 @@ def _ln_binomial(c: int, l: int) -> float:
     return ln_gamma(c + 1.0) - ln_gamma(l + 1.0) - ln_gamma(c - l + 1.0)
 
 
-def _sum_cdf_terms(drv: SRDerived, eta: float, ctx: SumSRContext, x: np.ndarray) -> np.ndarray:
+def _sum_cdf_terms(p: SRParams, eta: float, K: int, x: np.ndarray) -> np.ndarray:
     """Signed log-space assembly of the sum CDF over a 1-D array of x >= 0."""
+    drv = derive(p)
+    d, c = p.m * K, (p.m - 1) * K
     bd = drv.beta - drv.delta
     z = bd * x / eta
     # The ascending 1F1 needs roughly z + O(sqrt(z)) terms at its largest z.
@@ -296,21 +291,21 @@ def _sum_cdf_terms(drv: SRDerived, eta: float, ctx: SumSRContext, x: np.ndarray)
     with np.errstate(divide="ignore"):
         ln_x_over_eta = np.log(x / eta)
 
-    ls = range(ctx.c + 1)
-    ln_alpha_k = ctx.K * math.log(drv.alpha)
+    ls = range(c + 1)
+    ln_alpha_k = K * math.log(drv.alpha)
     ln_base = np.array(
-        [ln_alpha_k + _ln_binomial(ctx.c, l) + (ctx.c - l) * math.log(drv.beta) for l in ls]
+        [ln_alpha_k + _ln_binomial(c, l) + (c - l) * math.log(drv.beta) for l in ls]
     )
     # One (c+1, x) table of 1F1(1 - l; 1 + d - l; z) series, l = 0..c.
     signs, ln_f = _kummer_1f1_ln_grid(
-        [1.0 - l for l in ls], [1.0 + ctx.d - l for l in ls], z, max_terms
+        [1.0 - l for l in ls], [1.0 + d - l for l in ls], z, max_terms
     )
     # ln G(x, l, d, eta) = (d-l) ln(x/eta) - z - lnGamma(d-l+1) + ln 1F1,
     # the (beta-delta) powers cancel between the prefactor and M's z^(nu+1/2);
     # each term's log is ln_base + ln G.
-    mags = np.multiply.outer(np.array([ctx.d - l for l in ls], dtype=float), ln_x_over_eta)
+    mags = np.multiply.outer(np.array([d - l for l in ls], dtype=float), ln_x_over_eta)
     mags -= z
-    mags -= np.array([ln_gamma(ctx.d - l + 1.0) for l in ls])[:, None]
+    mags -= np.array([ln_gamma(d - l + 1.0) for l in ls])[:, None]
     mags += ln_f
     mags += ln_base[:, None]
     del ln_f
@@ -326,13 +321,14 @@ def _sum_cdf_terms(drv: SRDerived, eta: float, ctx: SumSRContext, x: np.ndarray)
 def sum_cdf(p: SRParams, link: LinkSNR, ctx: SumSRContext, x):
     """CDF of the sum of ctx.K i.i.d. SR SNRs with parameters p, at x >= 0.
 
-    Assembled in log space from Whittaker-function terms (integer m, so
-    no epsilon correction term), with a series term budget sized to the
-    largest x.  Accepts scalars or arrays; x = 0 returns exactly 0.
+    The law's constants (d = mK, c = (m - 1)K and the derived alpha, beta,
+    delta) come from p; ctx names only K.  Assembled in log space from
+    Whittaker-function terms (integer m, so no epsilon correction term),
+    with a series term budget sized to the largest x.  Accepts scalars or
+    arrays; x = 0 returns exactly 0.
     """
     arr, scalar = _as_nonneg_array(x)
-    drv = derive(p)
-    out = np.clip(_sum_cdf_terms(drv, link.eta, ctx, arr.reshape(-1)), 0.0, 1.0)
+    out = np.clip(_sum_cdf_terms(p, link.eta, ctx.K, arr.reshape(-1)), 0.0, 1.0)
     out = out.reshape(arr.shape)
     return float(out) if scalar else out
 
@@ -346,8 +342,7 @@ def asymptotic_cdf(p: SRParams, link: LinkSNR, x):
 
 def asymptotic_sum_cdf(p: SRParams, link: LinkSNR, K: int, x):
     """High-SNR K-fold-sum CDF F(x) ~ (alpha x / eta)^K / Gamma(K+1) (unclamped)."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    _check_k(K)
     arr, scalar = _as_nonneg_array(x)
     out = (derive(p).alpha * arr / link.eta) ** K / math.gamma(K + 1)
     return float(out) if scalar else out

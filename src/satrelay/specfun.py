@@ -279,6 +279,9 @@ def whittaker_m_ln(mu: float, nu: float, z: float) -> tuple[float, float]:
     survives the e^{z/2} growth / z^{nu+1/2} decay that makes the plain
     value overflow for the large arguments the sum-CDF produces.
     """
+    for name, v in (("mu", mu), ("nu", nu)):
+        if not math.isfinite(v):
+            raise ValueError(f"whittaker_m_ln requires finite {name}, got {v}")
     if z <= 0.0:
         raise ValueError(f"whittaker_m_ln requires z > 0, got {z}")
     # A zero 1F1 has sign 0 and ln -inf, so M comes out as (0, -inf).

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -30,3 +31,20 @@ def quad_upper(p, link) -> float:
     larger of eta and the mixture's Gamma scale eta / (beta - delta)."""
     drv = channel.derive(p)
     return 50.0 * max(link.eta, link.eta / (drv.beta - drv.delta))
+
+
+def sum_cdf_mp(p, link, k, x):
+    """Exact CDF of the sum of k i.i.d. SR SNRs at x, in mpmath at the
+    caller's precision: the Binomial(k(m - 1), delta/beta) mixture of
+    regularized gammainc(k + j, 0, theta x / eta), with theta = beta - delta.
+    k = 1 is the one-hop CDF."""
+    drv = channel.derive(p)
+    q = mpmath.mpf(drv.delta) / drv.beta
+    theta = mpmath.mpf(drv.beta) - drv.delta
+    t = theta * mpmath.mpf(x) / link.eta
+    n = k * (p.m - 1)
+    return mpmath.fsum(
+        mpmath.binomial(n, j) * q**j * (1 - q) ** (n - j)
+        * mpmath.gammainc(k + j, 0, t, regularized=True)
+        for j in range(n + 1)
+    )

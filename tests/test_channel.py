@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -17,7 +18,7 @@ from satrelay.channel import (
     SumSRContext,
 )
 
-from conftest import ks_statistic, quad_upper
+from conftest import ks_statistic, quad_upper, sum_cdf_mp
 
 
 class TestParams:
@@ -93,8 +94,10 @@ class TestPdf:
             assert abs(total - 1.0) < 1e-6
 
     def test_two_term_hand_expansion(self):
-        # Heavy shadowing, eta = 1, x = 1: kappa runs over {0, 1} with
-        # zeta(0) = 1 and zeta(1) = delta.
+        # Heavy shadowing (m = 2), eta = 1, x = 1: the mixture's two Gamma
+        # terms, Gamma(1) with weight theta/beta and Gamma(2) with weight
+        # delta/beta (theta = beta - delta), give theta^2/beta e^{-theta x}
+        # and delta theta^2/beta x e^{-theta x}; alpha = theta^2/beta at m = 2.
         p, link, x = HEAVY_SHADOWING, LinkSNR(1.0), 1.0
         d = channel.derive(p)
         lam = d.beta - d.delta
@@ -259,52 +262,29 @@ class TestSampleSum:
         value = channel.sample_sum(sr_params, link10, 3, np.random.default_rng(1))
         assert isinstance(value, float) and value > 0.0
 
-    @pytest.mark.parametrize("k", [0, -1, 2.0, True])
+    @pytest.mark.parametrize("k", [0, -1, 2.0, 2.5, True])
     def test_bad_k_rejected(self, link10, k):
-        with pytest.raises(ValueError):
-            channel.sample_sum(HEAVY_SHADOWING, link10, k, np.random.default_rng(1), size=4)
+        # One check serves every K-fold function, and its error names K.
+        p = HEAVY_SHADOWING
+        with pytest.raises(ValueError, match="K must be"):
+            channel.sample_sum(p, link10, k, np.random.default_rng(1), size=4)
+        with pytest.raises(ValueError, match="K must be"):
+            SumSRContext.for_fading(p, k)
+        with pytest.raises(ValueError, match="K must be"):
+            channel.asymptotic_sum_cdf(p, link10, k, 1.0)
 
 
 class TestSumContext:
-    def test_integer_m_constants(self):
-        ctx = SumSRContext.for_fading(HEAVY_SHADOWING, 5)
-        assert (ctx.d, ctx.c, ctx.epsilon) == (10, 5, 0.0)
-        ctx = SumSRContext.for_fading(AVERAGE_SHADOWING, 5)
-        assert (ctx.d, ctx.c, ctx.epsilon) == (25, 20, 0.0)
-
-    def test_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            SumSRContext(K=2, d=5, c=1, epsilon=0.0)
-        with pytest.raises(ValueError):
-            SumSRContext.for_fading(HEAVY_SHADOWING, 0)
-
-    def test_nonzero_epsilon_rejected(self):
-        # sum_cdf has no epsilon correction term: only integer m exists.
-        with pytest.raises(ValueError):
-            SumSRContext(K=2, d=5, c=3, epsilon=0.5)
-
-
-def _sum_cdf_mp(p, eta, k, xs):
-    """Exact K-fold sum CDF in mpmath: the Binomial(k(m - 1), delta/beta)
-    mixture of regularized gammainc(k + j, 0, theta x / eta), with
-    theta = beta - delta."""
-    drv = channel.derive(p)
-    with mpmath.workdps(40):
-        q = mpmath.mpf(drv.delta) / drv.beta
-        theta = mpmath.mpf(drv.beta) - drv.delta
-        n = k * (p.m - 1)
-        w = [mpmath.binomial(n, j) * q**j * (1 - q) ** (n - j) for j in range(n + 1)]
-        return np.array(
-            [
-                float(
-                    mpmath.fsum(
-                        w[j] * mpmath.gammainc(k + j, 0, theta * mpmath.mpf(x) / eta, regularized=True)
-                        for j in range(n + 1)
-                    )
-                )
-                for x in xs
-            ]
-        )
+    def test_names_k_alone(self, link10):
+        # The sum law's constants come from the params sum_cdf is given,
+        # so contexts built for different fading are one and the same.
+        ctx = SumSRContext.for_fading(HEAVY_SHADOWING, 2)
+        other = SumSRContext.for_fading(AVERAGE_SHADOWING, 2)
+        assert [f.name for f in dataclasses.fields(SumSRContext)] == ["K"]
+        assert ctx == other == SumSRContext(2)
+        xs = np.array([0.5, 5.0, 50.0])
+        got = channel.sum_cdf(HEAVY_SHADOWING, link10, other, xs)
+        assert np.array_equal(got, channel.sum_cdf(HEAVY_SHADOWING, link10, ctx, xs))
 
 
 class TestSumCdf:
@@ -340,7 +320,8 @@ class TestSumCdf:
                 [np.geomspace(1e-3 * link.eta, 50.0 * link.eta, 25), [1.0, 5.0, 16.0]]
             )
             got = channel.sum_cdf(p, link, ctx, xs)
-            want = _sum_cdf_mp(p, link.eta, k, xs)
+            with mpmath.workdps(40):
+                want = np.array([float(sum_cdf_mp(p, link, k, x)) for x in xs])
             low = want <= 0.5
             assert np.all(np.abs(got[low] - want[low]) <= rel * want[low]), eta_db
             assert np.all(np.abs(got[~low] - want[~low]) <= abs_), eta_db

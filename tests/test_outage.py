@@ -10,6 +10,8 @@ from satrelay.channel import AVERAGE_SHADOWING, HEAVY_SHADOWING, LinkSNR
 from satrelay.mcsim import MCConfig, _wilson
 from satrelay.outage import HopPair, StaircaseConfig, Threshold
 
+from conftest import sum_cdf_mp
+
 CFG = StaircaseConfig(steps_m=50, depth_l=15.0)
 THR = Threshold(gamma_th=1.0)
 
@@ -159,28 +161,11 @@ class TestOpSC:
             outage.op_sc([], THR, CFG)
 
 
-def _cdf_mp(pair, x):
-    """Shadowed-Rician CDF in mpmath arithmetic at the current precision:
-    one minus the survival function of the Gamma(k + 1, rate beta - delta)
-    mixture with Binomial(m - 1, delta/beta) weights."""
-    params, link = pair
-    drv = channel.derive(params)
-    q = mpmath.mpf(drv.delta) / drv.beta
-    t = (mpmath.mpf(drv.beta) - drv.delta) * mpmath.mpf(x) / link.eta
-    n = params.m - 1
-    tail = mpmath.fsum(
-        mpmath.binomial(n, k) * q**k * (1 - q) ** (n - k)
-        * mpmath.fsum(t**i / math.factorial(i) for i in range(k + 1))
-        for k in range(params.m)
-    )
-    return 1 - mpmath.exp(-t) * tail
-
-
 def _staircase_mp(pair_x, pair_y, a, b, rhs, cfg):
     """staircase_probability's five pieces, summed in mpmath arithmetic."""
     _, x_edges, x_hyp, y_edges, y_hyp = outage._staircase_grids(a, b, rhs, cfg)
-    fx = lambda v: _cdf_mp(pair_x, v)
-    fy = lambda v: _cdf_mp(pair_y, v)
+    fx = lambda v: sum_cdf_mp(*pair_x, 1, v)
+    fy = lambda v: sum_cdf_mp(*pair_y, 1, v)
     fxa, fya = fx(a), fy(b)
     fxe, fye = [fx(v) for v in x_edges], [fy(v) for v in y_edges]
     m = cfg.steps_m

@@ -90,8 +90,18 @@ class TestKummer1F1:
             (whittaker_m_ln, (0.0, 0.5, math.inf), "z"),
             (kummer_1f1, (math.nan, 2.0, 1.0), "a"),
             (kummer_1f1, (1.0, -math.inf, 1.0), "b"),
+            (whittaker_m_ln, (math.nan, 0.5, 1.0), "mu"),
+            (whittaker_m_ln, (0.0, math.inf, 1.0), "nu"),
         ],
-        ids=["kummer-z-nan", "kummer-z-inf", "whittaker-z-inf", "kummer-a-nan", "kummer-b-inf"],
+        ids=[
+            "kummer-z-nan",
+            "kummer-z-inf",
+            "whittaker-z-inf",
+            "kummer-a-nan",
+            "kummer-b-inf",
+            "whittaker-mu-nan",
+            "whittaker-nu-inf",
+        ],
     )
     def test_non_finite_argument_named(self, fn, args, name):
         with pytest.raises(ValueError, match=rf"requires finite {name}, got"):
