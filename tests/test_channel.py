@@ -286,6 +286,15 @@ class TestSumContext:
         got = channel.sum_cdf(HEAVY_SHADOWING, link10, other, xs)
         assert np.array_equal(got, channel.sum_cdf(HEAVY_SHADOWING, link10, ctx, xs))
 
+    def test_invariant_enforced(self):
+        # K is the context's one invariant, held by direct construction too.
+        with pytest.raises(ValueError, match="K must be"):
+            SumSRContext(K=0)
+        with pytest.raises(ValueError, match="K must be"):
+            SumSRContext(K=2.5)
+        with pytest.raises(ValueError, match="K must be"):
+            SumSRContext.for_fading(HEAVY_SHADOWING, 0)
+
 
 class TestSumCdf:
     # Bounds are 2-3x the worst error measured at each case (A-K16 takes
