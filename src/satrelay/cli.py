@@ -135,10 +135,11 @@ def _row_points(spec: ExperimentSpec):
 
 
 def _compute_curve(
-    spec: ExperimentSpec, points, first_index: int, sim_workers: int
+    spec: ExperimentSpec, points, first_index: int, sim_workers: int, memo: outage.RunMemo
 ) -> list[RunRow]:
     """The rows of one (scheme, condition) curve; their Monte Carlo
-    columns come from one draw set seeded by the curve's first row index.
+    columns come from one draw set seeded by the curve's first row index,
+    and their analytic columns read and fill the table's memo.
 
     SS is selection combining over one satellite: an SS row runs the SC
     analytic and Monte Carlo paths on a one-hop list, keeps the table's K
@@ -153,10 +154,10 @@ def _compute_curve(
         satellites = 1 if scheme == "SS" else k
         hops = [HopPair(ns=(ns_params, link), sg=(sg_params, link))] * satellites
         if scheme == "MRC":
-            analytic = outage.op_mrc(hops, thr, stair)
+            analytic = outage.op_mrc(hops, thr, stair, memo)
             asymptotic = outage.asymp_op_mrc(hops, thr)
         else:
-            analytic = outage.op_sc(hops, thr, stair)
+            analytic = outage.op_sc(hops, thr, stair, memo)
             asymptotic = outage.asymp_op_sc(hops, thr) if scheme == "SC" else None
         curve.append(hops)
         rows.append(RunRow(scheme, cond, k, db, analytic, asymptotic, None))
@@ -182,15 +183,20 @@ def run(spec: ExperimentSpec, workers: int = 1) -> list[RunRow]:
     and asymptotic columns.  Curves are spread over `workers` threads; a
     table with fewer curves than workers gives each curve's simulator
     workers // curves Monte Carlo block threads.
+
+    The curves share one `outage.RunMemo`, so each distinct SS/SC hop-pair
+    outage and MRC uplink axis is computed once per call, by whichever
+    curve reaches it first; the memo is dropped when the call returns.
     """
     points = list(_row_points(spec))
+    memo = outage.RunMemo()
     curves: dict[tuple[str, str], list[int]] = {}
     for i, (scheme, cond, *_) in enumerate(points):
         curves.setdefault((scheme, cond), []).append(i)
     sim_workers = max(1, workers // len(curves))
 
     def one(index: list[int]) -> list[RunRow]:
-        return _compute_curve(spec, [points[i] for i in index], index[0], sim_workers)
+        return _compute_curve(spec, [points[i] for i in index], index[0], sim_workers, memo)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

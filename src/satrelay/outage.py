@@ -9,11 +9,18 @@ rectangles along both wings, truncated at depth L.  Where the outage is
 near 1, the single-satellite and selection-combining success
 probabilities 1 - OP are also summed directly from the uncovered pieces
 of the same rectangles, so they stay representable where 1 - OP would not.
+
+A run table evaluates the same hop pairs and uplink sums many times over
+(SS and SC at every K, HH beside HA, AH beside AA), so `op_sc` and `op_mrc`
+read and fill a `RunMemo` that the caller owns for one table; called
+without one, they use a fresh memo and compute everything.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -26,6 +33,7 @@ __all__ = [
     "StaircaseConfig",
     "Threshold",
     "HopPair",
+    "RunMemo",
     "staircase_probability",
     "staircase_success_probability",
     "staircase_truncation_bound",
@@ -102,6 +110,48 @@ class HopPair:
 
     ns: tuple[SRParams, LinkSNR]
     sg: tuple[SRParams, LinkSNR]
+
+
+class RunMemo:
+    """Analytic values shared within one run table, each computed once.
+
+    Keys are tuples of frozen value objects (hop pairs, laws, thresholds,
+    staircase configs), never array bytes; stored arrays are read-only.
+    Threads may share one memo: the first caller of a key computes it and
+    later callers wait for that value.  Nothing outlives the memo, which
+    its owner drops when the table is done.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._cells: dict[tuple, Future] = {}
+
+    def get(self, key: tuple, compute):
+        """The value under key, from compute() on the first call."""
+        with self._lock:
+            cell = self._cells.get(key)
+            owner = cell is None
+            if owner:
+                cell = self._cells[key] = Future()
+        if owner:
+            try:
+                value = compute()
+            except BaseException as exc:
+                cell.set_exception(exc)
+                raise
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            cell.set_result(value)
+        return cell.result()
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the stored values."""
+        with self._lock:
+            cells = list(self._cells.values())
+        return sum(
+            np.asarray(c.result()).nbytes for c in cells if c.done() and c.exception() is None
+        )
 
 
 def _staircase_grids(x_offset: float, y_offset: float, rhs: float, cfg: StaircaseConfig):
@@ -257,12 +307,22 @@ def ps_ss(hops: HopPair, thr: Threshold, cfg: StaircaseConfig) -> float:
     )
 
 
-def op_sc(hops_per_sat: list[HopPair], thr: Threshold, cfg: StaircaseConfig) -> float:
+def op_sc(
+    hops_per_sat: list[HopPair],
+    thr: Threshold,
+    cfg: StaircaseConfig,
+    memo: RunMemo | None = None,
+) -> float:
     """Selection combining: product of the per-satellite outage probabilities,
-    each distinct hop pair evaluated once and multiplied in list order."""
+    each distinct hop pair evaluated once per memo and multiplied in list
+    order."""
     if not hops_per_sat:
         raise ValueError("need at least one satellite")
-    per_hop = {hop: op_ss(hop, thr, cfg) for hop in dict.fromkeys(hops_per_sat)}
+    memo = RunMemo() if memo is None else memo
+    per_hop = {
+        hop: memo.get(("op_ss", hop, thr, cfg), lambda: op_ss(hop, thr, cfg))
+        for hop in dict.fromkeys(hops_per_sat)
+    }
     out = 1.0
     for hop in hops_per_sat:
         out *= per_hop[hop]
@@ -299,17 +359,30 @@ def _require_iid(hops_per_sat: list[HopPair]) -> HopPair:
     return first
 
 
-def op_mrc(hops_per_sat: list[HopPair], thr: Threshold, cfg: StaircaseConfig) -> float:
+def op_mrc(
+    hops_per_sat: list[HopPair],
+    thr: Threshold,
+    cfg: StaircaseConfig,
+    memo: RunMemo | None = None,
+) -> float:
     """Fixed-gain MRC outage: Pr[(Delta_sg)(Delta_ns - gamma) <= C_m gamma],
-    with Delta_* the K-fold sums of per-hop SNRs (i.i.d. satellites only)."""
+    with Delta_* the K-fold sums of per-hop SNRs (i.i.d. satellites only).
+
+    The uplink axis, the K-fold ns-sum CDF on gamma + {0, corner edges,
+    hyperbola heights} with rhs = C_m gamma, depends only on (hop.ns, K,
+    thr, cfg), so it is computed once per memo and shared by every
+    condition with that uplink.
+    """
     if not hops_per_sat:
         raise ValueError("need at least one satellite")
+    memo = RunMemo() if memo is None else memo
     hop = _require_iid(hops_per_sat)
     k = len(hops_per_sat)
     cm = c_mrc([h.ns for h in hops_per_sat])
+    uplink_cdf = _sum_cdf(hop.ns, k)
     return staircase_probability(
         _sum_cdf(hop.sg, k),
-        _sum_cdf(hop.ns, k),
+        lambda y: memo.get(("mrc_uplink", hop.ns, k, thr, cfg), lambda: uplink_cdf(y)),
         0.0,
         thr.gamma_th,
         cm * thr.gamma_th,

@@ -1,13 +1,15 @@
+import gc
 import json
 import pathlib
 import subprocess
 import sys
+import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import pytest
 
-from satrelay import cli, mcsim, outage, validate
+from satrelay import channel, cli, mcsim, outage, validate
 from satrelay.channel import CONDITIONS, LinkSNR
 from satrelay.cli import CSV_HEADER, RunRow, emit_csv, emit_svg, run
 from satrelay.mcsim import MCConfig, OutageEstimate
@@ -379,6 +381,93 @@ class TestCurves:
         assert [(r.k, r.snr_db) for r in rows] == [(2, 0.0), (2, 6.0), (3, 0.0), (3, 6.0)]
         assert rows[0].mc == rows[2].mc and rows[1].mc == rows[3].mc
         assert rows[0].mc.p_hat > rows[1].mc.p_hat
+
+
+def ladder_table(steps_m, depth_l):
+    """The staircase-refinement ladder's run table at one (M, L)."""
+    return {
+        "schemes": "SS, SC, MRC",
+        "conditions": "HH, HA, AH, AA",
+        "k_values": "2, 8, 16",
+        "snr_db": "-6, 3, 12",
+        "rate_r": "0.5",
+        "steps_m": str(steps_m),
+        "depth_l": str(depth_l),
+        "mc": "false",
+    }
+
+
+class TestRunMemo:
+    @pytest.mark.parametrize(
+        "table, ss_calls, sum_cdf_calls",
+        [({"preset": "fig1", "mc": "false"}, 22, 33), (ladder_table(50, 15.0), 12, 54)],
+        ids=["fig1", "ladder-m50"],
+    )
+    def test_each_hop_pair_and_uplink_axis_once(
+        self, monkeypatch, table, ss_calls, sum_cdf_calls
+    ):
+        # fig1 has 22 hop pairs for its 44 SS/SC rows, and its 22 MRC rows
+        # share 11 uplink axes between HH and HA; the ladder has 12 hop
+        # pairs for 72 rows, and 18 uplink axes for 36 MRC rows.
+        ss_args, sum_args = [], []
+        op_ss, sum_cdf = outage.op_ss, channel.sum_cdf
+
+        def spy_ss(*args):
+            ss_args.append(args)
+            return op_ss(*args)
+
+        def spy_sum(p, link, ctx, x):
+            sum_args.append((p, link, ctx.K, x.tobytes()))
+            return sum_cdf(p, link, ctx, x)
+
+        monkeypatch.setattr(outage, "op_ss", spy_ss)
+        monkeypatch.setattr(channel, "sum_cdf", spy_sum)
+        run(cli._spec_from_table(table)[0])
+        assert len(ss_args) == len(set(ss_args)) == ss_calls
+        assert len(sum_args) == len(set(sum_args)) == sum_cdf_calls
+
+    def test_rows_match_one_shot_calls(self):
+        spec = preset_spec("fig3")
+        rows = run(replace(spec, mc=None))
+        for r in rows:
+            ns, sg = CONDITIONS[r.condition]
+            link = LinkSNR.from_db(r.snr_db)
+            hops = [HopPair(ns=(ns, link), sg=(sg, link))] * r.k
+            one_shot = outage.op_mrc if r.scheme == "MRC" else outage.op_sc
+            assert r.op_analytic == one_shot(hops, spec.threshold, spec.staircase)
+
+    def test_shared_uplink_axis_across_workers(self, tmp_path):
+        # HH and HA share each MRC uplink axis, and SS and SC share each
+        # hop pair; at two workers whichever curve gets there first fills it.
+        conf = tmp_path / "shared.conf"
+        conf.write_text(
+            "schemes = SS, SC, MRC\nconditions = HH, HA\nk_values = 2, 3\n"
+            "snr_db = 0, 9\ntrials = 4000\nseed = 3\n"
+        )
+        csvs = []
+        for workers in ("1", "2"):
+            csvs.append(tmp_path / f"w{workers}.csv")
+            argv = ["run", "--config", str(conf), "--workers", workers, "--csv", str(csvs[-1])]
+            assert cli.main(argv) == 0
+        assert csvs[0].read_bytes() == csvs[1].read_bytes()
+
+    def test_memo_is_small_and_dropped_with_the_run(self, monkeypatch):
+        memos = []
+
+        class Recorded(outage.RunMemo):
+            def __init__(self):
+                super().__init__()
+                memos.append(self)
+
+        monkeypatch.setattr(outage, "RunMemo", Recorded)
+        run(cli._spec_from_table(ladder_table(800, 45.0))[0])
+        (memo,) = memos
+        # 18 uplink axes of 2M + 2 = 1602 abscissae and 12 op_ss floats.
+        assert memo.nbytes == 18 * 1602 * 8 + 12 * 8 <= 0.5 * 2**20
+        gone = weakref.ref(memo)
+        del memo, memos[:]
+        gc.collect()
+        assert gone() is None
 
 
 class TestMain:

@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -159,6 +163,91 @@ class TestOpSC:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             outage.op_sc([], THR, CFG)
+
+
+class TestRunMemo:
+    def test_computes_each_key_once_and_stores_read_only(self):
+        memo = outage.RunMemo()
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return np.arange(3.0)
+
+        first = memo.get(("axis", THR), compute)
+        assert memo.get(("axis", THR), compute) is first
+        assert len(calls) == 1
+        assert not first.flags.writeable
+        assert memo.nbytes == first.nbytes
+
+    def test_failure_is_raised_to_every_caller(self):
+        memo = outage.RunMemo()
+
+        def broken():
+            raise ValueError("bad axis")
+
+        for _ in range(2):
+            with pytest.raises(ValueError, match="bad axis"):
+                memo.get(("axis",), broken)
+
+    def test_threads_wait_for_the_first_caller(self):
+        memo = outage.RunMemo()
+        started, release = threading.Event(), threading.Event()
+        calls = []
+
+        def slow():
+            calls.append(1)
+            started.set()
+            release.wait(5.0)
+            return 0.25
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            first = pool.submit(memo.get, ("op_ss",), slow)
+            assert started.wait(5.0)
+            second = pool.submit(memo.get, ("op_ss",), slow)
+            release.set()
+            assert first.result(timeout=5.0) == second.result(timeout=5.0) == 0.25
+        assert len(calls) == 1
+
+    def test_stress_every_key_computed_once(self):
+        # More threads than cores on few keys, switching often: a lost
+        # check-then-act would compute some key twice or hand out two values.
+        memo = outage.RunMemo()
+        calls = []
+
+        def compute(j):
+            calls.append(j)
+            time.sleep(1e-4)  # gives up the interpreter lock, as numpy kernels do
+            return np.full(4, float(j))
+
+        def work(i):
+            return memo.get(("op_ss", i % 7), lambda: compute(i % 7))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                values = [f.result(timeout=30.0) for f in [pool.submit(work, i) for i in range(700)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == list(range(7))
+        for i, value in enumerate(values):
+            assert value is values[i % 7] and value[0] == i % 7
+
+    def test_shared_memo_matches_one_shot_calls(self, monkeypatch):
+        # HH and HA share their uplink, so a shared memo computes its MRC
+        # axis and the repeated SC hop pair once, with the one-shot bits.
+        memo = outage.RunMemo()
+        ss_calls = []
+        op_ss = outage.op_ss
+        monkeypatch.setattr(outage, "op_ss", lambda *a: ss_calls.append(a) or op_ss(*a))
+        hh, ha = hop_at(6.0), hop_at(6.0, sg=AVERAGE_SHADOWING)
+        for hop in (hh, ha, hh):
+            assert outage.op_mrc([hop] * 3, THR, CFG, memo) == outage.op_mrc([hop] * 3, THR, CFG)
+            assert outage.op_sc([hop] * 3, THR, CFG, memo) == outage.op_sc([hop] * 3, THR, CFG)
+        assert len(ss_calls) == 2 + 3  # two distinct pairs via the memo, three one-shot
+        # One uplink axis of 2M + 2 abscissae, and two op_ss floats.
+        assert memo.nbytes == (2 * CFG.steps_m + 2) * 8 + 2 * 8
 
 
 def _staircase_mp(pair_x, pair_y, a, b, rhs, cfg):
