@@ -134,81 +134,74 @@ def _row_points(spec: ExperimentSpec):
                     yield scheme, cond, k, float(db)
 
 
-def _compute_curve(
-    spec: ExperimentSpec, points, first_index: int, sim_workers: int, memo: outage.RunMemo
-) -> list[RunRow]:
-    """The rows of one (scheme, condition) curve; their Monte Carlo
-    columns come from one draw set seeded by the curve's first row index,
-    and their analytic columns read and fill the table's memo.
-
-    SS is selection combining over one satellite: an SS row runs the SC
-    analytic and Monte Carlo paths on a one-hop list, keeps the table's K
-    and has no asymptote.
-    """
-    scheme, cond, *_ = points[0]
+def _hops(scheme: str, cond: str, k: int, db: float) -> list[HopPair]:
+    """The hop pairs of one row.  SS is selection combining over one
+    satellite: an SS row runs the SC paths on a one-hop list, whatever its K."""
     ns_params, sg_params = CONDITIONS[cond]
-    thr, stair = spec.threshold, spec.staircase
-    curve, rows = [], []
-    for *_, k, db in points:
-        link = LinkSNR.from_db(db)
-        satellites = 1 if scheme == "SS" else k
-        hops = [HopPair(ns=(ns_params, link), sg=(sg_params, link))] * satellites
-        if scheme == "MRC":
-            analytic = outage.op_mrc(hops, thr, stair, memo)
-            asymptotic = outage.asymp_op_mrc(hops, thr)
-        else:
-            analytic = outage.op_sc(hops, thr, stair, memo)
-            asymptotic = outage.asymp_op_sc(hops, thr) if scheme == "SC" else None
-        curve.append(hops)
-        rows.append(RunRow(scheme, cond, k, db, analytic, asymptotic, None))
+    link = LinkSNR.from_db(db)
+    return [HopPair(ns=(ns_params, link), sg=(sg_params, link))] * (1 if scheme == "SS" else k)
 
-    if spec.mc is None:
-        return rows
+
+def _analytic_row(spec: ExperimentSpec, point, memo: outage.RunMemo) -> RunRow:
+    """One row's analytic and asymptotic columns (SS has no asymptote),
+    reading and filling the table's memo."""
+    scheme, cond, k, db = point
+    hops, thr, stair = _hops(*point), spec.threshold, spec.staircase
+    if scheme == "MRC":
+        analytic = outage.op_mrc(hops, thr, stair, memo)
+        asymptotic = outage.asymp_op_mrc(hops, thr)
+    else:
+        analytic = outage.op_sc(hops, thr, stair, memo)
+        asymptotic = outage.asymp_op_sc(hops, thr) if scheme == "SC" else None
+    return RunRow(scheme, cond, k, db, analytic, asymptotic, None)
+
+
+def _mc_curve(
+    spec: ExperimentSpec, points, first_index: int, sim_workers: int
+) -> list[OutageEstimate]:
+    """The Monte Carlo columns of one (scheme, condition) curve, from one
+    draw set seeded by the curve's first row index."""
     cfg = replace(spec.mc, seed=_row_seed(spec.mc.seed, first_index))
     # Looked up at call time, so a replaced module attribute is the one called.
-    simulate = mcsim.simulate_mrc_curve if scheme == "MRC" else mcsim.simulate_sc_curve
-    ests = simulate(curve, thr, cfg, workers=sim_workers)
-    return [replace(row, mc=est) for row, est in zip(rows, ests)]
+    simulate = mcsim.simulate_mrc_curve if points[0][0] == "MRC" else mcsim.simulate_sc_curve
+    return simulate([_hops(*p) for p in points], spec.threshold, cfg, workers=sim_workers)
 
 
 def run(spec: ExperimentSpec, workers: int = 1) -> list[RunRow]:
     """Compute all grid rows, returned in spec order.
 
     Rows are keyed (scheme, condition, K, snr_db).  Rows that share
-    (scheme, condition) form one curve over K and SNR, the unit of work
-    (fig3 has one per scheme and condition, spanning K = 2..6): its Monte
-    Carlo columns come from one draw set whose seed derives from
-    (spec.mc.seed, index of the curve's first row), so results do not
-    depend on the worker count.  Each row keeps its own K for its analytic
-    and asymptotic columns.  Curves are spread over `workers` threads; a
-    table with fewer curves than workers gives each curve's simulator
-    workers // curves Monte Carlo block threads.
+    (scheme, condition) form one Monte Carlo curve over K and SNR (fig3
+    has one per scheme and condition, spanning K = 2..6), drawn from one
+    set seeded by (spec.mc.seed, index of the curve's first row), so
+    results do not depend on the worker count.  The curves go to a pool
+    of `workers` threads, and with fewer curves than workers each curve's
+    simulator gets workers // curves block threads; a table without Monte
+    Carlo makes no pool.
 
-    The curves share one `outage.RunMemo`, so each distinct SS/SC hop-pair
-    outage and MRC uplink axis is computed once per call, by whichever
-    curve reaches it first; the memo is dropped when the call returns.
+    The calling thread meanwhile computes every row's analytic and
+    asymptotic columns at the row's own K against one single-thread
+    `outage.RunMemo`, which computes each distinct SS/SC hop-pair outage
+    and MRC uplink axis once and is dropped when the call returns.
     """
     points = list(_row_points(spec))
     memo = outage.RunMemo()
+    if spec.mc is None:
+        return [_analytic_row(spec, point, memo) for point in points]
     curves: dict[tuple[str, str], list[int]] = {}
     for i, (scheme, cond, *_) in enumerate(points):
         curves.setdefault((scheme, cond), []).append(i)
     sim_workers = max(1, workers // len(curves))
-
-    def one(index: list[int]) -> list[RunRow]:
-        return _compute_curve(spec, [points[i] for i in index], index[0], sim_workers, memo)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(one, curves.values()))
-    else:
-        done = [one(index) for index in curves.values()]
-    placed = {
-        i: row
-        for index, curve_rows in zip(curves.values(), done)
-        for i, row in zip(index, curve_rows)
-    }
-    return [placed[i] for i in range(len(points))]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = [
+            (index, pool.submit(_mc_curve, spec, [points[i] for i in index], index[0], sim_workers))
+            for index in curves.values()
+        ]
+        rows = [_analytic_row(spec, point, memo) for point in points]
+        for index, future in pending:
+            for i, est in zip(index, future.result()):
+                rows[i] = replace(rows[i], mc=est)
+    return rows
 
 
 def _fmt(value: float | None) -> str:
@@ -552,7 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--no-mc", dest="mc", action="store_const", const="false", help="skip Monte Carlo columns"
     )
-    p_run.add_argument("--workers", type=int, help="row worker pool size")
+    p_run.add_argument("--workers", type=int, help="Monte Carlo curve thread pool size")
     p_run.set_defaults(func=_cmd_run)
 
     p_lb = sub.add_parser("linkbudget", help="feasible SNR range for the reference uplink")

@@ -13,14 +13,13 @@ of the same rectangles, so they stay representable where 1 - OP would not.
 A run table evaluates the same hop pairs and uplink sums many times over
 (SS and SC at every K, HH beside HA, AH beside AA), so `op_sc` and `op_mrc`
 read and fill a `RunMemo` that the caller owns for one table; called
-without one, they use a fresh memo and compute everything.
+without one, they use a fresh memo and compute everything.  A memo is a
+plain single-thread get-or-compute: one thread fills and reads it.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -117,41 +116,27 @@ class RunMemo:
 
     Keys are tuples of frozen value objects (hop pairs, laws, thresholds,
     staircase configs), never array bytes; stored arrays are read-only.
-    Threads may share one memo: the first caller of a key computes it and
-    later callers wait for that value.  Nothing outlives the memo, which
-    its owner drops when the table is done.
+    A memo belongs to one thread, which fills and reads it; a compute that
+    raises stores nothing.  Nothing outlives the memo, which its owner
+    drops when the table is done.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._cells: dict[tuple, Future] = {}
+        self._values: dict[tuple, object] = {}
 
     def get(self, key: tuple, compute):
         """The value under key, from compute() on the first call."""
-        with self._lock:
-            cell = self._cells.get(key)
-            owner = cell is None
-            if owner:
-                cell = self._cells[key] = Future()
-        if owner:
-            try:
-                value = compute()
-            except BaseException as exc:
-                cell.set_exception(exc)
-                raise
+        if key not in self._values:
+            value = compute()
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-            cell.set_result(value)
-        return cell.result()
+            self._values[key] = value
+        return self._values[key]
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the stored values."""
-        with self._lock:
-            cells = list(self._cells.values())
-        return sum(
-            np.asarray(c.result()).nbytes for c in cells if c.done() and c.exception() is None
-        )
+        return sum(np.asarray(v).nbytes for v in self._values.values())
 
 
 def _staircase_grids(x_offset: float, y_offset: float, rhs: float, cfg: StaircaseConfig):

@@ -3,6 +3,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import threading
 import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -438,7 +439,8 @@ class TestRunMemo:
 
     def test_shared_uplink_axis_across_workers(self, tmp_path):
         # HH and HA share each MRC uplink axis, and SS and SC share each
-        # hop pair; at two workers whichever curve gets there first fills it.
+        # hop pair; the calling thread fills the memo at any worker count,
+        # while the pool runs the Monte Carlo curves.
         conf = tmp_path / "shared.conf"
         conf.write_text(
             "schemes = SS, SC, MRC\nconditions = HH, HA\nk_values = 2, 3\n"
@@ -468,6 +470,55 @@ class TestRunMemo:
         del memo, memos[:]
         gc.collect()
         assert gone() is None
+
+
+# SS, SC and MRC over HH and HA at K = 2, 3, with Monte Carlo on two workers.
+SHARED_TABLE = {
+    "schemes": "SS, SC, MRC", "conditions": "HH, HA", "k_values": "2, 3",
+    "snr_db": "0, 9", "trials": "4000", "seed": "3", "workers": "2",
+}
+
+
+class TestThreads:
+    def test_analytic_on_the_calling_thread_and_mc_on_the_pool(self, monkeypatch):
+        # The memo needs no lock because only the thread that called run
+        # computes analytic values; the Monte Carlo curves run elsewhere.
+        threads = {}
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def record(*args, **kwargs):
+                threads.setdefault(name, set()).add(threading.get_ident())
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, record)
+
+        spy(outage, "op_ss")
+        spy(channel, "sum_cdf")
+        spy(mcsim, "simulate_sc_curve")
+        spy(mcsim, "simulate_mrc_curve")
+        run(*cli._spec_from_table(SHARED_TABLE))
+        caller = threading.get_ident()
+        assert threads["op_ss"] == threads["sum_cdf"] == {caller}
+        simulated = threads["simulate_sc_curve"] | threads["simulate_mrc_curve"]
+        assert threads["simulate_mrc_curve"] and caller not in simulated
+
+    @pytest.mark.parametrize(
+        "module, name", [(outage, "op_mrc"), (mcsim, "simulate_sc_curve")], ids=["analytic", "mc"]
+    )
+    def test_errors_reach_the_caller(self, monkeypatch, module, name):
+        class Broken(Exception):
+            pass
+
+        def broken(*args, **kwargs):
+            raise Broken(f"broken {name}")
+
+        monkeypatch.setattr(module, name, broken)
+        before = threading.active_count()
+        with pytest.raises(Broken, match=f"^broken {name}$"):
+            run(*cli._spec_from_table(SHARED_TABLE))
+        assert threading.active_count() == before
 
 
 class TestMain:

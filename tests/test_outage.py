@@ -1,8 +1,4 @@
 import math
-import sys
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -189,50 +185,6 @@ class TestRunMemo:
         for _ in range(2):
             with pytest.raises(ValueError, match="bad axis"):
                 memo.get(("axis",), broken)
-
-    def test_threads_wait_for_the_first_caller(self):
-        memo = outage.RunMemo()
-        started, release = threading.Event(), threading.Event()
-        calls = []
-
-        def slow():
-            calls.append(1)
-            started.set()
-            release.wait(5.0)
-            return 0.25
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            first = pool.submit(memo.get, ("op_ss",), slow)
-            assert started.wait(5.0)
-            second = pool.submit(memo.get, ("op_ss",), slow)
-            release.set()
-            assert first.result(timeout=5.0) == second.result(timeout=5.0) == 0.25
-        assert len(calls) == 1
-
-    def test_stress_every_key_computed_once(self):
-        # More threads than cores on few keys, switching often: a lost
-        # check-then-act would compute some key twice or hand out two values.
-        memo = outage.RunMemo()
-        calls = []
-
-        def compute(j):
-            calls.append(j)
-            time.sleep(1e-4)  # gives up the interpreter lock, as numpy kernels do
-            return np.full(4, float(j))
-
-        def work(i):
-            return memo.get(("op_ss", i % 7), lambda: compute(i % 7))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                values = [f.result(timeout=30.0) for f in [pool.submit(work, i) for i in range(700)]]
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(calls) == list(range(7))
-        for i, value in enumerate(values):
-            assert value is values[i % 7] and value[0] == i % 7
 
     def test_shared_memo_matches_one_shot_calls(self, monkeypatch):
         # HH and HA share their uplink, so a shared memo computes its MRC
