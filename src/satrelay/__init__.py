@@ -43,7 +43,9 @@ from .outage import (
     c_mrc,
     coding_gains,
     op_mrc,
+    op_mrc_rows,
     op_sc,
+    op_sc_rows,
     op_ss,
     ps_sc,
     ps_ss,

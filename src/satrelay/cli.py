@@ -142,18 +142,25 @@ def _hops(scheme: str, cond: str, k: int, db: float) -> list[HopPair]:
     return [HopPair(ns=(ns_params, link), sg=(sg_params, link))] * (1 if scheme == "SS" else k)
 
 
-def _analytic_row(spec: ExperimentSpec, point, memo: outage.RunMemo) -> RunRow:
-    """One row's analytic and asymptotic columns (SS has no asymptote),
-    reading and filling the table's memo."""
-    scheme, cond, k, db = point
-    hops, thr, stair = _hops(*point), spec.threshold, spec.staircase
-    if scheme == "MRC":
-        analytic = outage.op_mrc(hops, thr, stair, memo)
-        asymptotic = outage.asymp_op_mrc(hops, thr)
-    else:
-        analytic = outage.op_sc(hops, thr, stair, memo)
-        asymptotic = outage.asymp_op_sc(hops, thr) if scheme == "SC" else None
-    return RunRow(scheme, cond, k, db, analytic, asymptotic, None)
+def _analytic_rows(spec: ExperimentSpec, points) -> list[RunRow]:
+    """Every row's analytic and asymptotic columns (SS has no asymptote).
+    The SS and SC rows go to one `op_sc_rows` call and the MRC rows to one
+    `op_mrc_rows` call, so each distinct hop-pair outage and uplink axis of
+    the table is computed once; asymptotes are computed row by row."""
+    thr, stair = spec.threshold, spec.staircase
+    hops = [_hops(*p) for p in points]
+    is_mrc = [p[0] == "MRC" for p in points]
+    sc = iter(outage.op_sc_rows([h for h, m in zip(hops, is_mrc) if not m], thr, stair))
+    mrc = iter(outage.op_mrc_rows([h for h, m in zip(hops, is_mrc) if m], thr, stair))
+    rows = []
+    for point, row_hops, m in zip(points, hops, is_mrc):
+        if m:
+            analytic, asymptotic = next(mrc), outage.asymp_op_mrc(row_hops, thr)
+        else:
+            analytic = next(sc)
+            asymptotic = outage.asymp_op_sc(row_hops, thr) if point[0] == "SC" else None
+        rows.append(RunRow(*point, analytic, asymptotic, None))
+    return rows
 
 
 def _mc_curve(
@@ -179,15 +186,16 @@ def run(spec: ExperimentSpec, workers: int = 1) -> list[RunRow]:
     simulator gets workers // curves block threads; a table without Monte
     Carlo makes no pool.
 
-    The calling thread meanwhile computes every row's analytic and
-    asymptotic columns at the row's own K against one single-thread
-    `outage.RunMemo`, which computes each distinct SS/SC hop-pair outage
-    and MRC uplink axis once and is dropped when the call returns.
+    The calling thread meanwhile computes the analytic and asymptotic
+    columns at each row's own K: one `outage.op_sc_rows` call for the SS
+    and SC rows and one `outage.op_mrc_rows` call for the MRC rows, each
+    computing every distinct hop-pair outage or uplink axis once, with
+    nothing kept after it returns.  If anything raises, the curves not yet
+    started are cancelled before the error reaches the caller.
     """
     points = list(_row_points(spec))
-    memo = outage.RunMemo()
     if spec.mc is None:
-        return [_analytic_row(spec, point, memo) for point in points]
+        return _analytic_rows(spec, points)
     curves: dict[tuple[str, str], list[int]] = {}
     for i, (scheme, cond, *_) in enumerate(points):
         curves.setdefault((scheme, cond), []).append(i)
@@ -197,10 +205,14 @@ def run(spec: ExperimentSpec, workers: int = 1) -> list[RunRow]:
             (index, pool.submit(_mc_curve, spec, [points[i] for i in index], index[0], sim_workers))
             for index in curves.values()
         ]
-        rows = [_analytic_row(spec, point, memo) for point in points]
-        for index, future in pending:
-            for i, est in zip(index, future.result()):
-                rows[i] = replace(rows[i], mc=est)
+        try:
+            rows = _analytic_rows(spec, points)
+            for index, future in pending:
+                for i, est in zip(index, future.result()):
+                    rows[i] = replace(rows[i], mc=est)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return rows
 
 

@@ -11,10 +11,11 @@ probabilities 1 - OP are also summed directly from the uncovered pieces
 of the same rectangles, so they stay representable where 1 - OP would not.
 
 A run table evaluates the same hop pairs and uplink sums many times over
-(SS and SC at every K, HH beside HA, AH beside AA), so `op_sc` and `op_mrc`
-read and fill a `RunMemo` that the caller owns for one table; called
-without one, they use a fresh memo and compute everything.  A memo is a
-plain single-thread get-or-compute: one thread fills and reads it.
+(SS and SC at every K, HH beside HA, AH beside AA), so `op_sc_rows` and
+`op_mrc_rows` take a list of rows, each a list of hop pairs, and compute
+each distinct hop-pair outage or uplink axis once per call; nothing is
+kept after the call returns.  `op_sc` and `op_mrc` are their one-row
+cases.
 """
 
 from __future__ import annotations
@@ -32,16 +33,17 @@ __all__ = [
     "StaircaseConfig",
     "Threshold",
     "HopPair",
-    "RunMemo",
     "staircase_probability",
     "staircase_success_probability",
     "staircase_truncation_bound",
     "op_ss",
     "op_sc",
+    "op_sc_rows",
     "ps_ss",
     "ps_sc",
     "c_mrc",
     "op_mrc",
+    "op_mrc_rows",
     "asymp_op_sc",
     "asymp_op_mrc",
     "coding_gains",
@@ -70,9 +72,9 @@ class StaircaseConfig:
             raise ValueError(f"depth_l must be finite and > 0, got {self.depth_l}")
 
     @classmethod
-    def for_threshold(cls, thr: "Threshold", steps_m: int = 50) -> "StaircaseConfig":
-        """The reference configuration: M = steps_m, L = 15 * gamma_th."""
-        return cls(steps_m=steps_m, depth_l=15.0 * thr.gamma_th)
+    def for_threshold(cls, thr: "Threshold") -> "StaircaseConfig":
+        """The reference configuration: M = 50, L = 15 * gamma_th."""
+        return cls(depth_l=15.0 * thr.gamma_th)
 
 
 @dataclass(frozen=True)
@@ -109,34 +111,6 @@ class HopPair:
 
     ns: tuple[SRParams, LinkSNR]
     sg: tuple[SRParams, LinkSNR]
-
-
-class RunMemo:
-    """Analytic values shared within one run table, each computed once.
-
-    Keys are tuples of frozen value objects (hop pairs, laws, thresholds,
-    staircase configs), never array bytes; stored arrays are read-only.
-    A memo belongs to one thread, which fills and reads it; a compute that
-    raises stores nothing.  Nothing outlives the memo, which its owner
-    drops when the table is done.
-    """
-
-    def __init__(self) -> None:
-        self._values: dict[tuple, object] = {}
-
-    def get(self, key: tuple, compute):
-        """The value under key, from compute() on the first call."""
-        if key not in self._values:
-            value = compute()
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            self._values[key] = value
-        return self._values[key]
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the stored values."""
-        return sum(np.asarray(v).nbytes for v in self._values.values())
 
 
 def _staircase_grids(x_offset: float, y_offset: float, rhs: float, cfg: StaircaseConfig):
@@ -292,26 +266,19 @@ def ps_ss(hops: HopPair, thr: Threshold, cfg: StaircaseConfig) -> float:
     )
 
 
-def op_sc(
-    hops_per_sat: list[HopPair],
-    thr: Threshold,
-    cfg: StaircaseConfig,
-    memo: RunMemo | None = None,
-) -> float:
+def op_sc(hops_per_sat: list[HopPair], thr: Threshold, cfg: StaircaseConfig) -> float:
     """Selection combining: product of the per-satellite outage probabilities,
-    each distinct hop pair evaluated once per memo and multiplied in list
-    order."""
-    if not hops_per_sat:
+    each distinct hop pair evaluated once and multiplied in list order."""
+    return op_sc_rows([hops_per_sat], thr, cfg)[0]
+
+
+def op_sc_rows(rows: list[list[HopPair]], thr: Threshold, cfg: StaircaseConfig) -> list[float]:
+    """`op_sc` at every row, one outage per row; each distinct hop pair's
+    `op_ss` is evaluated once per call."""
+    if not all(rows):
         raise ValueError("need at least one satellite")
-    memo = RunMemo() if memo is None else memo
-    per_hop = {
-        hop: memo.get(("op_ss", hop, thr, cfg), lambda: op_ss(hop, thr, cfg))
-        for hop in dict.fromkeys(hops_per_sat)
-    }
-    out = 1.0
-    for hop in hops_per_sat:
-        out *= per_hop[hop]
-    return out
+    per_hop = {hop: op_ss(hop, thr, cfg) for hop in dict.fromkeys(h for row in rows for h in row)}
+    return [math.prod(per_hop[hop] for hop in row) for row in rows]
 
 
 def ps_sc(hops_per_sat: list[HopPair], thr: Threshold, cfg: StaircaseConfig) -> float:
@@ -344,35 +311,36 @@ def _require_iid(hops_per_sat: list[HopPair]) -> HopPair:
     return first
 
 
-def op_mrc(
-    hops_per_sat: list[HopPair],
-    thr: Threshold,
-    cfg: StaircaseConfig,
-    memo: RunMemo | None = None,
-) -> float:
+def op_mrc(hops_per_sat: list[HopPair], thr: Threshold, cfg: StaircaseConfig) -> float:
     """Fixed-gain MRC outage: Pr[(Delta_sg)(Delta_ns - gamma) <= C_m gamma],
-    with Delta_* the K-fold sums of per-hop SNRs (i.i.d. satellites only).
+    with Delta_* the K-fold sums of per-hop SNRs (i.i.d. satellites only)."""
+    return op_mrc_rows([hops_per_sat], thr, cfg)[0]
+
+
+def op_mrc_rows(rows: list[list[HopPair]], thr: Threshold, cfg: StaircaseConfig) -> list[float]:
+    """`op_mrc` at every row, one outage per row.
 
     The uplink axis, the K-fold ns-sum CDF on gamma + {0, corner edges,
-    hyperbola heights} with rhs = C_m gamma, depends only on (hop.ns, K,
-    thr, cfg), so it is computed once per memo and shared by every
-    condition with that uplink.
+    hyperbola heights} with rhs = C_m gamma, depends only on (hop.ns, K)
+    within a call, so it is computed once per call and shared by every
+    row with that uplink and K.
     """
-    if not hops_per_sat:
+    if not all(rows):
         raise ValueError("need at least one satellite")
-    memo = RunMemo() if memo is None else memo
-    hop = _require_iid(hops_per_sat)
-    k = len(hops_per_sat)
-    cm = c_mrc([h.ns for h in hops_per_sat])
-    uplink_cdf = _sum_cdf(hop.ns, k)
-    return staircase_probability(
-        _sum_cdf(hop.sg, k),
-        lambda y: memo.get(("mrc_uplink", hop.ns, k, thr, cfg), lambda: uplink_cdf(y)),
-        0.0,
-        thr.gamma_th,
-        cm * thr.gamma_th,
-        cfg,
-    )
+    g = thr.gamma_th
+    axes: dict[tuple, np.ndarray] = {}
+    out = []
+    for hops_per_sat in rows:
+        hop, k = _require_iid(hops_per_sat), len(hops_per_sat)
+
+        def uplink_cdf(y, uplink=(hop.ns, k)):
+            if uplink not in axes:
+                axes[uplink] = _sum_cdf(*uplink)(y)
+            return axes[uplink]
+
+        cm = c_mrc([h.ns for h in hops_per_sat])
+        out.append(staircase_probability(_sum_cdf(hop.sg, k), uplink_cdf, 0.0, g, cm * g, cfg))
+    return out
 
 
 def _equal_power_eta(hops_per_sat: list[HopPair]) -> float:

@@ -1,10 +1,8 @@
-import gc
 import json
 import pathlib
 import subprocess
 import sys
 import threading
-import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -439,8 +437,8 @@ class TestRunMemo:
 
     def test_shared_uplink_axis_across_workers(self, tmp_path):
         # HH and HA share each MRC uplink axis, and SS and SC share each
-        # hop pair; the calling thread fills the memo at any worker count,
-        # while the pool runs the Monte Carlo curves.
+        # hop pair; the calling thread computes each once at any worker
+        # count, while the pool runs the Monte Carlo curves.
         conf = tmp_path / "shared.conf"
         conf.write_text(
             "schemes = SS, SC, MRC\nconditions = HH, HA\nk_values = 2, 3\n"
@@ -454,22 +452,21 @@ class TestRunMemo:
         assert csvs[0].read_bytes() == csvs[1].read_bytes()
 
     def test_memo_is_small_and_dropped_with_the_run(self, monkeypatch):
-        memos = []
+        # Nothing is cached across runs: a second identical run repeats
+        # every sum_cdf call of the first.
+        calls = []
+        sum_cdf = channel.sum_cdf
 
-        class Recorded(outage.RunMemo):
-            def __init__(self):
-                super().__init__()
-                memos.append(self)
+        def spy_sum(p, link, ctx, x):
+            calls.append((p, link, ctx.K, x.tobytes()))
+            return sum_cdf(p, link, ctx, x)
 
-        monkeypatch.setattr(outage, "RunMemo", Recorded)
-        run(cli._spec_from_table(ladder_table(800, 45.0))[0])
-        (memo,) = memos
-        # 18 uplink axes of 2M + 2 = 1602 abscissae and 12 op_ss floats.
-        assert memo.nbytes == 18 * 1602 * 8 + 12 * 8 <= 0.5 * 2**20
-        gone = weakref.ref(memo)
-        del memo, memos[:]
-        gc.collect()
-        assert gone() is None
+        monkeypatch.setattr(channel, "sum_cdf", spy_sum)
+        spec = cli._spec_from_table(ladder_table(50, 15.0))[0]
+        first = [r.op_analytic for r in run(spec)]
+        assert len(calls) == 54
+        assert [r.op_analytic for r in run(spec)] == first
+        assert calls[54:] == calls[:54]
 
 
 # SS, SC and MRC over HH and HA at K = 2, 3, with Monte Carlo on two workers.
@@ -481,8 +478,8 @@ SHARED_TABLE = {
 
 class TestThreads:
     def test_analytic_on_the_calling_thread_and_mc_on_the_pool(self, monkeypatch):
-        # The memo needs no lock because only the thread that called run
-        # computes analytic values; the Monte Carlo curves run elsewhere.
+        # Only the thread that called run computes analytic values; the
+        # Monte Carlo curves run elsewhere.
         threads = {}
 
         def spy(module, name):
@@ -505,7 +502,9 @@ class TestThreads:
         assert threads["simulate_mrc_curve"] and caller not in simulated
 
     @pytest.mark.parametrize(
-        "module, name", [(outage, "op_mrc"), (mcsim, "simulate_sc_curve")], ids=["analytic", "mc"]
+        "module, name",
+        [(outage, "op_mrc_rows"), (mcsim, "simulate_sc_curve")],
+        ids=["analytic", "mc"],
     )
     def test_errors_reach_the_caller(self, monkeypatch, module, name):
         class Broken(Exception):
@@ -518,6 +517,33 @@ class TestThreads:
         before = threading.active_count()
         with pytest.raises(Broken, match=f"^broken {name}$"):
             run(*cli._spec_from_table(SHARED_TABLE))
+        assert threading.active_count() == before
+
+    def test_analytic_error_cancels_the_queued_curves(self, monkeypatch):
+        # One worker and six curves of tens of ms each: the analytic column
+        # fails at once, and no curve starts after that.
+        class Broken(Exception):
+            pass
+
+        started = []
+        for name in ("simulate_sc_curve", "simulate_mrc_curve"):
+            real = getattr(mcsim, name)
+
+            def record(*args, real=real, **kwargs):
+                started.append(args)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(mcsim, name, record)
+
+        def broken(*args):
+            raise Broken("broken op_sc_rows")
+
+        monkeypatch.setattr(outage, "op_sc_rows", broken)
+        spec, workers = cli._spec_from_table({**SHARED_TABLE, "trials": "400000", "workers": "1"})
+        before = threading.active_count()
+        with pytest.raises(Broken, match="^broken op_sc_rows$"):
+            run(spec, workers)
+        assert len(started) <= workers
         assert threading.active_count() == before
 
 

@@ -162,44 +162,44 @@ class TestOpSC:
 
 
 class TestRunMemo:
-    def test_computes_each_key_once_and_stores_read_only(self):
-        memo = outage.RunMemo()
-        calls = []
+    """Sharing within one row-function call: each distinct hop-pair outage
+    and uplink axis once, with the bits of a one-shot call."""
 
-        def compute():
-            calls.append(1)
-            return np.arange(3.0)
+    def test_failure_is_raised_to_every_caller(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("bad hop pair")
 
-        first = memo.get(("axis", THR), compute)
-        assert memo.get(("axis", THR), compute) is first
-        assert len(calls) == 1
-        assert not first.flags.writeable
-        assert memo.nbytes == first.nbytes
-
-    def test_failure_is_raised_to_every_caller(self):
-        memo = outage.RunMemo()
-
-        def broken():
-            raise ValueError("bad axis")
-
+        monkeypatch.setattr(outage, "op_ss", broken)
         for _ in range(2):
-            with pytest.raises(ValueError, match="bad axis"):
-                memo.get(("axis",), broken)
+            with pytest.raises(ValueError, match="bad hop pair"):
+                outage.op_sc_rows([[hop_at(6.0)] * 2], THR, CFG)
 
     def test_shared_memo_matches_one_shot_calls(self, monkeypatch):
-        # HH and HA share their uplink, so a shared memo computes its MRC
-        # axis and the repeated SC hop pair once, with the one-shot bits.
-        memo = outage.RunMemo()
-        ss_calls = []
-        op_ss = outage.op_ss
-        monkeypatch.setattr(outage, "op_ss", lambda *a: ss_calls.append(a) or op_ss(*a))
+        # HH and HA share their uplink, so one row-function call computes
+        # its MRC axis and the repeated SC hop pair once, with the one-shot
+        # bits.
+        ss_calls, sum_calls = [], []
+        op_ss, sum_cdf = outage.op_ss, channel.sum_cdf
         hh, ha = hop_at(6.0), hop_at(6.0, sg=AVERAGE_SHADOWING)
-        for hop in (hh, ha, hh):
-            assert outage.op_mrc([hop] * 3, THR, CFG, memo) == outage.op_mrc([hop] * 3, THR, CFG)
-            assert outage.op_sc([hop] * 3, THR, CFG, memo) == outage.op_sc([hop] * 3, THR, CFG)
-        assert len(ss_calls) == 2 + 3  # two distinct pairs via the memo, three one-shot
-        # One uplink axis of 2M + 2 abscissae, and two op_ss floats.
-        assert memo.nbytes == (2 * CFG.steps_m + 2) * 8 + 2 * 8
+        rows = [[hop] * 3 for hop in (hh, ha, hh)]
+        one_shot_sc = [outage.op_sc(row, THR, CFG) for row in rows]
+        one_shot_mrc = [outage.op_mrc(row, THR, CFG) for row in rows]
+        monkeypatch.setattr(outage, "op_ss", lambda *a: ss_calls.append(a) or op_ss(*a))
+        monkeypatch.setattr(channel, "sum_cdf", lambda *a: sum_calls.append(a) or sum_cdf(*a))
+        assert outage.op_sc_rows(rows, THR, CFG) == one_shot_sc
+        assert outage.op_mrc_rows(rows, THR, CFG) == one_shot_mrc
+        assert len(ss_calls) == 2  # two distinct hop pairs
+        # One shared uplink axis, and one downlink axis per row.
+        assert len(sum_calls) == 1 + 3
+
+    @pytest.mark.parametrize("rows_of", [outage.op_sc_rows, outage.op_mrc_rows])
+    def test_empty_row_rejected(self, rows_of):
+        with pytest.raises(ValueError, match="need at least one satellite"):
+            rows_of([[hop_at(6.0)], []], THR, CFG)
+
+    @pytest.mark.parametrize("rows_of", [outage.op_sc_rows, outage.op_mrc_rows])
+    def test_no_rows_no_values(self, rows_of):
+        assert rows_of([], THR, CFG) == []
 
 
 def _staircase_mp(pair_x, pair_y, a, b, rhs, cfg):
