@@ -166,7 +166,7 @@ def _analytic_rows(spec: ExperimentSpec, points) -> list[RunRow]:
 def _mc_curve(
     spec: ExperimentSpec, points, first_index: int, sim_workers: int
 ) -> list[OutageEstimate]:
-    """The Monte Carlo columns of one (scheme, condition) curve, from one
+    """The Monte Carlo columns of one (kernel, condition) curve, from one
     draw set seeded by the curve's first row index."""
     cfg = replace(spec.mc, seed=_row_seed(spec.mc.seed, first_index))
     # Looked up at call time, so a replaced module attribute is the one called.
@@ -178,13 +178,13 @@ def run(spec: ExperimentSpec, workers: int = 1) -> list[RunRow]:
     """Compute all grid rows, returned in spec order.
 
     Rows are keyed (scheme, condition, K, snr_db).  Rows that share
-    (scheme, condition) form one Monte Carlo curve over K and SNR (fig3
-    has one per scheme and condition, spanning K = 2..6), drawn from one
-    set seeded by (spec.mc.seed, index of the curve's first row), so
-    results do not depend on the worker count.  The curves go to a pool
-    of `workers` threads, and with fewer curves than workers each curve's
-    simulator gets workers // curves block threads; a table without Monte
-    Carlo makes no pool.
+    (kernel, condition) form one Monte Carlo curve over K and SNR: SC for
+    SS rows (its one-satellite rows) and SC rows, MRC for MRC rows.  Each
+    is drawn from one set seeded by (spec.mc.seed, index of its first
+    row), so results do not depend on the worker count.  The curves go to
+    a pool of `workers` threads, and with fewer curves than workers each
+    curve's simulator gets workers // curves block threads; a table
+    without Monte Carlo makes no pool.
 
     The calling thread meanwhile computes the analytic and asymptotic
     columns at each row's own K: one `outage.op_sc_rows` call for the SS
@@ -198,7 +198,7 @@ def run(spec: ExperimentSpec, workers: int = 1) -> list[RunRow]:
         return _analytic_rows(spec, points)
     curves: dict[tuple[str, str], list[int]] = {}
     for i, (scheme, cond, *_) in enumerate(points):
-        curves.setdefault((scheme, cond), []).append(i)
+        curves.setdefault(("MRC" if scheme == "MRC" else "SC", cond), []).append(i)
     sim_workers = max(1, workers // len(curves))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = [

@@ -1,14 +1,14 @@
 """Seeded Monte Carlo oracle for the three combining schemes.
 
 The unit of simulation is a *curve*: a (K x SNR) grid of rows of one
-scheme and one pair of fading conditions, such as fig3's K = 2..6 at one
-SNR or fig1's one K over eleven SNRs.  Every row's hop list is a prefix of
-the curve's longest list, and the rows' links differ by one SNR factor;
-every (K, SNR) pair of the grid must be present.  Selection combining
-over one satellite is the single-satellite scheme (SS), so there are two
-curve kernels, `simulate_sc_curve` (SS rows are its one-satellite rows)
-and `simulate_mrc_curve`, each returning one estimate per row from one
-draw set.
+kernel and one pair of fading conditions, such as fig3's K = 2..6 at one
+SNR or fig1's MRC curve, one K over eleven SNRs.  Every row's hop list
+is a prefix of the curve's longest list, and the rows' links differ by
+one SNR factor; every (K, SNR) pair of the grid must be present.
+Selection combining over one satellite is the single-satellite scheme
+(SS), so there are two curve kernels, `simulate_sc_curve` (SS rows are
+its one-satellite rows) and `simulate_mrc_curve`, each returning one
+estimate per row from one draw set.
 Every SNR is drawn once, at the links of the longest list at the lowest
 SNR, and scaled by eta_row / eta_lowest for each row; the factor is
 exactly 1.0 for a one-row curve.  Each row's outage event is tested on the
@@ -29,8 +29,8 @@ a curve of several K the smallest K's rows draw as that K's curve alone.
 
 Trials are partitioned into fixed-size blocks; block i draws from an
 independent substream keyed by (seed, i) via SeedSequence spawn keys over
-a Philox counter-based generator.  Because the block layout never depends
-on the worker count, sequential and parallel runs produce bit-identical
+an SFC64 generator.  Because the block layout never depends on the
+worker count, sequential and parallel runs produce bit-identical
 estimates.
 
 Every SNR is drawn with `channel.sample_sum`, the exact Erlang-mixture
@@ -108,6 +108,10 @@ class MCConfig:
     ci_level: float = 0.99
 
     def __post_init__(self) -> None:
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 0.0 < self.ci_level < 1.0:
@@ -154,7 +158,7 @@ def _wilson(successes: int, trials: int, ci_level: float) -> OutageEstimate:
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     entropy = seed & 0xFFFFFFFFFFFFFFFF
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=entropy, spawn_key=(block,)))
+        np.random.SFC64(np.random.SeedSequence(entropy=entropy, spawn_key=(block,)))
     )
 
 

@@ -343,13 +343,54 @@ class TestCurves:
             at_6, at_m3, again_6, at_0 = rows[i : i + 4]
             assert at_6 == again_6  # one draw set per curve
             assert float(at_m3[6]) >= float(at_0[6]) >= float(at_6[6])
-        # The SC curve is seeded by the index of its first row.
+        # The SS and SC rows form one SC curve over K = 1 and 3, seeded by
+        # the index of its first row, the first SS row.
         ns, sg = CONDITIONS["AH"]
         links = [LinkSNR.from_db(db) for db in (6, -3, 6, 0)]
-        curve = [[HopPair(ns=(ns, link), sg=(sg, link))] * 3 for link in links]
-        cfg = MCConfig(trials=20000, seed=cli._row_seed(7, 4))
+        curve = [[HopPair(ns=(ns, link), sg=(sg, link))] * k for k in (1, 3) for link in links]
+        cfg = MCConfig(trials=20000, seed=cli._row_seed(7, 0))
         est = mcsim.simulate_sc_curve(curve, Threshold.from_rate(0.5), cfg)
-        assert [float(r[6]) for r in rows[4:8]] == [e.p_hat for e in est]
+        assert [float(r[6]) for r in rows[0:8]] == [e.p_hat for e in est]
+
+    def test_ss_rows_are_the_one_satellite_rows_of_the_sc_curve(self):
+        # fig1 holds one SC curve per condition: its SS rows (one hop each)
+        # and its SC rows (K = 5), drawn from one set seeded by the index of
+        # the condition's first SS row.
+        spec = replace(preset_spec("fig1"), mc=MCConfig(trials=4000, seed=12))
+        rows = run(spec, workers=2)
+
+        def hops(row):
+            ns, sg = CONDITIONS[row.condition]
+            link = LinkSNR.from_db(row.snr_db)
+            return [HopPair(ns=(ns, link), sg=(sg, link))] * (1 if row.scheme == "SS" else row.k)
+
+        for cond in ("HH", "HA"):
+            index = [i for i, r in enumerate(rows) if r.condition == cond and r.scheme != "MRC"]
+            assert [rows[i].scheme for i in index] == ["SS"] * 11 + ["SC"] * 11
+            curve = [hops(rows[i]) for i in index]
+            cfg = replace(spec.mc, seed=cli._row_seed(12, index[0]))
+            assert [rows[i].mc for i in index] == mcsim.simulate_sc_curve(
+                curve, spec.threshold, cfg
+            )
+
+    def test_sc_never_above_ss_at_one_seed(self):
+        # SC shares its first branch with SS, so at every SNR its hit count
+        # is at most SS's.  The grids put the SS outage at 0.96-0.999, where
+        # SC at K = 2 sits only a few hits lower at 300 trials: independent
+        # draws for the two schemes cross at some SNR of this table for
+        # about four seeds in five.
+        table = {
+            "schemes": "SS, SC", "conditions": "HH, HA, AH, AA", "k_values": "2",
+            "snr_db_hh": "7, 7.5, 8, 8.5, 9", "snr_db_ha": "4, 4.5, 5, 5.5, 6",
+            "snr_db_ah": "4, 4.5, 5, 5.5, 6", "snr_db_aa": "-1, -0.5, 0, 0.5, 1",
+            "trials": "300", "seed": "5",
+        }
+        spec, _ = cli._spec_from_table(table)
+        rows = run(spec)
+        ss = {(r.condition, r.snr_db): r.mc.p_hat for r in rows if r.scheme == "SS"}
+        sc = {(r.condition, r.snr_db): r.mc.p_hat for r in rows if r.scheme == "SC"}
+        assert sc.keys() == ss.keys() and len(ss) == 20
+        assert all(sc[key] <= ss[key] for key in ss)
 
     def test_k_curves_keep_first_row_seeds(self):
         # fig3 has one curve per (scheme, condition), spanning K = 2..6 and

@@ -116,6 +116,13 @@ class TestConfigs:
         with pytest.raises(ValueError):
             MCConfig(trials=10, seed=1, ci_level=1.0)
 
+    @pytest.mark.parametrize(
+        "field, value", [("trials", 1000.0), ("trials", True), ("seed", 1.5), ("seed", False)]
+    )
+    def test_non_int_trials_and_seed_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            MCConfig(**{"trials": 10, "seed": 1, field: value})
+
     def test_estimate_invariants(self):
         with pytest.raises(ValueError):
             OutageEstimate(p_hat=0.5, ci_low=0.6, ci_high=0.7, trials=10)
