@@ -34,18 +34,23 @@ worker count, sequential and parallel runs produce bit-identical
 estimates.
 
 Every SNR is drawn with `channel.sample_sum`, the exact Erlang-mixture
-sampler (one binomial and one gamma draw per sample, no trigonometry).
-A block draws only the variates that can still change one of its rows'
-outage counts, in a fixed order:
+sampler (per sample, Gamma(K) plus Gamma(J) where the mixture index J is
+not 0, or one binomial and one gamma draw where J = 0 is the rarer case;
+no trigonometry).  A block draws only the variates that can still change
+one of its rows' outage counts, in a fixed order:
 
-- SC (and SS, its one-satellite case): the first branch draws n ns, then
-  n sg.  Branch k >= 2 draws ns only for the trials still in outage at
-  the lowest SNR after branches 1..k-1, then sg only for those
-  with Lambda_ns > gamma at the highest SNR, since Lambda_ns <= gamma
-  already forces Lambda_GS < gamma at every row.  Which draw goes to which
-  trial depends only on earlier draws, and branches are independent, so
-  every row's count keeps its exact law.  Row K reads its counts right
-  after branch K, so a branch is drawn once for every K of the curve.
+- SC (and SS, its one-satellite case): every trial starts in outage at
+  every row, and every branch draws alike.  Branch k draws the hop of the
+  smaller mean SNR (ns on a tie; the event is symmetric in the two hops)
+  for the trials still in outage at the lowest SNR after branches
+  1..k-1, all n at k = 1.  It draws the other hop only where the first
+  exceeds gamma / f, f the SNR factor of the trial's own last row still in
+  outage: a first hop at or below that forces Lambda_GS < gamma at every
+  row up to it, so the branch cannot lower the trial's count.  Which draw
+  goes to which trial depends only on earlier draws, and branches are
+  independent, so every row's count keeps its exact law.  Row K reads its
+  counts right after branch K, so a branch is drawn once for every K of
+  the curve.
 - MRC: running sums over the curve's satellite counts K_1 < K_2 < ...
   Each side's sum draws one k-fold sum per distinct (SRParams, LinkSNR)
   pair of the links it adds, in first-appearance order.  At K_1: the ns
@@ -55,7 +60,7 @@ outage counts, in a fixed order:
   ns sums grow by the next links, the sg sums drawn before grow by the
   next links, and a trial whose ns sum passes gamma for the first time
   draws its whole K-fold sg sum.  Each (K, SNR) row uses its own C_m.  An
-  i.i.d. list costs one binomial and one gamma draw per side and K; a
+  i.i.d. list costs one k-fold `sample_sum` draw per side and K; a
   non-i.i.d. list stays exact.
 
 `channel.sample` keeps the physical construction (LoS amplitude, phase and
@@ -220,10 +225,11 @@ def _leading_outages(num: np.ndarray, den: np.ndarray, offsets, limits, shift=0.
     num / ((den + shift) + offsets[j]) <= limits[j].
 
     Row 0 compares num / (den + shift) itself, so it is the one-row
-    arithmetic bit for bit; den + shift is formed one slice at a time.  A trial out of outage at one row stays out at every later
-    (higher-SNR) row, which `live` keeps exact under roundoff too.  Rows
-    are evaluated one slice of trials at a time, so the temporaries stay
-    small, and a slice stops once none of its trials is in outage.
+    arithmetic bit for bit; den + shift is formed one slice at a time.  A
+    trial out of outage at one row stays out at every later (higher-SNR)
+    row, which `live` keeps exact under roundoff too.  Rows are evaluated
+    one slice of trials at a time, so the temporaries stay small, and a
+    slice stops once none of its trials is in outage.
     """
     count = np.zeros(num.size, np.min_scalar_type(len(limits)))
     for lo in range(0, num.size, _SLICE):
@@ -245,13 +251,15 @@ def _row_hits(count: np.ndarray, rows: int) -> np.ndarray:
     return np.array([np.count_nonzero(count > j) for j in range(rows)], dtype=np.int64)
 
 
-def _relayed(lam_ns: np.ndarray, lam_sg: np.ndarray):
+def _relayed(first: np.ndarray, second: np.ndarray):
     """Numerator and denominator of the variable-gain end-to-end SNR
-    sg*ns / (sg + 1 + ns); the numerator overwrites lam_sg."""
-    den = lam_sg + 1.0
-    den += lam_ns
-    lam_sg *= lam_ns
-    return lam_sg, den
+    sg*ns / (sg + 1 + ns) of two hops drawn in either order (the SNR is
+    symmetric in them), as second*first / (second + 1 + first); the
+    numerator overwrites second."""
+    den = second + 1.0
+    den += first
+    second *= first
+    return second, den
 
 
 def _relayed_rows(factors: np.ndarray, g: float):
@@ -278,37 +286,40 @@ def simulate_sc_curve(
     SS rows are its rows of one satellite."""
     hops, ks, factors, _, cells = _grid(curve)
     at = {int(k): a for a, k in enumerate(ks)}
-    g = thr.gamma_th
-    # Lambda_ns <= g at the highest SNR: in outage at every row.
-    floor = g / factors[-1]
-    rows = _relayed_rows(factors, g)
+    offsets, limits = _relayed_rows(factors, thr.gamma_th)
+    # The event is symmetric in the two hops, so each branch draws the hop
+    # of the smaller mean SNR first (ns on a tie): fewer trials draw both.
+    order = [
+        (h.ns, h.sg) if channel.mean_snr(*h.ns) <= channel.mean_snr(*h.sg) else (h.sg, h.ns)
+        for h in hops
+    ]
 
     def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
         hits = np.zeros((ks.size, factors.size), np.int64)
-        for k, hop in enumerate(hops, 1):
-            if k == 1:
-                lam_ns = channel.sample_sum(*hop.ns, 1, rng, size=n)
-                lam_sg = channel.sample_sum(*hop.sg, 1, rng, size=n)
-                count = _leading_outages(*_relayed(lam_ns, lam_sg), *rows)
-                del lam_ns, lam_sg
-            elif count.size:
-                # Counters move through index arrays (several times faster
-                # than boolean masks), built only after a branch's draws, so
-                # they never sit beside a sampler call; the draws are
-                # thinned by boolean masks.
-                lam_ns = channel.sample_sum(*hop.ns, 1, rng, size=count.size)
-                over = lam_ns > floor
-                lam_ns = lam_ns[over]
-                lam_sg = channel.sample_sum(*hop.sg, 1, rng, size=lam_ns.size)
-                branch = _leading_outages(*_relayed(lam_ns, lam_sg), *rows)
+        # Before the first branch, every trial is in outage at every row.
+        count = np.full(n, factors.size, np.min_scalar_type(factors.size))
+        for k, (weak, strong) in enumerate(order, 1):
+            if count.size:
+                # A first hop at or below g / f, f the factor of the trial's
+                # last row still in outage, keeps this branch in outage at
+                # all of the trial's rows, so only the other trials draw the
+                # second hop.  Counters move through index arrays (several
+                # times faster than boolean masks), built only after a
+                # branch's draws, so they never sit beside a sampler call;
+                # the draws are thinned by boolean masks.
+                first = channel.sample_sum(*weak, 1, rng, size=count.size)
+                over = first > limits[count - 1]
+                first = first[over]
+                second = channel.sample_sum(*strong, 1, rng, size=first.size)
+                branch = _leading_outages(*_relayed(first, second), offsets, limits)
                 idx = np.flatnonzero(over)
                 count[idx] = np.minimum(count[idx], branch)
                 # Free this branch's arrays before the next branch draws its own.
-                del lam_ns, lam_sg, over, idx, branch
-            # A trial out of outage at the lowest SNR counts at no row, so
-            # only the counts of the trials still in outage are kept, in
-            # trial order; row K reads them right after branch K.
-            count = count[np.flatnonzero(count)]
+                del first, second, over, idx, branch
+                # A trial out of outage at the lowest SNR counts at no row,
+                # so only the counts of the trials still in outage are kept,
+                # in trial order; row K reads them right after branch K.
+                count = count[np.flatnonzero(count)]
             if k in at:
                 hits[at[k]] = _row_hits(count, factors.size)
         return hits.ravel()

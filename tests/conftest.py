@@ -48,3 +48,32 @@ def sum_cdf_mp(p, link, k, x):
         * mpmath.gammainc(k + j, 0, t, regularized=True)
         for j in range(n + 1)
     )
+
+
+def sum_pdf_mp(p, link, k, x):
+    """Exact density of the sum of k i.i.d. SR SNRs at x > 0, in mpmath: the
+    mixture of `sum_cdf_mp`, with Gamma(k + j, rate theta / eta) densities."""
+    drv = channel.derive(p)
+    q = mpmath.mpf(drv.delta) / drv.beta
+    rate = (mpmath.mpf(drv.beta) - drv.delta) / link.eta
+    x = mpmath.mpf(x)
+    n = k * (p.m - 1)
+    return mpmath.fsum(
+        mpmath.binomial(n, j) * q**j * (1 - q) ** (n - j)
+        * rate ** (k + j) * x ** (k + j - 1) * mpmath.exp(-rate * x) / mpmath.factorial(k + j - 1)
+        for j in range(n + 1)
+    )
+
+
+def mrc_outage_mp(ns, sg, k, g, cm):
+    """Exact fixed-gain MRC outage Pr[V U / (V + cm) <= g] over k i.i.d.
+    satellites, U and V the k-fold sums of the (SRParams, LinkSNR) pairs ns
+    and sg, in mpmath at the caller's precision: the event is
+    V (U - g) <= cm g, so the outage is Pr[U <= g] plus the integral over
+    t > 0 of f_U(g + t) F_V(cm g / t)."""
+    corner = mpmath.sqrt(cm * g)
+    tail = mpmath.quad(
+        lambda t: sum_pdf_mp(*ns, k, g + t) * sum_cdf_mp(*sg, k, cm * g / t),
+        [0, corner, 4 * corner, mpmath.inf],
+    )
+    return sum_cdf_mp(*ns, k, g) + tail

@@ -258,6 +258,44 @@ class TestSampleSum:
         physical = sum(channel.sample(sr_params, link, rng, size=n) for _ in range(k))
         assert stats.ks_2samp(mixture, physical, method="asymp").statistic < 0.005
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 16])
+    def test_mixture_index_law(self, sr_params, k):
+        # The sampler draws eta/theta * Gamma(k + J).  With every gamma and
+        # exponential draw replaced by its mean (its shape), a sample reads
+        # eta/theta * (k + J), so J can be read off each sample; its counts
+        # must follow Binomial(k(m - 1), q).
+        rng = np.random.default_rng(41_000 + k)
+
+        class MeanDraws:
+            def __getattr__(self, name):
+                return getattr(rng, name)
+
+            def standard_gamma(self, shape, size=None, out=None):
+                return self.fill(np.broadcast_to(np.asarray(shape, float), size or np.shape(shape)), out)
+
+            def standard_exponential(self, size=None, out=None):
+                return self.fill(np.ones(size or out.shape), out)
+
+            @staticmethod
+            def fill(values, out):
+                if out is None:
+                    return np.array(values)
+                out[...] = values
+                return out
+
+        n = 400_000
+        drv = channel.derive(sr_params)
+        scale = LinkSNR(10.0).eta / (drv.beta - drv.delta)
+        lam = channel.sample_sum(sr_params, LinkSNR(10.0), k, MeanDraws(), size=n)
+        j = np.rint(lam / scale).astype(int) - k
+        assert np.allclose(lam / scale, j + k, rtol=1e-12, atol=0.0)
+        trials, q = k * (sr_params.m - 1), drv.delta / drv.beta
+        counts = np.bincount(j, minlength=trials + 1)
+        assert counts.size == trials + 1 and j.min() >= 0
+        pmf = stats.binom.pmf(np.arange(trials + 1), trials, q)
+        sigma = np.sqrt(n * pmf * (1.0 - pmf))
+        assert np.all(np.abs(counts - n * pmf) <= 5.0 * sigma + 1.0)
+
     def test_scalar_draw(self, sr_params, link10):
         value = channel.sample_sum(sr_params, link10, 3, np.random.default_rng(1))
         assert isinstance(value, float) and value > 0.0

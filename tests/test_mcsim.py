@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ from satrelay import channel, mcsim, outage
 from satrelay.channel import AVERAGE_SHADOWING, HEAVY_SHADOWING, LinkSNR
 from satrelay.mcsim import MCConfig, OutageEstimate, _wilson
 from satrelay.outage import HopPair, StaircaseConfig, Threshold
+
+from conftest import mrc_outage_mp
 
 THR = Threshold(gamma_th=1.0)
 
@@ -61,12 +64,20 @@ def physical_outage(scheme, rows, n, seed):
     return estimates
 
 
+def weak_first(hop):
+    """A hop pair's two (SRParams, LinkSNR) pairs, the one of the smaller
+    mean SNR first (ns on a tie)."""
+    if channel.mean_snr(*hop.ns) <= channel.mean_snr(*hop.sg):
+        return hop.ns, hop.sg
+    return hop.sg, hop.ns
+
+
 def one_block_hits(scheme, hops, n, seed):
     """The single-row kernels' draw order and event, written out for one
-    block: SS draws n ns then n sg; SC's first branch draws like SS and
-    branch k >= 2 draws ns for the trials still in outage, then sg where
-    Lambda_ns > gamma; MRC draws the ns sums for all n trials, then the sg
-    sums where the ns sum exceeds gamma."""
+    block: SS and SC branch k draw the hop of the smaller mean SNR for the
+    trials still in outage (all n at k = 1), then the other hop where the
+    first exceeds gamma; MRC draws the ns sums for all n trials, then the
+    sg sums where the ns sum exceeds gamma."""
     rng = mcsim._block_rng(seed, 0)
     g = THR.gamma_th
     if scheme == "MRC":
@@ -79,13 +90,13 @@ def one_block_hits(scheme, hops, n, seed):
         cm = outage.c_mrc([h.ns for h in hops])
         return n - sum_ns.size + int(np.count_nonzero(sum_sg * sum_ns / (sum_sg + cm) <= g))
     alive = n
-    for k, hop in enumerate(hops):
-        lam_ns = channel.sample_sum(*hop.ns, 1, rng, size=alive)
-        if k:
-            lam_ns = lam_ns[lam_ns > g]
-        lam_sg = channel.sample_sum(*hop.sg, 1, rng, size=lam_ns.size)
-        hits = int(np.count_nonzero(lam_sg * lam_ns / (lam_sg + 1.0 + lam_ns) <= g))
-        alive = hits if k == 0 else alive - lam_ns.size + hits
+    for hop in hops:
+        weak, strong = weak_first(hop)
+        first = channel.sample_sum(*weak, 1, rng, size=alive)
+        first = first[first > g]
+        second = channel.sample_sum(*strong, 1, rng, size=first.size)
+        hits = int(np.count_nonzero(second * first / (second + 1.0 + first) <= g))
+        alive += hits - first.size
         if not alive:
             break
     return alive
@@ -192,8 +203,8 @@ class TestSimulateSC:
         assert hits[-1] < hits[0]
 
     def test_draws_only_trials_still_in_outage(self, monkeypatch):
-        # Branch 1 draws all n ns then all n sg; branch k >= 2 draws ns for
-        # the trials still in outage, then sg where Lambda_ns > gamma.
+        # Every branch draws ns (the weaker hop here) for the trials still
+        # in outage, all n at branch 1, then sg where Lambda_ns > gamma.
         hops = [hop_at(12.0), hop_at(9.0, sg=AVERAGE_SHADOWING), hop_at(12.0), hop_at(6.0)]
         n = 100_000
         spy = SampleSpy(monkeypatch)
@@ -206,16 +217,68 @@ class TestSimulateSC:
             sg_link, sg_k, sg_size, lam_sg = spy.calls[2 * k + 1]
             assert (ns_link, sg_link, ns_k, sg_k) == (hop.ns, hop.sg, 1, 1)
             assert ns_size == alive
-            if k == 0:
-                assert sg_size == n
-                alive = int(np.count_nonzero(lam_sg * lam_ns / (lam_sg + 1.0 + lam_ns) <= g))
-            else:
-                over = lam_ns[lam_ns > g]
-                assert sg_size == over.size < ns_size
-                snr = lam_sg * over / (lam_sg + 1.0 + over)
-                alive += int(np.count_nonzero(snr <= g)) - over.size
+            over = lam_ns[lam_ns > g]
+            assert sg_size == over.size < ns_size
+            snr = lam_sg * over / (lam_sg + 1.0 + over)
+            alive += int(np.count_nonzero(snr <= g)) - over.size
         assert 0 < alive < n
         assert est.p_hat == alive / n
+
+    def test_second_hop_only_above_own_last_row_limit(self, monkeypatch):
+        # A K in {1, 3} curve over four SNRs: a trial draws a branch's
+        # second hop only where its first hop exceeds g / f at the trial's
+        # own last row still in outage, f that row's SNR factor.  Replayed
+        # on the spy's draws with the event at each row written out.
+        dbs = [-3.0, 0.0, 3.0, 6.0]
+        rows = [[hop_at(db, ns=AVERAGE_SHADOWING)] * k for k in (1, 3) for db in dbs]
+        n = 100_000
+        spy = SampleSpy(monkeypatch)
+        est = mcsim.simulate_sc_curve(rows, THR, MCConfig(trials=n, seed=8))
+        etas = np.array([LinkSNR.from_db(db).eta for db in dbs])
+        factors = etas / etas.min()
+        g = THR.gamma_th
+        assert len(spy.calls) == 6
+        count = np.full(n, len(dbs))
+        hits = {}
+        for k in range(3):
+            (_, _, size, first), (_, _, second_size, second) = spy.calls[2 * k : 2 * k + 2]
+            assert size == count.size
+            need = first > g / factors[count - 1]
+            assert second_size == np.count_nonzero(need) < size
+            a, b = first[need], second
+            # Leading rows, in ascending SNR, at which this branch is in outage.
+            live = np.ones(a.size, bool)
+            branch = np.zeros(a.size, int)
+            for f in factors:
+                live &= (f * a) * (f * b) / (f * a + 1.0 + f * b) <= g
+                branch += live
+            count[need] = np.minimum(count[need], branch)
+            count = count[count > 0]
+            if k in (0, 2):
+                hits[k + 1] = [int(np.count_nonzero(count > j)) for j in range(len(dbs))]
+        assert [e.p_hat for e in est] == [h / n for k in (1, 3) for h in hits[k]]
+        assert hits[3][-1] < hits[1][-1] < hits[1][0]
+
+    def test_weaker_hop_drawn_first(self, monkeypatch):
+        # The outage event is symmetric in the two hops, so each branch
+        # draws the hop of the smaller mean SNR first, ns on a tie.
+        sg_weaker = HopPair(ns=(HEAVY_SHADOWING, LinkSNR.from_db(9.0)), sg=hop_at(3.0).sg)
+        hops = [
+            hop_at(3.0, ns=AVERAGE_SHADOWING),
+            hop_at(3.0, sg=AVERAGE_SHADOWING),
+            hop_at(3.0),
+            sg_weaker,
+        ]
+        spy = SampleSpy(monkeypatch)
+        mcsim.simulate_sc(hops, THR, MCConfig(trials=20_000, seed=9))
+        drawn = [c[0] for c in spy.calls]
+        assert drawn == [
+            hops[0].sg, hops[0].ns, hops[1].ns, hops[1].sg,
+            hops[2].ns, hops[2].sg, sg_weaker.sg, sg_weaker.ns,
+        ]
+        assert [weak_first(h) for h in hops] == [tuple(drawn[i : i + 2]) for i in range(0, 8, 2)]
+        sizes = [c[2] for c in spy.calls]
+        assert all(second < first for first, second in zip(sizes[::2], sizes[1::2]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -224,12 +287,15 @@ class TestSimulateSC:
 
 class TestSimulateMRC:
     def test_k1_brackets_fine_fixed_gain_staircase(self):
-        from satrelay import channel
-
+        # The interval is checked against the exact outage (0.498061); the
+        # fine staircase (0.498531, +0.94 sigma of this estimate) is checked
+        # against the exact value on its own.
         link = LinkSNR.from_db(16.0)
         hop = HopPair(ns=(HEAVY_SHADOWING, link), sg=(HEAVY_SHADOWING, link))
         cm = outage.c_mrc([hop.ns])
-        analytic = outage.staircase_probability(
+        with mpmath.workdps(20):
+            exact = float(mrc_outage_mp(hop.ns, hop.sg, 1, THR.gamma_th, cm))
+        staircase = outage.staircase_probability(
             lambda x: channel.cdf(HEAVY_SHADOWING, link, x),
             lambda y: channel.cdf(HEAVY_SHADOWING, link, y),
             0.0,
@@ -237,8 +303,9 @@ class TestSimulateMRC:
             cm,
             StaircaseConfig(1600, 40.0),
         )
+        assert abs(staircase - exact) <= 1e-3 * exact
         est = mcsim.simulate_mrc([hop], THR, MCConfig(trials=1_000_000, seed=31337))
-        assert est.ci_low <= analytic <= est.ci_high
+        assert est.ci_low <= exact <= est.ci_high
 
     def test_non_iid_against_physical_sum(self):
         # Two distinct ns pairs (one repeated) and a shared sg pair: the
@@ -332,7 +399,10 @@ class TestCurves:
         "scheme, hops",
         [
             ("SS", [hop_at(10.0, sg=AVERAGE_SHADOWING)]),
-            ("SC", [hop_at(10.0), hop_at(7.0, sg=AVERAGE_SHADOWING), hop_at(10.0)]),
+            (
+                "SC",
+                [hop_at(10.0), hop_at(7.0, ns=AVERAGE_SHADOWING), hop_at(10.0, sg=AVERAGE_SHADOWING)],
+            ),
             ("MRC", [hop_at(3.0), hop_at(6.0, ns=AVERAGE_SHADOWING), hop_at(3.0)]),
         ],
     )
