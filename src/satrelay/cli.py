@@ -13,7 +13,8 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -174,46 +175,73 @@ def _mc_curve(
     return simulate([_hops(*p) for p in points], spec.threshold, cfg, workers=sim_workers)
 
 
-def run(spec: ExperimentSpec, workers: int = 1) -> list[RunRow]:
-    """Compute all grid rows, returned in spec order.
+def _mc_column(spec: ExperimentSpec, points, workers: int) -> list[OutageEstimate]:
+    """Every row's Monte Carlo estimate, in row order.
 
-    Rows are keyed (scheme, condition, K, snr_db).  Rows that share
-    (kernel, condition) form one Monte Carlo curve over K and SNR: SC for
-    SS rows (its one-satellite rows) and SC rows, MRC for MRC rows.  Each
-    is drawn from one set seeded by (spec.mc.seed, index of its first
+    Rows that share (kernel, condition) form one curve over K and SNR: SC
+    for SS rows (its one-satellite rows) and SC rows, MRC for MRC rows.
+    Each is drawn from one set seeded by (spec.mc.seed, index of its first
     row), so results do not depend on the worker count.  The curves go to
     a pool of `workers` threads, and with fewer curves than workers each
-    curve's simulator gets workers // curves block threads; a table
-    without Monte Carlo makes no pool.
-
-    The calling thread meanwhile computes the analytic and asymptotic
-    columns at each row's own K: one `outage.op_sc_rows` call for the SS
-    and SC rows and one `outage.op_mrc_rows` call for the MRC rows, each
-    computing every distinct hop-pair outage or uplink axis once, with
-    nothing kept after it returns.  If anything raises, the curves not yet
-    started are cancelled before the error reaches the caller.
+    curve's simulator gets workers // curves block threads.  Once a curve
+    raises, no further curve starts, and the error reaches the caller.
     """
-    points = list(_row_points(spec))
-    if spec.mc is None:
-        return _analytic_rows(spec, points)
     curves: dict[tuple[str, str], list[int]] = {}
     for i, (scheme, cond, *_) in enumerate(points):
         curves.setdefault(("MRC" if scheme == "MRC" else "SC", cond), []).append(i)
     sim_workers = max(1, workers // len(curves))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = [
-            (index, pool.submit(_mc_curve, spec, [points[i] for i in index], index[0], sim_workers))
-            for index in curves.values()
-        ]
+    failed = threading.Event()
+
+    def curve(index: list[int]) -> list[OutageEstimate]:
+        # A worker takes the next curve off the queue as soon as its own
+        # curve raises, before the calling thread can cancel the queue, so
+        # each curve checks for an earlier failure first.  Curves start in
+        # queue order, so the caller raises the failure before it reads
+        # the curve cancelled here.
+        if failed.is_set():
+            raise CancelledError
         try:
-            rows = _analytic_rows(spec, points)
+            return _mc_curve(spec, [points[i] for i in index], index[0], sim_workers)
+        except BaseException:
+            failed.set()
+            raise
+
+    column = [None] * len(points)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = [(index, pool.submit(curve, index)) for index in curves.values()]
+        try:
             for index, future in pending:
                 for i, est in zip(index, future.result()):
-                    rows[i] = replace(rows[i], mc=est)
+                    column[i] = est
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
-    return rows
+    return column
+
+
+def run(spec: ExperimentSpec, workers: int = 1) -> list[RunRow]:
+    """Compute all grid rows, returned in spec order.
+
+    Rows are keyed (scheme, condition, K, snr_db).  The calling thread
+    first computes the analytic and asymptotic columns at each row's own
+    K: one `outage.op_sc_rows` call for the SS and SC rows and one
+    `outage.op_mrc_rows` call for the MRC rows, each computing every
+    distinct hop-pair outage or uplink axis once, with nothing kept after
+    it returns.  A table without Monte Carlo returns those rows and makes
+    no pool.
+
+    Only then does the Monte Carlo column start, one curve per
+    (kernel, condition) on a pool of `workers` threads (`_mc_column`).
+    The analytic column does not run beside the pool: it is mostly Python
+    holding the GIL, and each GIL-releasing numpy call of a curve would
+    wait up to the interpreter's switch interval to get it back.  An
+    analytic error raises before any curve starts.
+    """
+    points = list(_row_points(spec))
+    rows = _analytic_rows(spec, points)
+    if spec.mc is None:
+        return rows
+    return [replace(r, mc=est) for r, est in zip(rows, _mc_column(spec, points, workers))]
 
 
 def _fmt(value: float | None) -> str:

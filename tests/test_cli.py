@@ -587,6 +587,61 @@ class TestThreads:
         assert len(started) <= workers
         assert threading.active_count() == before
 
+    def test_analytic_column_done_before_any_curve_starts(self, monkeypatch):
+        # The analytic column does not run beside the Monte Carlo pool: both
+        # row functions return before the first curve starts.
+        events = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def record(*args, **kwargs):
+                events.append(("start", name))
+                out = real(*args, **kwargs)
+                events.append(("end", name))
+                return out
+
+            monkeypatch.setattr(module, name, record)
+
+        for name in ("op_sc_rows", "op_mrc_rows"):
+            spy(outage, name)
+        for name in ("simulate_sc_curve", "simulate_mrc_curve"):
+            spy(mcsim, name)
+        run(*cli._spec_from_table(SHARED_TABLE))
+        first_curve = events.index(("start", "simulate_sc_curve"))
+        assert ("start", "simulate_mrc_curve") in events[first_curve:]
+        assert events[:first_curve] == [
+            ("start", "op_sc_rows"), ("end", "op_sc_rows"),
+            ("start", "op_mrc_rows"), ("end", "op_mrc_rows"),
+        ]
+
+    def test_curve_error_cancels_the_queued_curves(self, monkeypatch):
+        # One worker and four curves: the first curve raises, and no later
+        # curve starts.
+        class Broken(Exception):
+            pass
+
+        started = []
+        for name in ("simulate_sc_curve", "simulate_mrc_curve"):
+            real = getattr(mcsim, name)
+
+            def record(*args, real=real, name=name, **kwargs):
+                started.append(name)
+                if len(started) == 1:
+                    raise Broken(f"broken {name}")
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(mcsim, name, record)
+
+        spec, _ = cli._spec_from_table(SHARED_TABLE)
+        before = threading.active_count()
+        for _ in range(20):
+            started.clear()
+            with pytest.raises(Broken, match="^broken simulate_sc_curve$"):
+                run(spec, 1)
+            assert started == ["simulate_sc_curve"]
+            assert threading.active_count() == before
+
 
 class TestMain:
     def test_run_preset_exit_zero(self, tmp_path):

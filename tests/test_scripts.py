@@ -1,5 +1,6 @@
 """Smoke tests for the scripts under scripts/, run as a user runs them."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -62,3 +63,14 @@ def test_reproduce_figures_matches_run_presets(tmp_path):
         assert cli.main(argv) == 0
         assert (tmp_path / "script" / f"{preset}.csv").read_bytes() == csv.read_bytes()
         assert (tmp_path / "script" / f"{preset}.svg").read_bytes() == svg.read_bytes()
+
+
+def test_layer_times_one_line_per_preset():
+    out = run_script("layer_times.py", "--trials", "2000", "--workers", "1", "--rounds", "1")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["preset"] for r in records] == list(cli.PRESETS)
+    for r in records:
+        spec, _ = cli._spec_from_table({"preset": r["preset"]})
+        assert r["rows"] == len(list(cli._row_points(spec)))
+        assert (r["trials"], r["workers"], r["rounds"]) == (2000, 1, 1)
+        assert all(r[k] > 0 for k in ("analytic_ms", "mc_ms", "run_ms", "emit_ms"))
