@@ -254,12 +254,9 @@ def sample_sum(p: SRParams, link: LinkSNR, k: int, rng: np.random.Generator, siz
     - Otherwise (average shadowing at k >= 2): one binomial draw for J and
       one Gamma(k + J) draw per sample.
 
-    Per draw from 10^5-element arrays (2 cores, numpy 2.4, SFC64), the
-    first path takes 6.5 ns (heavy, k = 1), 16.8 ns (heavy, k = 5) and
-    10.6 ns (average, k = 1), where the second takes 13.9, 23.2 and 25.5 ns.
-    At average k = 2 (P(J = 0) = 0.43) the second takes 33.0 ns and the
-    first 31.3 ns; at average k = 5 the second takes 40.2 ns and the first
-    53.6 ns.
+    The rule P(J = 0) >= 1/2 selects the split path; the per-draw timings
+    of both paths behind it are in `BENCH_pr19.json` under
+    `sampler_ns_per_draw`.
     """
     _check_k(k)
     _, q, theta = _erlang_mixture(p)

@@ -10,19 +10,22 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-import threading
-from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import linkbudget, mcsim, outage
+from . import outage
 from .channel import CONDITIONS, LinkSNR
-from .mcsim import MCConfig, OutageEstimate
 from .outage import HopPair, StaircaseConfig, Threshold
+
+if TYPE_CHECKING:
+    from .mcsim import MCConfig, OutageEstimate
+
+# A table without Monte Carlo never imports `mcsim`, `linkbudget`, the
+# thread pool or `json`: each is imported inside the function that uses it.
 
 __all__ = ["ExperimentSpec", "RunRow", "run", "emit_csv", "emit_svg", "main"]
 
@@ -169,6 +172,8 @@ def _mc_curve(
 ) -> list[OutageEstimate]:
     """The Monte Carlo columns of one (kernel, condition) curve, from one
     draw set seeded by the curve's first row index."""
+    from . import mcsim
+
     cfg = replace(spec.mc, seed=_row_seed(spec.mc.seed, first_index))
     # Looked up at call time, so a replaced module attribute is the one called.
     simulate = mcsim.simulate_mrc_curve if points[0][0] == "MRC" else mcsim.simulate_sc_curve
@@ -186,6 +191,13 @@ def _mc_column(spec: ExperimentSpec, points, workers: int) -> list[OutageEstimat
     curve's simulator gets workers // curves block threads.  Once a curve
     raises, no further curve starts, and the error reaches the caller.
     """
+    # This module's Monte Carlo imports run here, on the calling thread,
+    # before any pool thread starts.
+    import threading
+    from concurrent.futures import CancelledError, ThreadPoolExecutor
+
+    from . import mcsim  # noqa: F401  (read by `_mc_curve`)
+
     curves: dict[tuple[str, str], list[int]] = {}
     for i, (scheme, cond, *_) in enumerate(points):
         curves.setdefault(("MRC" if scheme == "MRC" else "SC", cond), []).append(i)
@@ -463,6 +475,16 @@ def _parse(key: str, text, convert):
         raise ValueError(f"config key {key!r}: {text!r} is not a valid {convert.__name__}") from None
 
 
+def _mc_config(table: dict[str, str]) -> MCConfig:
+    from .mcsim import MCConfig
+
+    return MCConfig(
+        trials=_parse("trials", table.get("trials", DEFAULT_TRIALS), int),
+        seed=_parse("seed", table.get("seed", DEFAULT_SEED), int),
+        ci_level=_parse("ci_level", table.get("ci_level", 0.99), float),
+    )
+
+
 def _spec_from_table(table: dict[str, str]) -> tuple[ExperimentSpec, int]:
     """The spec and worker count of a run table (config key -> text value).
 
@@ -511,13 +533,7 @@ def _spec_from_table(table: dict[str, str]) -> tuple[ExperimentSpec, int]:
             depth_l=_parse("depth_l", table.get("depth_l", stairs.depth_l), float),
         ),
         threshold=thr,
-        mc=MCConfig(
-            trials=_parse("trials", table.get("trials", DEFAULT_TRIALS), int),
-            seed=_parse("seed", table.get("seed", DEFAULT_SEED), int),
-            ci_level=_parse("ci_level", table.get("ci_level", 0.99), float),
-        )
-        if _BOOLEANS[mc]
-        else None,
+        mc=_mc_config(table) if _BOOLEANS[mc] else None,
         csv_path=table.get("csv", f"{preset}.csv"),
         svg_path=table.get("svg"),
     )
@@ -542,6 +558,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_linkbudget(args) -> int:
+    from . import linkbudget
+
     grid = linkbudget.reference_grid(
         altitude_km=args.altitude_km,
         frequency_hz=args.frequency_hz,
@@ -607,6 +625,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # argparse errors exit(2) on their own
+        import json
+
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

@@ -73,10 +73,8 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
-from statistics import NormalDist
 
 import numpy as np
 
@@ -145,6 +143,8 @@ class OutageEstimate:
 def _wilson(successes: int, trials: int, ci_level: float) -> OutageEstimate:
     # Wilson over Wald: stays valid for the ~1e-4 tail probabilities where
     # Wald intervals collapse or go negative.
+    from statistics import NormalDist
+
     z = NormalDist().inv_cdf(0.5 + ci_level / 2.0)
     p = successes / trials
     denom = 1.0 + z * z / trials
@@ -178,6 +178,8 @@ def _run_blocks(kernel, cfg: MCConfig, workers: int) -> list[OutageEstimate]:
         return kernel(_block_rng(cfg.seed, block), sizes[block])
 
     if workers > 1 and len(sizes) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             hits = sum(pool.map(one, range(len(sizes))))
     else:

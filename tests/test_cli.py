@@ -707,6 +707,47 @@ class TestMain:
         assert proc.returncode == 0, proc.stderr
         assert csv.exists()
 
+    def test_no_mc_run_imports_only_the_analytic_stack(self, tmp_path):
+        # A fresh interpreter: this process has imported everything already.
+        script = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from satrelay import cli
+conf, out = sys.argv[2], sys.argv[3]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["run", "--config", conf, "--no-mc", "--csv", out + "/a.csv"]) == 0
+deferred = ("satrelay.mcsim", "satrelay.linkbudget", "concurrent.futures", "statistics", "json")
+assert not [m for m in deferred if m in sys.modules], [m for m in deferred if m in sys.modules]
+
+import satrelay
+assert {"mcsim", "linkbudget", "MCConfig", "simulate_mrc", "LinkBudget"} <= set(dir(satrelay))
+assert getattr(satrelay, "mcsim") is sys.modules["satrelay.mcsim"]
+assert satrelay.MCConfig is satrelay.mcsim.MCConfig
+from satrelay import LinkBudget, simulate_mrc
+assert simulate_mrc is satrelay.mcsim.simulate_mrc
+assert LinkBudget is sys.modules["satrelay.linkbudget"].LinkBudget
+try:
+    satrelay.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown name resolved")
+# fig1's four Monte Carlo curves on a pool of two threads.
+argv = ["run", "--preset", "fig1", "--trials", "2000", "--workers", "2", "--csv", out + "/b.csv"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(argv) == 0
+"""
+        conf = tmp_path / "one.conf"
+        conf.write_text("schemes = SS\nconditions = HH\nk_values = 1\nsnr_db = 10\n")
+        src = pathlib.Path(cli.__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(src), str(conf), str(tmp_path)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = (tmp_path / "b.csv").read_text().splitlines()[1:]
+        assert len(rows) == 66 and all(r.split(",")[9] == "2000" for r in rows)
+
     def test_validate_subcommand(self, capsys):
         assert cli.main(["validate"]) == 0
         out = capsys.readouterr().out
