@@ -1,21 +1,19 @@
 """Outage probabilities for the single-satellite, selection-combining, and
 maximal-ratio-combining schemes.
 
-The central quantity is Pr[(X - a)(Y - b) <= c] for independent
-nonnegative X, Y: the exact event for variable-gain AF relaying (per-hop
-SNRs) and for fixed-gain MRC (sums of per-hop SNRs).  The hyperbolic
-region is covered exactly near the origin and by an M-step staircase of
-rectangles along both wings, truncated at depth L.  Where the outage is
-near 1, the single-satellite and selection-combining success
-probabilities 1 - OP are also summed directly from the uncovered pieces
-of the same rectangles, so they stay representable where 1 - OP would not.
+Every outage here is one staircase sum over Pr[(X - a)(Y - b) <= c] for
+independent nonnegative X, Y: the exact event for variable-gain AF relaying
+(per-hop SNRs) and for fixed-gain MRC (sums of per-hop SNRs).  The region
+is covered exactly near the origin and by M rectangles along each wing, out
+to depth L.  Each axis is read once, on one `_grid` of 2M + 2 abscissae:
+`_outage_pieces` sums the covered mass from CDF values there, and
+`_success_pieces` the uncovered mass from survival values, which stays
+representable where 1 - OP would not.  Both SS axes share one grid, so
+`op_ss` and `ps_ss` evaluate each hop's survival function once.
 
-A run table evaluates the same hop pairs and uplink sums many times over
-(SS and SC at every K, HH beside HA, AH beside AA), so `op_sc_rows` and
-`op_mrc_rows` take a list of rows, each a list of hop pairs, and compute
-each distinct hop-pair outage or uplink axis once per call; nothing is
-kept after the call returns.  `op_sc` and `op_mrc` are their one-row
-cases.
+`op_sc_rows` and `op_mrc_rows` take a table's rows, each a list of hop
+pairs, and compute each distinct hop-pair outage or uplink axis once per
+call, keeping nothing after it; `op_sc` and `op_mrc` are one-row cases.
 """
 
 from __future__ import annotations
@@ -66,8 +64,9 @@ class StaircaseConfig:
     depth_l: float = 15.0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.steps_m <= self.MAX_STEPS_M:
-            raise ValueError(f"steps_m must be in 1..{self.MAX_STEPS_M}, got {self.steps_m}")
+        m = self.steps_m
+        if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= self.MAX_STEPS_M:
+            raise ValueError(f"steps_m must be an int in 1..{self.MAX_STEPS_M}, got {m!r}")
         if not (math.isfinite(self.depth_l) and self.depth_l > 0.0):
             raise ValueError(f"depth_l must be finite and > 0, got {self.depth_l}")
 
@@ -113,15 +112,32 @@ class HopPair:
     sg: tuple[SRParams, LinkSNR]
 
 
-def _staircase_grids(x_offset: float, y_offset: float, rhs: float, cfg: StaircaseConfig):
-    """Abscissae needed by the staircase on each axis."""
-    root = math.sqrt(rhs)
-    step = cfg.depth_l / cfg.steps_m
-    edges = root + np.arange(cfg.steps_m + 1) * step
-    # Hyperbola evaluated at each block's lower edge, where the rectangle
-    # touches the true boundary.
-    hyp = rhs / edges[:-1]
-    return root, x_offset + edges, x_offset + hyp, y_offset + edges, y_offset + hyp
+def _grid(offset: float, rhs: float, cfg: StaircaseConfig) -> np.ndarray:
+    """One axis's abscissae, each shifted by offset: 0, the M + 1 block edges
+    from sqrt(rhs) to depth_l beyond it, and the heights rhs / lower edge."""
+    edges = math.sqrt(rhs) + np.arange(cfg.steps_m + 1) * (cfg.depth_l / cfg.steps_m)
+    return offset + np.concatenate(([0.0], edges, rhs / edges[:-1]))
+
+
+def _outage_pieces(fx: np.ndarray, fy: np.ndarray, m: int) -> float:
+    """The covered mass from each axis's CDF on its `_grid`: the two strips
+    below the offsets, the corner square and the 2M wing rectangles."""
+    fx_off, fy_off = fx[0], fy[0]
+    strips = fx_off + fy_off * (1.0 - fx_off)
+    corner = (fx[1] - fx_off) * (fy[1] - fy_off)
+    x_wing = np.sum((fx[m + 2 :] - fx_off) * np.diff(fy[1 : m + 2]))
+    y_wing = np.sum((fy[m + 2 :] - fy_off) * np.diff(fx[1 : m + 2]))
+    return float(np.clip(strips + corner + x_wing + y_wing, 0.0, 1.0))
+
+
+def _success_pieces(sx: np.ndarray, sy: np.ndarray, m: int) -> float:
+    """The uncovered mass from each axis's survival function on its `_grid`
+    (0: offset, 1: corner edge, m + 1: far edge, m + 2 ...: heights)."""
+    beyond_corner = sx[1] * sy[1]
+    x_wing = np.sum((sx[m + 2 :] - sx[1]) * -np.diff(sy[1 : m + 2]))
+    y_wing = np.sum((sy[m + 2 :] - sy[1]) * -np.diff(sx[1 : m + 2]))
+    beyond_depth = (sx[0] - sx[1]) * sy[m + 1] + (sy[0] - sy[1]) * sx[m + 1]
+    return float(np.clip(beyond_corner + (x_wing + y_wing) + beyond_depth, 0.0, 1.0))
 
 
 def _validate_staircase(x_offset: float, y_offset: float, rhs: float) -> None:
@@ -154,20 +170,9 @@ def staircase_probability(
     exceeds the right-hand side).
     """
     _validate_staircase(x_offset, y_offset, rhs)
-    _, x_edges, x_hyp, y_edges, y_hyp = _staircase_grids(x_offset, y_offset, rhs, cfg)
-
-    fx = np.asarray(cdf_x(np.concatenate(([x_offset], x_edges, x_hyp))))
-    fy = np.asarray(cdf_y(np.concatenate(([y_offset], y_edges, y_hyp))))
-    m = cfg.steps_m
-    fx_off, fx_edges, fx_hyp = fx[0], fx[1 : m + 2], fx[m + 2 :]
-    fy_off, fy_edges, fy_hyp = fy[0], fy[1 : m + 2], fy[m + 2 :]
-
-    r1 = fx_off
-    r2 = fy_off * (1.0 - fx_off)
-    r3 = (fx_edges[0] - fx_off) * (fy_edges[0] - fy_off)
-    r4 = np.sum((fx_hyp - fx_off) * np.diff(fy_edges))
-    r5 = np.sum((fy_hyp - fy_off) * np.diff(fx_edges))
-    return float(np.clip(r1 + r2 + r3 + r4 + r5, 0.0, 1.0))
+    fx = np.asarray(cdf_x(_grid(x_offset, rhs, cfg)))
+    fy = np.asarray(cdf_y(_grid(y_offset, rhs, cfg)))
+    return _outage_pieces(fx, fy, cfg.steps_m)
 
 
 def staircase_success_probability(
@@ -190,19 +195,9 @@ def staircase_success_probability(
     functions of X and Y; every interval mass is a survival difference.
     """
     _validate_staircase(x_offset, y_offset, rhs)
-    _, x_edges, x_hyp, y_edges, y_hyp = _staircase_grids(x_offset, y_offset, rhs, cfg)
-    sx = np.asarray(sf_x(np.concatenate(([x_offset], x_edges, x_hyp))))
-    sy = np.asarray(sf_y(np.concatenate(([y_offset], y_edges, y_hyp))))
-    m = cfg.steps_m
-    # index 0: offset, 1: corner edge, m + 1: far edge, m + 2 ...: hyperbola heights
-    beyond_corner = sx[1] * sy[1]
-    x_slabs = sx[m + 2 :] - sx[1]
-    y_slabs = sy[m + 2 :] - sy[1]
-    x_blocks = -np.diff(sx[1 : m + 2])
-    y_blocks = -np.diff(sy[1 : m + 2])
-    wings = np.sum(x_slabs * y_blocks) + np.sum(y_slabs * x_blocks)
-    beyond_depth = (sx[0] - sx[1]) * sy[m + 1] + (sy[0] - sy[1]) * sx[m + 1]
-    return float(np.clip(beyond_corner + wings + beyond_depth, 0.0, 1.0))
+    sx = np.asarray(sf_x(_grid(x_offset, rhs, cfg)))
+    sy = np.asarray(sf_y(_grid(y_offset, rhs, cfg)))
+    return _success_pieces(sx, sy, cfg.steps_m)
 
 
 def staircase_truncation_bound(
@@ -213,57 +208,35 @@ def staircase_truncation_bound(
     rhs: float,
     cfg: StaircaseConfig,
 ) -> float:
-    """Upper bound on the event mass dropped beyond depth_l on both wings."""
-    root = math.sqrt(rhs)
-    far = root + cfg.depth_l
-    x_tail = (1.0 - float(cdf_x(np.asarray([x_offset + far]))[0])) * (
-        float(cdf_y(np.asarray([y_offset + rhs / far]))[0])
-        - float(cdf_y(np.asarray([y_offset]))[0])
-    )
-    y_tail = (1.0 - float(cdf_y(np.asarray([y_offset + far]))[0])) * (
-        float(cdf_x(np.asarray([x_offset + rhs / far]))[0])
-        - float(cdf_x(np.asarray([x_offset]))[0])
-    )
-    return x_tail + y_tail
-
-
-def _sr_cdf(pair: tuple[SRParams, LinkSNR]):
-    params, link = pair
-    return lambda x: channel.cdf(params, link, x)
-
-
-def _sr_sf(pair: tuple[SRParams, LinkSNR]):
-    params, link = pair
-    return lambda x: channel.sf(params, link, x)
-
-
-def _sum_cdf(pair: tuple[SRParams, LinkSNR], K: int):
-    params, link = pair
-    ctx = SumSRContext.for_fading(params, K)
-    return lambda x: channel.sum_cdf(params, link, ctx, x)
+    """Upper bound on the event mass dropped beyond depth_l on both wings;
+    each CDF is called once, on three abscissae."""
+    _validate_staircase(x_offset, y_offset, rhs)
+    far = math.sqrt(rhs) + cfg.depth_l
+    fx = np.asarray(cdf_x(x_offset + np.array([0.0, far, rhs / far])))
+    fy = np.asarray(cdf_y(y_offset + np.array([0.0, far, rhs / far])))
+    return float((1.0 - fx[1]) * (fy[2] - fy[0]) + (1.0 - fy[1]) * (fx[2] - fx[0]))
 
 
 def op_ss(hops: HopPair, thr: Threshold, cfg: StaircaseConfig) -> float:
     """Single-satellite outage under variable-gain relaying:
     Pr[(Lambda_sg - gamma)(Lambda_ns - gamma) <= gamma^2 + gamma].
 
-    At or above 1/2 this is 1 - ps_ss, so an outage within an ulp of 1 is
-    not clipped to exactly 1.0; below 1/2 the outage-form sum keeps its
-    own relative precision.
+    Each hop's survival function is read once, on the grid both axes share,
+    and the CDF there is 1 - sf.  At or above 1/2 this is 1 - ps_ss, so an
+    outage within an ulp of 1 is not clipped to exactly 1.0; below 1/2 the
+    outage-form sum keeps its own relative precision.
     """
-    g = thr.gamma_th
-    out = staircase_probability(
-        _sr_cdf(hops.sg), _sr_cdf(hops.ns), g, g, thr.upsilon, cfg
-    )
-    return 1.0 - ps_ss(hops, thr, cfg) if out >= 0.5 else out
+    grid = _grid(thr.gamma_th, thr.upsilon, cfg)
+    s_sg = channel.sf(*hops.sg, grid)
+    s_ns = channel.sf(*hops.ns, grid)
+    out = _outage_pieces(1.0 - s_sg, 1.0 - s_ns, cfg.steps_m)
+    return 1.0 - _success_pieces(s_sg, s_ns, cfg.steps_m) if out >= 0.5 else out
 
 
 def ps_ss(hops: HopPair, thr: Threshold, cfg: StaircaseConfig) -> float:
     """Single-satellite success probability 1 - op_ss, summed directly."""
-    g = thr.gamma_th
-    return staircase_success_probability(
-        _sr_sf(hops.sg), _sr_sf(hops.ns), g, g, thr.upsilon, cfg
-    )
+    grid = _grid(thr.gamma_th, thr.upsilon, cfg)
+    return _success_pieces(channel.sf(*hops.sg, grid), channel.sf(*hops.ns, grid), cfg.steps_m)
 
 
 def op_sc(hops_per_sat: list[HopPair], thr: Threshold, cfg: StaircaseConfig) -> float:
@@ -328,18 +301,15 @@ def op_mrc_rows(rows: list[list[HopPair]], thr: Threshold, cfg: StaircaseConfig)
     if not all(rows):
         raise ValueError("need at least one satellite")
     g = thr.gamma_th
-    axes: dict[tuple, np.ndarray] = {}
+    uplinks: dict[tuple, np.ndarray] = {}
     out = []
     for hops_per_sat in rows:
         hop, k = _require_iid(hops_per_sat), len(hops_per_sat)
-
-        def uplink_cdf(y, uplink=(hop.ns, k)):
-            if uplink not in axes:
-                axes[uplink] = _sum_cdf(*uplink)(y)
-            return axes[uplink]
-
-        cm = c_mrc([h.ns for h in hops_per_sat])
-        out.append(staircase_probability(_sum_cdf(hop.sg, k), uplink_cdf, 0.0, g, cm * g, cfg))
+        rhs = c_mrc([h.ns for h in hops_per_sat]) * g
+        f_sg = channel.sum_cdf(*hop.sg, SumSRContext(k), _grid(0.0, rhs, cfg))
+        if (hop.ns, k) not in uplinks:
+            uplinks[hop.ns, k] = channel.sum_cdf(*hop.ns, SumSRContext(k), _grid(g, rhs, cfg))
+        out.append(_outage_pieces(f_sg, uplinks[hop.ns, k], cfg.steps_m))
     return out
 
 

@@ -47,7 +47,7 @@ _MAX_TERMS = 500
 
 def ln_gamma(x: float) -> float:
     """Natural log of the Gamma function for x > 0."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError(f"ln_gamma requires x > 0, got {x}")
     return math.lgamma(x)
 

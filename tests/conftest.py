@@ -77,3 +77,17 @@ def mrc_outage_mp(ns, sg, k, g, cm):
         [0, corner, 4 * corner, mpmath.inf],
     )
     return sum_cdf_mp(*ns, k, g) + tail
+
+
+def ladder_table(steps_m, depth_l):
+    """The staircase-refinement ladder's run table at one (M, L)."""
+    return {
+        "schemes": "SS, SC, MRC",
+        "conditions": "HH, HA, AH, AA",
+        "k_values": "2, 8, 16",
+        "snr_db": "-6, 3, 12",
+        "rate_r": "0.5",
+        "steps_m": str(steps_m),
+        "depth_l": str(depth_l),
+        "mc": "false",
+    }

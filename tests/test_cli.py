@@ -14,6 +14,8 @@ from satrelay.cli import CSV_HEADER, RunRow, emit_csv, emit_svg, run
 from satrelay.mcsim import MCConfig, OutageEstimate
 from satrelay.outage import HopPair, StaircaseConfig, Threshold
 
+from conftest import ladder_table
+
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
@@ -421,20 +423,6 @@ class TestCurves:
         assert [(r.k, r.snr_db) for r in rows] == [(2, 0.0), (2, 6.0), (3, 0.0), (3, 6.0)]
         assert rows[0].mc == rows[2].mc and rows[1].mc == rows[3].mc
         assert rows[0].mc.p_hat > rows[1].mc.p_hat
-
-
-def ladder_table(steps_m, depth_l):
-    """The staircase-refinement ladder's run table at one (M, L)."""
-    return {
-        "schemes": "SS, SC, MRC",
-        "conditions": "HH, HA, AH, AA",
-        "k_values": "2, 8, 16",
-        "snr_db": "-6, 3, 12",
-        "rate_r": "0.5",
-        "steps_m": str(steps_m),
-        "depth_l": str(depth_l),
-        "mc": "false",
-    }
 
 
 class TestRunMemo:

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from satrelay import channel, mcsim, outage
-from satrelay.channel import AVERAGE_SHADOWING, HEAVY_SHADOWING, LinkSNR
+from satrelay import channel, cli, mcsim, outage
+from satrelay.channel import AVERAGE_SHADOWING, HEAVY_SHADOWING, LinkSNR, SumSRContext
 from satrelay.mcsim import MCConfig, _wilson
 from satrelay.outage import HopPair, StaircaseConfig, Threshold
 
-from conftest import sum_cdf_mp
+from conftest import ladder_table, sum_cdf_mp
 
 CFG = StaircaseConfig(steps_m=50, depth_l=15.0)
 THR = Threshold(gamma_th=1.0)
@@ -58,6 +58,8 @@ class TestStaircaseConfig:
             dict(depth_l=0.0),
             dict(depth_l=math.nan),
             dict(depth_l=math.inf),
+            dict(steps_m=2.5),
+            dict(steps_m=True),
         ],
     )
     def test_invalid(self, kwargs):
@@ -103,6 +105,36 @@ class TestStaircaseProbability:
         bound = outage.staircase_truncation_bound(fx, fx, 1.0, 1.0, 2.0, CFG)
         assert 0.0 <= bound < 1e-4
 
+    @pytest.mark.parametrize(
+        "x_offset, y_offset, rhs", [(1.0, 1.0, -1.0), (1.0, 1.0, 0.0), (-1.0, 1.0, 2.0)]
+    )
+    def test_truncation_bound_validates_like_its_siblings(self, x_offset, y_offset, rhs):
+        fx = lambda x: np.clip(x, 0.0, 1.0)
+        with pytest.raises(ValueError, match="rhs must be > 0|offsets must be >= 0"):
+            outage.staircase_truncation_bound(fx, fx, x_offset, y_offset, rhs, CFG)
+
+    def test_truncation_bound_one_call_per_axis(self):
+        # Each wing's tail: the mass beyond the far edge times the CDF
+        # interval below the hyperbola's height there.
+        link = LinkSNR.from_db(4.0)
+        calls = []
+
+        def cdf_of(p):
+            return lambda x: calls.append(len(x)) or channel.cdf(p, link, x)
+
+        a, b, rhs = 1.0, 0.5, 2.0
+        bound = outage.staircase_truncation_bound(
+            cdf_of(HEAVY_SHADOWING), cdf_of(AVERAGE_SHADOWING), a, b, rhs, CFG
+        )
+        assert calls == [3, 3]
+        fx = lambda v: channel.cdf(HEAVY_SHADOWING, link, v)
+        fy = lambda v: channel.cdf(AVERAGE_SHADOWING, link, v)
+        far = math.sqrt(rhs) + CFG.depth_l
+        want = (1.0 - fx(a + far)) * (fy(b + rhs / far) - fy(b)) + (1.0 - fy(b + far)) * (
+            fx(a + rhs / far) - fx(a)
+        )
+        assert bound == pytest.approx(want, rel=1e-12)
+
 
 class TestOpSS:
     def test_symmetric_in_hops(self):
@@ -143,6 +175,27 @@ class TestOpSS:
         exact = fx(1.0) + fx(1.0) * (1.0 - fx(1.0)) + tail
         got = outage.op_ss(hop, THR, CFG)
         assert got == pytest.approx(exact, rel=0.02)
+
+    @pytest.mark.parametrize("db, sg", [(-6.0, HEAVY_SHADOWING), (20.0, AVERAGE_SHADOWING)])
+    def test_reads_each_hop_survival_once(self, monkeypatch, db, sg):
+        # Near 1 (-6 dB) and far below 1/2 (20 dB) alike: one survival
+        # evaluation per hop on one shared grid, and no CDF call.
+        hop = hop_at(db, ns=AVERAGE_SHADOWING, sg=sg)
+        calls = []
+        sf = channel.sf
+
+        def spy_sf(p, link, x):
+            calls.append((p, link, x.tobytes()))
+            return sf(p, link, x)
+
+        def no_cdf(*args):
+            raise AssertionError("op_ss called channel.cdf")
+
+        monkeypatch.setattr(channel, "sf", spy_sf)
+        monkeypatch.setattr(channel, "cdf", no_cdf)
+        outage.op_ss(hop, THR, CFG)
+        assert [c[:2] for c in calls] == [hop.sg, hop.ns]
+        assert calls[0][2] == calls[1][2]
 
 
 class TestOpSC:
@@ -203,13 +256,18 @@ class TestRunMemo:
 
 
 def _staircase_mp(pair_x, pair_y, a, b, rhs, cfg):
-    """staircase_probability's five pieces, summed in mpmath arithmetic."""
-    _, x_edges, x_hyp, y_edges, y_hyp = outage._staircase_grids(a, b, rhs, cfg)
+    """staircase_probability's five pieces, summed in mpmath arithmetic on
+    the staircase's float abscissae: the M + 1 block edges from the corner
+    sqrt(rhs) out to depth_l beyond it, and the hyperbola's height at each
+    block's lower edge, both shifted by the axis's offset."""
+    m = cfg.steps_m
+    edges = math.sqrt(rhs) + np.arange(m + 1) * (cfg.depth_l / m)
+    hyp = rhs / edges[:-1]
+    x_edges, x_hyp, y_edges, y_hyp = a + edges, a + hyp, b + edges, b + hyp
     fx = lambda v: sum_cdf_mp(*pair_x, 1, v)
     fy = lambda v: sum_cdf_mp(*pair_y, 1, v)
     fxa, fya = fx(a), fy(b)
     fxe, fye = [fx(v) for v in x_edges], [fy(v) for v in y_edges]
-    m = cfg.steps_m
     return (
         fxa
         + fya * (1 - fxa)
@@ -276,6 +334,63 @@ class TestNearOneOutage:
         ps = outage.ps_ss(hop, THR, CFG)
         assert abs(outage_form + ps - 1.0) <= 1e-14
         assert abs(outage.op_ss(hop, THR, CFG) + ps - 1.0) <= 1e-14
+
+
+LADDER_STEPS = {"ladder-m50": (50, 15.0), "ladder-m200": (200, 30.0), "ladder-m800": (800, 45.0)}
+
+
+def _table_rows(table):
+    """(scheme, hop pairs, threshold, staircase) of each row of a fig1-fig3
+    preset or of one staircase-ladder rung, as `satrelay run` builds them."""
+    text = ladder_table(*LADDER_STEPS[table]) if table in LADDER_STEPS else {"preset": table}
+    spec = cli._spec_from_table({**text, "mc": "false"})[0]
+    for point in cli._row_points(spec):
+        yield point[0], cli._hops(*point), spec.threshold, spec.staircase
+
+
+TABLES = ["fig1", "fig2", "fig3", *LADDER_STEPS]
+
+
+class TestPublicCallablePath:
+    """The scheme functions give the bits of the public staircase functions
+    fed `channel`'s own evaluators, at every figure and ladder point."""
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_op_ss_and_ps_ss(self, table):
+        seen = set()
+        for _, hops, thr, cfg in _table_rows(table):
+            hop = hops[0]
+            if (hop, thr, cfg) in seen:
+                continue
+            seen.add((hop, thr, cfg))
+            g, ups = thr.gamma_th, thr.upsilon
+            out = outage.staircase_probability(
+                lambda x: channel.cdf(*hop.sg, x), lambda x: channel.cdf(*hop.ns, x), g, g, ups, cfg
+            )
+            ps = outage.staircase_success_probability(
+                lambda x: channel.sf(*hop.sg, x), lambda x: channel.sf(*hop.ns, x), g, g, ups, cfg
+            )
+            assert outage.ps_ss(hop, thr, cfg) == ps
+            assert outage.op_ss(hop, thr, cfg) == (1.0 - ps if out >= 0.5 else out)
+        assert seen
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_op_mrc(self, table):
+        rows = [r for r in _table_rows(table) if r[0] == "MRC"]
+        for _, hops, thr, cfg in rows:
+            hop, k, g = hops[0], len(hops), thr.gamma_th
+            sg_ctx = SumSRContext.for_fading(hop.sg[0], k)
+            ns_ctx = SumSRContext.for_fading(hop.ns[0], k)
+            want = outage.staircase_probability(
+                lambda x: channel.sum_cdf(*hop.sg, sg_ctx, x),
+                lambda y: channel.sum_cdf(*hop.ns, ns_ctx, y),
+                0.0,
+                g,
+                outage.c_mrc([h.ns for h in hops]) * g,
+                cfg,
+            )
+            assert outage.op_mrc(hops, thr, cfg) == want
+        assert rows
 
 
 class TestCMrc:

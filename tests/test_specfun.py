@@ -43,7 +43,7 @@ class TestLnGamma:
             got = ln_gamma(float(x))
             assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.nan])
     def test_domain_error(self, bad):
         with pytest.raises(ValueError):
             ln_gamma(bad)
