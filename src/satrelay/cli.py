@@ -24,8 +24,8 @@ from .outage import HopPair, StaircaseConfig, Threshold
 if TYPE_CHECKING:
     from .mcsim import MCConfig, OutageEstimate
 
-# A table without Monte Carlo never imports `mcsim`, `linkbudget`, the
-# thread pool or `json`: each is imported inside the function that uses it.
+# A table without Monte Carlo never imports `mcsim`, `linkbudget` or
+# `json`: each is imported inside the function that uses it.
 
 __all__ = ["ExperimentSpec", "RunRow", "run", "emit_csv", "emit_svg", "main"]
 
@@ -167,68 +167,30 @@ def _analytic_rows(spec: ExperimentSpec, points) -> list[RunRow]:
     return rows
 
 
-def _mc_curve(
-    spec: ExperimentSpec, points, first_index: int, sim_workers: int
-) -> list[OutageEstimate]:
-    """The Monte Carlo columns of one (kernel, condition) curve, from one
-    draw set seeded by the curve's first row index."""
-    from . import mcsim
-
-    cfg = replace(spec.mc, seed=_row_seed(spec.mc.seed, first_index))
-    # Looked up at call time, so a replaced module attribute is the one called.
-    simulate = mcsim.simulate_mrc_curve if points[0][0] == "MRC" else mcsim.simulate_sc_curve
-    return simulate([_hops(*p) for p in points], spec.threshold, cfg, workers=sim_workers)
-
-
 def _mc_column(spec: ExperimentSpec, points, workers: int) -> list[OutageEstimate]:
     """Every row's Monte Carlo estimate, in row order.
 
     Rows that share (kernel, condition) form one curve over K and SNR: SC
     for SS rows (its one-satellite rows) and SC rows, MRC for MRC rows.
     Each is drawn from one set seeded by (spec.mc.seed, index of its first
-    row), so results do not depend on the worker count.  The curves go to
-    a pool of `workers` threads, and with fewer curves than workers each
-    curve's simulator gets workers // curves block threads.  Once a curve
-    raises, no further curve starts, and the error reaches the caller.
+    row), so results do not depend on the worker count.  One
+    `mcsim.simulate_curves` call runs every (curve, block) pair as a task
+    on one pool of `workers` threads.
     """
-    # This module's Monte Carlo imports run here, on the calling thread,
-    # before any pool thread starts.
-    import threading
-    from concurrent.futures import CancelledError, ThreadPoolExecutor
-
-    from . import mcsim  # noqa: F401  (read by `_mc_curve`)
+    from . import mcsim
 
     curves: dict[tuple[str, str], list[int]] = {}
     for i, (scheme, cond, *_) in enumerate(points):
         curves.setdefault(("MRC" if scheme == "MRC" else "SC", cond), []).append(i)
-    sim_workers = max(1, workers // len(curves))
-    failed = threading.Event()
-
-    def curve(index: list[int]) -> list[OutageEstimate]:
-        # A worker takes the next curve off the queue as soon as its own
-        # curve raises, before the calling thread can cancel the queue, so
-        # each curve checks for an earlier failure first.  Curves start in
-        # queue order, so the caller raises the failure before it reads
-        # the curve cancelled here.
-        if failed.is_set():
-            raise CancelledError
-        try:
-            return _mc_curve(spec, [points[i] for i in index], index[0], sim_workers)
-        except BaseException:
-            failed.set()
-            raise
-
-    column = [None] * len(points)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = [(index, pool.submit(curve, index)) for index in curves.values()]
-        try:
-            for index, future in pending:
-                for i, est in zip(index, future.result()):
-                    column[i] = est
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-    return column
+    mc = spec.mc
+    runs = [
+        (kind, [_hops(*points[i]) for i in index], replace(mc, seed=_row_seed(mc.seed, index[0])))
+        for (kind, _), index in curves.items()
+    ]
+    by_row = {}
+    for index, curve in zip(curves.values(), mcsim.simulate_curves(runs, spec.threshold, workers)):
+        by_row.update(zip(index, curve))
+    return [by_row[i] for i in range(len(points))]
 
 
 def run(spec: ExperimentSpec, workers: int = 1) -> list[RunRow]:
@@ -242,12 +204,12 @@ def run(spec: ExperimentSpec, workers: int = 1) -> list[RunRow]:
     it returns.  A table without Monte Carlo returns those rows and makes
     no pool.
 
-    Only then does the Monte Carlo column start, one curve per
-    (kernel, condition) on a pool of `workers` threads (`_mc_column`).
-    The analytic column does not run beside the pool: it is mostly Python
-    holding the GIL, and each GIL-releasing numpy call of a curve would
-    wait up to the interpreter's switch interval to get it back.  An
-    analytic error raises before any curve starts.
+    Only then does the Monte Carlo column start (`_mc_column`): every
+    (curve, block) task on one pool of `workers` threads.  The analytic
+    column does not run beside the pool: it is mostly Python holding the
+    GIL, and each GIL-releasing numpy call of a curve would wait up to the
+    interpreter's switch interval to get it back.  An analytic error raises
+    before any curve starts.
     """
     points = list(_row_points(spec))
     rows = _analytic_rows(spec, points)
@@ -603,7 +565,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--no-mc", dest="mc", action="store_const", const="false", help="skip Monte Carlo columns"
     )
-    p_run.add_argument("--workers", type=int, help="Monte Carlo curve thread pool size")
+    p_run.add_argument("--workers", type=int, help="Monte Carlo thread pool size")
     p_run.set_defaults(func=_cmd_run)
 
     p_lb = sub.add_parser("linkbudget", help="feasible SNR range for the reference uplink")

@@ -22,16 +22,16 @@ SNR) at which it is in outage, row j counts the trials with more than j,
 and at one seed the hit count never rises with SNR within a curve.  It
 grows with K too, so a trial out of outage at the lowest SNR needs no more
 draws at larger K, and at one seed the hit count never rises with K.
-A curve of one K draws exactly as it did before curves spanned K, and in
-a curve of several K the smallest K's rows draw as that K's curve alone.
-`simulate_ss`, `simulate_sc` and `simulate_mrc` are the one-row curves;
-`simulate_ss(hop)` is `simulate_sc([hop])`.
+In a curve of several K, the smallest K's rows draw as that K's curve
+alone.  `simulate_ss`, `simulate_sc` and `simulate_mrc` are the one-row
+curves; `simulate_ss(hop)` is `simulate_sc([hop])`.
 
 Trials are partitioned into fixed-size blocks; block i draws from an
 independent substream keyed by (seed, i) via SeedSequence spawn keys over
-an SFC64 generator.  Because the block layout never depends on the
-worker count, sequential and parallel runs produce bit-identical
-estimates.
+an SFC64 generator.  Every call runs through `simulate_curves`, where each
+(curve, block) pair of its curves is one task on one pool of `workers`
+threads, the package's only threads.  The block layout never depends on
+the worker count, so sequential and parallel runs give identical estimates.
 
 Every SNR is drawn with `channel.sample_sum`, the exact Erlang-mixture
 sampler (per sample, Gamma(K) plus Gamma(J) where the mixture index J is
@@ -72,7 +72,9 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from collections import Counter
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 
@@ -89,6 +91,7 @@ __all__ = [
     "simulate_mrc",
     "simulate_sc_curve",
     "simulate_mrc_curve",
+    "simulate_curves",
 ]
 
 # Fixed substream granularity; must not vary with worker count.
@@ -167,24 +170,42 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     )
 
 
-def _run_blocks(kernel, cfg: MCConfig, workers: int) -> list[OutageEstimate]:
-    """kernel(rng, n) -> outage counts, one per cell of the curve's
-    (K x SNR) grid, for one block of n trials."""
-    sizes = [_BLOCK] * (cfg.trials // _BLOCK)
-    if cfg.trials % _BLOCK:
-        sizes.append(cfg.trials % _BLOCK)
+def _run_curves(curves, workers: int) -> list[list[OutageEstimate]]:
+    """One list of estimates per (kernel, cells, cfg) curve: kernel(rng, n)
+    counts one block's outages per cell, and cells[i] is row i's cell.  Every
+    (curve, block) pair is one task, in curve-then-block order, on one pool
+    of `workers` threads, or inline at one worker or one task.  Once a task
+    raises, no further task starts, and the caller gets that error."""
+    tasks = [
+        (c, kernel, cfg.seed, block, min(_BLOCK, cfg.trials - start))
+        for c, (kernel, _, cfg) in enumerate(curves)
+        for block, start in enumerate(range(0, cfg.trials, _BLOCK))
+    ]
+    failed = threading.Event()
 
-    def one(block: int) -> np.ndarray:
-        return kernel(_block_rng(cfg.seed, block), sizes[block])
+    def one(task) -> np.ndarray:
+        # A worker takes the next task as soon as its own raises, before
+        # Executor.map cancels the queue, so each task checks for an earlier
+        # failure; tasks start in queue order, so the caller reads it first.
+        if failed.is_set():
+            raise CancelledError
+        _, kernel, seed, block, n = task
+        try:
+            return kernel(_block_rng(seed, block), n)
+        except BaseException:
+            failed.set()
+            raise
 
-    if workers > 1 and len(sizes) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(one, range(len(sizes))))
+    if workers <= 1 or len(tasks) == 1:
+        hits = list(map(one, tasks))
     else:
-        hits = sum(one(i) for i in range(len(sizes)))
-    return [_wilson(int(h), cfg.trials, cfg.ci_level) for h in hits]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            hits = list(pool.map(one, tasks))
+    out = []
+    for c, (_, cells, cfg) in enumerate(curves):
+        total = sum(h for (owner, *_), h in zip(tasks, hits) if owner == c)
+        out.append([_wilson(int(total[i]), cfg.trials, cfg.ci_level) for i in cells])
+    return out
 
 
 def _grid(curve: list[list[HopPair]]):
@@ -281,11 +302,8 @@ def _side_sum(links, rng: np.random.Generator, n: int) -> np.ndarray:
     )
 
 
-def simulate_sc_curve(
-    curve: list[list[HopPair]], thr: Threshold, cfg: MCConfig, workers: int = 1
-) -> list[OutageEstimate]:
-    """Selection combining at every row of a curve, one estimate per row;
-    SS rows are its rows of one satellite."""
+def _sc_kernel(curve: list[list[HopPair]], thr: Threshold):
+    """(kernel, cells) of `simulate_sc_curve`."""
     hops, ks, factors, _, cells = _grid(curve)
     at = {int(k): a for a, k in enumerate(ks)}
     offsets, limits = _relayed_rows(factors, thr.gamma_th)
@@ -331,15 +349,11 @@ def simulate_sc_curve(
                 hits[at[k]] = _row_hits(count, factors.size)
         return hits.ravel()
 
-    estimates = _run_blocks(kernel, cfg, workers)
-    return [estimates[c] for c in cells]
+    return kernel, cells
 
 
-def simulate_mrc_curve(
-    curve: list[list[HopPair]], thr: Threshold, cfg: MCConfig, workers: int = 1
-) -> list[OutageEstimate]:
-    """Maximal ratio combining at every row of a curve, one estimate per row,
-    each row with its own fixed-gain constant C_m."""
+def _mrc_kernel(curve: list[list[HopPair]], thr: Threshold):
+    """(kernel, cells) of `simulate_mrc_curve`."""
     hops, ks, factors, first, cells = _grid(curve)
     ns_links, sg_links = [h.ns for h in hops], [h.sg for h in hops]
     g = thr.gamma_th
@@ -403,8 +417,32 @@ def simulate_mrc_curve(
             prev = k
         return hits.ravel()
 
-    estimates = _run_blocks(kernel, cfg, workers)
-    return [estimates[c] for c in cells]
+    return kernel, cells
+
+
+def simulate_curves(curves, thr: Threshold, workers: int = 1) -> list[list[OutageEstimate]]:
+    """One list of estimates per (kind, curve, cfg), kind "SC" or "MRC", one
+    estimate per row; every curve's blocks share one pool (`_run_curves`)."""
+    kernels = {"SC": _sc_kernel, "MRC": _mrc_kernel}
+    if any(kind not in kernels for kind, _, _ in curves):
+        raise ValueError("a curve's kind must be SC or MRC")
+    return _run_curves([(*kernels[kind](curve, thr), cfg) for kind, curve, cfg in curves], workers)
+
+
+def simulate_sc_curve(
+    curve: list[list[HopPair]], thr: Threshold, cfg: MCConfig, workers: int = 1
+) -> list[OutageEstimate]:
+    """Selection combining at every row of a curve, one estimate per row;
+    SS rows are its rows of one satellite."""
+    return simulate_curves([("SC", curve, cfg)], thr, workers)[0]
+
+
+def simulate_mrc_curve(
+    curve: list[list[HopPair]], thr: Threshold, cfg: MCConfig, workers: int = 1
+) -> list[OutageEstimate]:
+    """Maximal ratio combining at every row of a curve, one estimate per row,
+    each row with its own fixed-gain constant C_m."""
+    return simulate_curves([("MRC", curve, cfg)], thr, workers)[0]
 
 
 def simulate_ss(hops: HopPair, thr: Threshold, cfg: MCConfig, workers: int = 1) -> OutageEstimate:

@@ -109,16 +109,45 @@ def _check_sum_k1():
             assert np.max(np.abs(a - b) / b) < 1e-6, (p.m, eta)
 
 
+# One draw count and one bound for every sampler check: at 200k draws the
+# KS statistic's 1-in-1000 critical value is 1.95 / sqrt(n) = 0.0044.
+_KS_DRAWS = 200_000
+_KS_BOUND = 0.005
+
+
+def _ks(draws: np.ndarray, cdf) -> float:
+    """Kolmogorov-Smirnov distance between the draws' empirical law and cdf."""
+    draws = np.sort(draws)
+    grid = cdf(draws)
+    n = draws.size
+    i = np.arange(1, n + 1)
+    return max(float(np.max(i / n - grid)), float(np.max(grid - (i - 1) / n)))
+
+
 def _check_sampler_ks():
     rng = np.random.default_rng(314159)
-    n = 200_000
+    link = LinkSNR(1.0)
     for p in PARAM_SETS.values():
-        link = LinkSNR(1.0)
-        draws = np.sort(channel.sample(p, link, rng, size=n))
-        grid = channel.cdf(p, link, draws)
-        i = np.arange(1, n + 1)
-        ks = max(float(np.max(i / n - grid)), float(np.max(grid - (i - 1) / n)))
-        assert ks < 0.01, (p.m, ks)
+        ks = _ks(channel.sample(p, link, rng, size=_KS_DRAWS), lambda x: channel.cdf(p, link, x))
+        assert ks < _KS_BOUND, (p.m, ks)
+
+
+def _check_sample_sum_ks():
+    # Both paths of the sampler every Monte Carlo run draws from, at k = 1
+    # against cdf and at k = 2 against sum_cdf.  Heavy shadowing at k = 1
+    # takes the split Gamma(k) + Gamma(J) path but adds Gamma(J) to only
+    # 0.2% of the draws, average shadowing at k = 1 to 34%; average at
+    # k = 2 takes the binomial path.
+    rng = np.random.default_rng(271828)
+    link = LinkSNR(1.0)
+    for p, k in ((HEAVY_SHADOWING, 1), (AVERAGE_SHADOWING, 1), (AVERAGE_SHADOWING, 2)):
+        draws = channel.sample_sum(p, link, k, rng, size=_KS_DRAWS)
+        if k == 1:
+            ks = _ks(draws, lambda x: channel.cdf(p, link, x))
+        else:
+            ctx = SumSRContext.for_fading(p, k)
+            ks = _ks(draws, lambda x: channel.sum_cdf(p, link, ctx, x))
+        assert ks < _KS_BOUND, (p.m, k, ks)
 
 
 def _check_staircase_limit():
@@ -214,6 +243,16 @@ def _check_mc_determinism():
     a = mcsim.simulate_sc([hop] * 3, thr, cfg, workers=1)
     b = mcsim.simulate_sc([hop] * 3, thr, cfg, workers=4)
     assert a == b, (a, b)
+    # Two curves of two blocks each on one pool: an SC curve over K = 1 and
+    # 3, and an MRC curve over two SNRs.
+    fast = LinkSNR(10.0)
+    mixed = [HopPair(ns=(AVERAGE_SHADOWING, x), sg=(HEAVY_SHADOWING, x)) for x in (link, fast)]
+    curves = [
+        ("SC", [[hop], [hop] * 3], MCConfig(trials=600_000, seed=5)),
+        ("MRC", [[mixed[0]] * 2, [mixed[1]] * 2], MCConfig(trials=600_000, seed=6)),
+    ]
+    runs = [mcsim.simulate_curves(curves, thr, workers) for workers in (1, 2, 4)]
+    assert runs[0] == runs[1] == runs[2], runs
 
 
 CHECKS = [
@@ -225,10 +264,11 @@ CHECKS = [
     ("whittaker reductions", _check_whittaker),
     ("sum CDF K=1 degeneracy", _check_sum_k1),
     ("sampler vs CDF (KS)", _check_sampler_ks),
+    ("mixture sampler vs CDF and sum CDF (KS)", _check_sample_sum_ks),
     ("staircase collapses to quadrant formula as rhs->0", _check_staircase_limit),
     ("SC factorizes into SS product", _check_sc_product),
     ("scheme ordering MRC < SC < SS", _check_ordering),
-    ("staircase brackets Monte Carlo", _check_staircase_mc),
+    ("Monte Carlo and staircase vs exact SS success", _check_staircase_mc),
     ("link budget monotonicity", _check_linkbudget),
     ("Monte Carlo determinism", _check_mc_determinism),
 ]

@@ -300,16 +300,17 @@ class TestConfigFile:
         assert row[6:] == ["", "", "", "", ""]
 
     def test_spare_workers_reach_the_simulator(self, tmp_path, monkeypatch):
-        # One curve at two workers: it gets both as Monte Carlo block
-        # threads (600k trials = two blocks), and the bytes do not change.
-        seen = []
-        simulate = mcsim.simulate_sc_curve
+        # One curve at two workers: its two blocks (600k trials) run on two
+        # pool threads, at one worker on the calling thread, and the bytes
+        # do not change.
+        threads = {}
+        real = channel.sample_sum
 
         def spy(*args, **kwargs):
-            seen.append(kwargs["workers"])
-            return simulate(*args, **kwargs)
+            threads.setdefault(workers, set()).add(threading.get_ident())
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(mcsim, "simulate_sc_curve", spy)
+        monkeypatch.setattr(channel, "sample_sum", spy)
         conf = tmp_path / "one.conf"
         conf.write_text(
             "schemes = SS\nconditions = HH\nk_values = 1\nsnr_db = 10\n"
@@ -320,7 +321,9 @@ class TestConfigFile:
             csvs.append(tmp_path / f"w{workers}.csv")
             argv = ["run", "--config", str(conf), "--workers", workers, "--csv", str(csvs[-1])]
             assert cli.main(argv) == 0
-        assert seen == [1, 2]
+        caller = threading.get_ident()
+        assert threads["1"] == {caller}
+        assert len(threads["2"]) == 2 and caller not in threads["2"]
         assert csvs[0].read_bytes() == csvs[1].read_bytes()
 
 
@@ -508,7 +511,7 @@ SHARED_TABLE = {
 class TestThreads:
     def test_analytic_on_the_calling_thread_and_mc_on_the_pool(self, monkeypatch):
         # Only the thread that called run computes analytic values; the
-        # Monte Carlo curves run elsewhere.
+        # Monte Carlo draws, SC and MRC alike, run on the pool.
         threads = {}
 
         def spy(module, name):
@@ -522,17 +525,17 @@ class TestThreads:
 
         spy(outage, "op_ss")
         spy(channel, "sum_cdf")
-        spy(mcsim, "simulate_sc_curve")
-        spy(mcsim, "simulate_mrc_curve")
+        spy(mcsim, "simulate_curves")
+        spy(channel, "sample_sum")
+        spy(mcsim, "_side_sum")
         run(*cli._spec_from_table(SHARED_TABLE))
         caller = threading.get_ident()
-        assert threads["op_ss"] == threads["sum_cdf"] == {caller}
-        simulated = threads["simulate_sc_curve"] | threads["simulate_mrc_curve"]
-        assert threads["simulate_mrc_curve"] and caller not in simulated
+        assert threads["op_ss"] == threads["sum_cdf"] == threads["simulate_curves"] == {caller}
+        assert threads["_side_sum"] and caller not in threads["sample_sum"]
 
     @pytest.mark.parametrize(
         "module, name",
-        [(outage, "op_mrc_rows"), (mcsim, "simulate_sc_curve")],
+        [(outage, "op_mrc_rows"), (channel, "sample_sum")],
         ids=["analytic", "mc"],
     )
     def test_errors_reach_the_caller(self, monkeypatch, module, name):
@@ -549,20 +552,18 @@ class TestThreads:
         assert threading.active_count() == before
 
     def test_analytic_error_cancels_the_queued_curves(self, monkeypatch):
-        # One worker and six curves of tens of ms each: the analytic column
-        # fails at once, and no curve starts after that.
+        # The analytic column fails at once, and no curve starts after that.
         class Broken(Exception):
             pass
 
         started = []
-        for name in ("simulate_sc_curve", "simulate_mrc_curve"):
-            real = getattr(mcsim, name)
+        real = mcsim.simulate_curves
 
-            def record(*args, real=real, **kwargs):
-                started.append(args)
-                return real(*args, **kwargs)
+        def record(*args, **kwargs):
+            started.append(args)
+            return real(*args, **kwargs)
 
-            monkeypatch.setattr(mcsim, name, record)
+        monkeypatch.setattr(mcsim, "simulate_curves", record)
 
         def broken(*args):
             raise Broken("broken op_sc_rows")
@@ -572,12 +573,13 @@ class TestThreads:
         before = threading.active_count()
         with pytest.raises(Broken, match="^broken op_sc_rows$"):
             run(spec, workers)
-        assert len(started) <= workers
+        assert started == []
         assert threading.active_count() == before
 
     def test_analytic_column_done_before_any_curve_starts(self, monkeypatch):
         # The analytic column does not run beside the Monte Carlo pool: both
-        # row functions return before the first curve starts.
+        # row functions return before the first draw, and SC and MRC curves
+        # draw after them.
         events = []
 
         def spy(module, name):
@@ -593,41 +595,41 @@ class TestThreads:
 
         for name in ("op_sc_rows", "op_mrc_rows"):
             spy(outage, name)
-        for name in ("simulate_sc_curve", "simulate_mrc_curve"):
-            spy(mcsim, name)
+        spy(channel, "sample_sum")
+        spy(mcsim, "_side_sum")
         run(*cli._spec_from_table(SHARED_TABLE))
-        first_curve = events.index(("start", "simulate_sc_curve"))
-        assert ("start", "simulate_mrc_curve") in events[first_curve:]
-        assert events[:first_curve] == [
+        first_draw = events.index(("start", "sample_sum"))
+        assert ("start", "_side_sum") in events[first_draw:]
+        assert events[:first_draw] == [
             ("start", "op_sc_rows"), ("end", "op_sc_rows"),
             ("start", "op_mrc_rows"), ("end", "op_mrc_rows"),
         ]
 
     def test_curve_error_cancels_the_queued_curves(self, monkeypatch):
-        # One worker and four curves: the first curve raises, and no later
-        # curve starts.
+        # One worker and four curves of one block each: the first curve's
+        # first draw raises, and no later curve starts.
         class Broken(Exception):
             pass
 
         started = []
-        for name in ("simulate_sc_curve", "simulate_mrc_curve"):
-            real = getattr(mcsim, name)
+        block_rng = mcsim._block_rng
 
-            def record(*args, real=real, name=name, **kwargs):
-                started.append(name)
-                if len(started) == 1:
-                    raise Broken(f"broken {name}")
-                return real(*args, **kwargs)
+        def record(seed, block):
+            started.append((seed, block))
+            return block_rng(seed, block)
 
-            monkeypatch.setattr(mcsim, name, record)
+        def broken(*args, **kwargs):
+            raise Broken("broken sample_sum")
 
+        monkeypatch.setattr(mcsim, "_block_rng", record)
+        monkeypatch.setattr(channel, "sample_sum", broken)
         spec, _ = cli._spec_from_table(SHARED_TABLE)
         before = threading.active_count()
         for _ in range(20):
             started.clear()
-            with pytest.raises(Broken, match="^broken simulate_sc_curve$"):
+            with pytest.raises(Broken, match="^broken sample_sum$"):
                 run(spec, 1)
-            assert started == ["simulate_sc_curve"]
+            assert started == [(cli._row_seed(spec.mc.seed, 0), 0)]
             assert threading.active_count() == before
 
 

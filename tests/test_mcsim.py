@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -169,6 +170,46 @@ class TestDeterminism:
         a = mcsim.simulate_ss(hop, THR, MCConfig(trials=200_000, seed=1))
         b = mcsim.simulate_ss(hop, THR, MCConfig(trials=200_000, seed=2))
         assert a != b
+
+
+class TestScheduler:
+    def test_block_error_stops_later_blocks(self, monkeypatch):
+        # One curve of four blocks on two threads: block 0's first draw
+        # raises while block 1 is held at its first draw, so blocks 2 and 3
+        # are still queued.  Neither may start, and the caller gets block
+        # 0's error.
+        class Broken(Exception):
+            pass
+
+        started, block_of = [], {}
+        block_rng, sample_sum = mcsim._block_rng, channel.sample_sum
+        raised = threading.Event()
+
+        def record(seed, block):
+            started.append(block)
+            rng = block_rng(seed, block)
+            block_of[id(rng)] = block
+            return rng
+
+        def draw(p, link, k, rng, size=None):
+            if block_of[id(rng)] == 0:
+                raised.set()
+                raise Broken("block 0")
+            raised.wait(timeout=30)
+            return sample_sum(p, link, k, rng, size=size)
+
+        monkeypatch.setattr(mcsim, "_BLOCK", 1000)
+        monkeypatch.setattr(mcsim, "_block_rng", record)
+        monkeypatch.setattr(channel, "sample_sum", draw)
+        cfg = MCConfig(trials=4000, seed=8)
+        before = threading.active_count()
+        for _ in range(20):
+            started.clear()
+            raised.clear()
+            with pytest.raises(Broken, match="^block 0$"):
+                mcsim.simulate_sc_curve([[hop_at(3.0)] * 2], THR, cfg, workers=2)
+            assert 0 in started and set(started) <= {0, 1}
+            assert threading.active_count() == before
 
 
 class TestSimulateSS:
@@ -440,6 +481,8 @@ class TestCurves:
         cfg = MCConfig(trials=10, seed=0)
         with pytest.raises(ValueError):
             mcsim.simulate_sc_curve([], THR, cfg)
+        with pytest.raises(ValueError):  # SS curves are SC curves
+            mcsim.simulate_curves([("SS", [[hop_at(3.0)]], cfg)], THR)
         with pytest.raises(ValueError):  # fading parameters differ
             mcsim.simulate_sc_curve([[hop_at(3.0)], [hop_at(6.0, sg=AVERAGE_SHADOWING)]], THR, cfg)
         with pytest.raises(ValueError):  # hop lists that are not prefixes of one list
