@@ -37,6 +37,7 @@ from .outage import (
     Threshold,
     asymp_op_mrc,
     asymp_op_sc,
+    asymp_op_sc_rows,
     c_mrc,
     coding_gains,
     op_mrc,

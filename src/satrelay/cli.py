@@ -149,20 +149,23 @@ def _hops(scheme: str, cond: str, k: int, db: float) -> list[HopPair]:
 def _analytic_rows(spec: ExperimentSpec, points) -> list[RunRow]:
     """Every row's analytic and asymptotic columns (SS has no asymptote).
     The SS and SC rows go to one `op_sc_rows` call and the MRC rows to one
-    `op_mrc_rows` call, so each distinct hop-pair outage and uplink axis of
-    the table is computed once; asymptotes are computed row by row."""
+    `op_mrc_rows` call, so each single-hop law and uplink axis of the table
+    is read once; the SC asymptotes come from one `asymp_op_sc_rows` call
+    and the MRC asymptotes row by row."""
     thr, stair = spec.threshold, spec.staircase
     hops = [_hops(*p) for p in points]
     is_mrc = [p[0] == "MRC" for p in points]
     sc = iter(outage.op_sc_rows([h for h, m in zip(hops, is_mrc) if not m], thr, stair))
     mrc = iter(outage.op_mrc_rows([h for h, m in zip(hops, is_mrc) if m], thr, stair))
+    sc_hops = [h for h, p in zip(hops, points) if p[0] == "SC"]
+    sc_asymp = iter(outage.asymp_op_sc_rows(sc_hops, thr))
     rows = []
     for point, row_hops, m in zip(points, hops, is_mrc):
         if m:
             analytic, asymptotic = next(mrc), outage.asymp_op_mrc(row_hops, thr)
         else:
             analytic = next(sc)
-            asymptotic = outage.asymp_op_sc(row_hops, thr) if point[0] == "SC" else None
+            asymptotic = next(sc_asymp) if point[0] == "SC" else None
         rows.append(RunRow(*point, analytic, asymptotic, None))
     return rows
 
@@ -199,8 +202,8 @@ def run(spec: ExperimentSpec, workers: int = 1) -> list[RunRow]:
     Rows are keyed (scheme, condition, K, snr_db).  The calling thread
     first computes the analytic and asymptotic columns at each row's own
     K: one `outage.op_sc_rows` call for the SS and SC rows and one
-    `outage.op_mrc_rows` call for the MRC rows, each computing every
-    distinct hop-pair outage or uplink axis once, with nothing kept after
+    `outage.op_mrc_rows` call for the MRC rows, each reading every
+    distinct single-hop law or uplink axis once, with nothing kept after
     it returns.  A table without Monte Carlo returns those rows and makes
     no pool.
 

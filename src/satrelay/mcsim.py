@@ -420,9 +420,23 @@ def _mrc_kernel(curve: list[list[HopPair]], thr: Threshold):
     return kernel, cells
 
 
+def _thread_count(workers) -> int:
+    """`workers` as an int: any integral value >= 1, numpy integers too,
+    but not a bool."""
+    try:
+        count = operator.index(workers)
+    except TypeError:
+        count = 0
+    if isinstance(workers, bool) or count < 1:
+        raise ValueError(f"workers must be an int >= 1, got {workers!r}")
+    return count
+
+
 def simulate_curves(curves, thr: Threshold, workers: int = 1) -> list[list[OutageEstimate]]:
     """One list of estimates per (kind, curve, cfg), kind "SC" or "MRC", one
-    estimate per row; every curve's blocks share one pool (`_run_curves`)."""
+    estimate per row; every curve's blocks share one pool (`_run_curves`)
+    of `workers` threads, an integer >= 1 (a bool is refused)."""
+    workers = _thread_count(workers)
     kernels = {"SC": _sc_kernel, "MRC": _mrc_kernel}
     if any(kind not in kernels for kind, _, _ in curves):
         raise ValueError("a curve's kind must be SC or MRC")

@@ -8,12 +8,18 @@ is covered exactly near the origin and by M rectangles along each wing, out
 to depth L.  Each axis is read once, on one `_grid` of 2M + 2 abscissae:
 `_outage_pieces` sums the covered mass from CDF values there, and
 `_success_pieces` the uncovered mass from survival values, which stays
-representable where 1 - OP would not.  Both SS axes share one grid, so
-`op_ss` and `ps_ss` evaluate each hop's survival function once.
+representable where 1 - OP would not.  Both reduce along the last axis, so
+one call sums a stack of staircases, one per row.
 
-`op_sc_rows` and `op_mrc_rows` take a table's rows, each a list of hop
-pairs, and compute each distinct hop-pair outage or uplink axis once per
-call, keeping nothing after it; `op_sc` and `op_mrc` are one-row cases.
+`op_sc_rows`, `op_mrc_rows` and `asymp_op_sc_rows` take a table's rows,
+each a list of hop pairs, and keep nothing after the call.  Every SS axis
+of a table shares one grid, so `op_sc_rows` reads each distinct
+single-hop law (params, link) with one `channel.sf` call, stacks the
+values and sums every distinct hop pair's outage and success pieces in
+one pass.  `op_mrc_rows` computes C_m and the uplink axis once per
+distinct (uplink, K), one `channel.sum_cdf` call per axis, and sums every
+row in one pass.  `op_ss`, `ps_ss`, `op_sc`, `op_mrc` and
+`asymp_op_sc` are one-row cases.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ __all__ = [
     "op_mrc",
     "op_mrc_rows",
     "asymp_op_sc",
+    "asymp_op_sc_rows",
     "asymp_op_mrc",
     "coding_gains",
 ]
@@ -119,25 +126,29 @@ def _grid(offset: float, rhs: float, cfg: StaircaseConfig) -> np.ndarray:
     return offset + np.concatenate(([0.0], edges, rhs / edges[:-1]))
 
 
-def _outage_pieces(fx: np.ndarray, fy: np.ndarray, m: int) -> float:
+def _outage_pieces(fx: np.ndarray, fy: np.ndarray, m: int) -> np.ndarray:
     """The covered mass from each axis's CDF on its `_grid`: the two strips
-    below the offsets, the corner square and the 2M wing rectangles."""
-    fx_off, fy_off = fx[0], fy[0]
+    below the offsets, the corner square and the 2M wing rectangles.  Each
+    row of the last axis is one staircase, so one call sums a stack."""
+    fx_off, fy_off = fx[..., 0], fy[..., 0]
     strips = fx_off + fy_off * (1.0 - fx_off)
-    corner = (fx[1] - fx_off) * (fy[1] - fy_off)
-    x_wing = np.sum((fx[m + 2 :] - fx_off) * np.diff(fy[1 : m + 2]))
-    y_wing = np.sum((fy[m + 2 :] - fy_off) * np.diff(fx[1 : m + 2]))
-    return float(np.clip(strips + corner + x_wing + y_wing, 0.0, 1.0))
+    corner = (fx[..., 1] - fx_off) * (fy[..., 1] - fy_off)
+    x_wing = np.sum((fx[..., m + 2 :] - fx[..., :1]) * np.diff(fy[..., 1 : m + 2]), axis=-1)
+    y_wing = np.sum((fy[..., m + 2 :] - fy[..., :1]) * np.diff(fx[..., 1 : m + 2]), axis=-1)
+    return np.clip(strips + corner + x_wing + y_wing, 0.0, 1.0)
 
 
-def _success_pieces(sx: np.ndarray, sy: np.ndarray, m: int) -> float:
+def _success_pieces(sx: np.ndarray, sy: np.ndarray, m: int) -> np.ndarray:
     """The uncovered mass from each axis's survival function on its `_grid`
-    (0: offset, 1: corner edge, m + 1: far edge, m + 2 ...: heights)."""
-    beyond_corner = sx[1] * sy[1]
-    x_wing = np.sum((sx[m + 2 :] - sx[1]) * -np.diff(sy[1 : m + 2]))
-    y_wing = np.sum((sy[m + 2 :] - sy[1]) * -np.diff(sx[1 : m + 2]))
-    beyond_depth = (sx[0] - sx[1]) * sy[m + 1] + (sy[0] - sy[1]) * sx[m + 1]
-    return float(np.clip(beyond_corner + (x_wing + y_wing) + beyond_depth, 0.0, 1.0))
+    (0: offset, 1: corner edge, m + 1: far edge, m + 2 ...: heights), one
+    staircase per row of the last axis."""
+    corner_x, corner_y = sx[..., 1], sy[..., 1]
+    beyond_corner = corner_x * corner_y
+    x_wing = np.sum((sx[..., m + 2 :] - sx[..., 1:2]) * -np.diff(sy[..., 1 : m + 2]), axis=-1)
+    y_wing = np.sum((sy[..., m + 2 :] - sy[..., 1:2]) * -np.diff(sx[..., 1 : m + 2]), axis=-1)
+    far_x, far_y = sx[..., m + 1], sy[..., m + 1]
+    beyond_depth = (sx[..., 0] - corner_x) * far_y + (sy[..., 0] - corner_y) * far_x
+    return np.clip(beyond_corner + (x_wing + y_wing) + beyond_depth, 0.0, 1.0)
 
 
 def _validate_staircase(x_offset: float, y_offset: float, rhs: float) -> None:
@@ -172,7 +183,7 @@ def staircase_probability(
     _validate_staircase(x_offset, y_offset, rhs)
     fx = np.asarray(cdf_x(_grid(x_offset, rhs, cfg)))
     fy = np.asarray(cdf_y(_grid(y_offset, rhs, cfg)))
-    return _outage_pieces(fx, fy, cfg.steps_m)
+    return float(_outage_pieces(fx, fy, cfg.steps_m))
 
 
 def staircase_success_probability(
@@ -197,7 +208,7 @@ def staircase_success_probability(
     _validate_staircase(x_offset, y_offset, rhs)
     sx = np.asarray(sf_x(_grid(x_offset, rhs, cfg)))
     sy = np.asarray(sf_y(_grid(y_offset, rhs, cfg)))
-    return _success_pieces(sx, sy, cfg.steps_m)
+    return float(_success_pieces(sx, sy, cfg.steps_m))
 
 
 def staircase_truncation_bound(
@@ -217,26 +228,39 @@ def staircase_truncation_bound(
     return float((1.0 - fx[1]) * (fy[2] - fy[0]) + (1.0 - fy[1]) * (fx[2] - fx[0]))
 
 
+def _ss_pieces(
+    hops: list[HopPair], thr: Threshold, cfg: StaircaseConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """(outage-form sum, success) of each hop pair, as arrays in list order.
+
+    Every single-hop law (params, link) of the pairs is read once, by one
+    `channel.sf` call on the grid both SS axes share, and the CDF there is
+    1 - sf; every pair's pieces are then summed in one row-wise pass.
+    """
+    if not hops:
+        return np.empty(0), np.empty(0)
+    laws = {law: i for i, law in enumerate(dict.fromkeys(x for h in hops for x in (h.sg, h.ns)))}
+    grid = _grid(thr.gamma_th, thr.upsilon, cfg)
+    s = np.stack([channel.sf(*law, grid) for law in laws])
+    f = 1.0 - s
+    sg, ns = [laws[h.sg] for h in hops], [laws[h.ns] for h in hops]
+    m = cfg.steps_m
+    return _outage_pieces(f[sg], f[ns], m), _success_pieces(s[sg], s[ns], m)
+
+
 def op_ss(hops: HopPair, thr: Threshold, cfg: StaircaseConfig) -> float:
     """Single-satellite outage under variable-gain relaying:
     Pr[(Lambda_sg - gamma)(Lambda_ns - gamma) <= gamma^2 + gamma].
 
-    Each hop's survival function is read once, on the grid both axes share,
-    and the CDF there is 1 - sf.  At or above 1/2 this is 1 - ps_ss, so an
-    outage within an ulp of 1 is not clipped to exactly 1.0; below 1/2 the
-    outage-form sum keeps its own relative precision.
+    The one-row case of `op_sc_rows`: each distinct hop law's survival
+    function is read once, on the grid both axes share.
     """
-    grid = _grid(thr.gamma_th, thr.upsilon, cfg)
-    s_sg = channel.sf(*hops.sg, grid)
-    s_ns = channel.sf(*hops.ns, grid)
-    out = _outage_pieces(1.0 - s_sg, 1.0 - s_ns, cfg.steps_m)
-    return 1.0 - _success_pieces(s_sg, s_ns, cfg.steps_m) if out >= 0.5 else out
+    return op_sc_rows([[hops]], thr, cfg)[0]
 
 
 def ps_ss(hops: HopPair, thr: Threshold, cfg: StaircaseConfig) -> float:
     """Single-satellite success probability 1 - op_ss, summed directly."""
-    grid = _grid(thr.gamma_th, thr.upsilon, cfg)
-    return _success_pieces(channel.sf(*hops.sg, grid), channel.sf(*hops.ns, grid), cfg.steps_m)
+    return float(_ss_pieces([hops], thr, cfg)[1][0])
 
 
 def op_sc(hops_per_sat: list[HopPair], thr: Threshold, cfg: StaircaseConfig) -> float:
@@ -246,11 +270,16 @@ def op_sc(hops_per_sat: list[HopPair], thr: Threshold, cfg: StaircaseConfig) -> 
 
 
 def op_sc_rows(rows: list[list[HopPair]], thr: Threshold, cfg: StaircaseConfig) -> list[float]:
-    """`op_sc` at every row, one outage per row; each distinct hop pair's
-    `op_ss` is evaluated once per call."""
+    """`op_sc` at every row, one outage per row: every distinct hop pair's
+    SS outage comes from one `_ss_pieces` pass, so each single-hop law of
+    the call is read once.  An SS outage at or above 1/2 is 1 - success, so
+    one within an ulp of 1 is not clipped to exactly 1.0; below 1/2 the
+    outage-form sum keeps its own relative precision."""
     if not all(rows):
         raise ValueError("need at least one satellite")
-    per_hop = {hop: op_ss(hop, thr, cfg) for hop in dict.fromkeys(h for row in rows for h in row)}
+    hops = list(dict.fromkeys(h for row in rows for h in row))
+    out, success = _ss_pieces(hops, thr, cfg)
+    per_hop = dict(zip(hops, np.where(out >= 0.5, 1.0 - success, out).tolist()))
     return [math.prod(per_hop[hop] for hop in row) for row in rows]
 
 
@@ -260,8 +289,7 @@ def ps_sc(hops_per_sat: list[HopPair], thr: Threshold, cfg: StaircaseConfig) -> 
     outage."""
     if not hops_per_sat:
         raise ValueError("need at least one satellite")
-    per_hop = {hop: ps_ss(hop, thr, cfg) for hop in dict.fromkeys(hops_per_sat)}
-    ps = np.array([per_hop[hop] for hop in hops_per_sat])
+    ps = _ss_pieces(hops_per_sat, thr, cfg)[1]
     with np.errstate(divide="ignore"):
         return float(-np.expm1(np.sum(np.log1p(-ps))))
 
@@ -295,22 +323,26 @@ def op_mrc_rows(rows: list[list[HopPair]], thr: Threshold, cfg: StaircaseConfig)
 
     The uplink axis, the K-fold ns-sum CDF on gamma + {0, corner edges,
     hyperbola heights} with rhs = C_m gamma, depends only on (hop.ns, K)
-    within a call, so it is computed once per call and shared by every
-    row with that uplink and K.
+    within a call, so C_m and that axis are computed once per call and
+    shared by every row with that uplink and K; every row's pieces are
+    summed in one row-wise pass.
     """
     if not all(rows):
         raise ValueError("need at least one satellite")
+    keys = [(_require_iid(row), len(row)) for row in rows]
+    if not keys:
+        return []
     g = thr.gamma_th
-    uplinks: dict[tuple, np.ndarray] = {}
-    out = []
-    for hops_per_sat in rows:
-        hop, k = _require_iid(hops_per_sat), len(hops_per_sat)
-        rhs = c_mrc([h.ns for h in hops_per_sat]) * g
-        f_sg = channel.sum_cdf(*hop.sg, SumSRContext(k), _grid(0.0, rhs, cfg))
+    uplinks: dict[tuple, tuple[float, np.ndarray]] = {}
+    f_sg, f_ns = [], []
+    for hop, k in keys:
         if (hop.ns, k) not in uplinks:
-            uplinks[hop.ns, k] = channel.sum_cdf(*hop.ns, SumSRContext(k), _grid(g, rhs, cfg))
-        out.append(_outage_pieces(f_sg, uplinks[hop.ns, k], cfg.steps_m))
-    return out
+            rhs = c_mrc([hop.ns] * k) * g
+            uplinks[hop.ns, k] = rhs, channel.sum_cdf(*hop.ns, SumSRContext(k), _grid(g, rhs, cfg))
+        rhs, f_up = uplinks[hop.ns, k]
+        f_sg.append(channel.sum_cdf(*hop.sg, SumSRContext(k), _grid(0.0, rhs, cfg)))
+        f_ns.append(f_up)
+    return _outage_pieces(np.stack(f_sg), np.stack(f_ns), cfg.steps_m).tolist()
 
 
 def _equal_power_eta(hops_per_sat: list[HopPair]) -> float:
@@ -325,14 +357,22 @@ def _equal_power_eta(hops_per_sat: list[HopPair]) -> float:
 def asymp_op_sc(hops_per_sat: list[HopPair], thr: Threshold) -> float:
     """Leading-order SC outage prod_k [F_sg_k(gamma) + F_ns_k(gamma)], each F
     a linearized hop CDF `channel.asymptotic_cdf`; equal power on every hop.
-    Each distinct hop pair is evaluated once, multiplied in list order."""
-    _equal_power_eta(hops_per_sat)
+    The one-row case of `asymp_op_sc_rows`."""
+    return asymp_op_sc_rows([hops_per_sat], thr)[0]
+
+
+def asymp_op_sc_rows(rows: list[list[HopPair]], thr: Threshold) -> list[float]:
+    """`asymp_op_sc` at every row: each distinct hop pair's factor is
+    computed once per call, and each row multiplies its factors in list
+    order."""
+    for row in rows:
+        _equal_power_eta(row)
     g = thr.gamma_th
     per_hop = {
         hop: channel.asymptotic_cdf(*hop.sg, g) + channel.asymptotic_cdf(*hop.ns, g)
-        for hop in dict.fromkeys(hops_per_sat)
+        for hop in dict.fromkeys(h for row in rows for h in row)
     }
-    return math.prod(per_hop[hop] for hop in hops_per_sat)
+    return [math.prod(per_hop[hop] for hop in row) for row in rows]
 
 
 def asymp_op_mrc(hops_per_sat: list[HopPair], thr: Threshold) -> float:

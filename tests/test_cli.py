@@ -430,31 +430,34 @@ class TestCurves:
 
 class TestRunMemo:
     @pytest.mark.parametrize(
-        "table, ss_calls, sum_cdf_calls",
-        [({"preset": "fig1", "mc": "false"}, 22, 33), (ladder_table(50, 15.0), 12, 54)],
+        "table, sf_calls, sum_cdf_calls",
+        [({"preset": "fig1", "mc": "false"}, 22, 33), (ladder_table(50, 15.0), 6, 54)],
         ids=["fig1", "ladder-m50"],
     )
     def test_each_hop_pair_and_uplink_axis_once(
-        self, monkeypatch, table, ss_calls, sum_cdf_calls
+        self, monkeypatch, table, sf_calls, sum_cdf_calls
     ):
-        # fig1 has 22 hop pairs for its 44 SS/SC rows, and its 22 MRC rows
-        # share 11 uplink axes between HH and HA; the ladder has 12 hop
-        # pairs for 72 rows, and 18 uplink axes for 36 MRC rows.
-        ss_args, sum_args = [], []
-        op_ss, sum_cdf = outage.op_ss, channel.sum_cdf
+        # fig1's 44 SS/SC rows hold 22 hop laws (H and A at 11 SNRs), and
+        # its 22 MRC rows share 11 uplink axes between HH and HA; the
+        # ladder's 72 rows hold 6 hop laws (H and A at 3 SNRs), and 18
+        # uplink axes serve its 36 MRC rows.  Every survival call reads the
+        # table's one SS grid.
+        sf_args, sum_args = [], []
+        sf, sum_cdf = channel.sf, channel.sum_cdf
 
-        def spy_ss(*args):
-            ss_args.append(args)
-            return op_ss(*args)
+        def spy_sf(p, link, x):
+            sf_args.append((p, link, x.tobytes()))
+            return sf(p, link, x)
 
         def spy_sum(p, link, ctx, x):
             sum_args.append((p, link, ctx.K, x.tobytes()))
             return sum_cdf(p, link, ctx, x)
 
-        monkeypatch.setattr(outage, "op_ss", spy_ss)
+        monkeypatch.setattr(channel, "sf", spy_sf)
         monkeypatch.setattr(channel, "sum_cdf", spy_sum)
         run(cli._spec_from_table(table)[0])
-        assert len(ss_args) == len(set(ss_args)) == ss_calls
+        assert len(sf_args) == len(set(sf_args)) == sf_calls
+        assert len({x for *_, x in sf_args}) == 1
         assert len(sum_args) == len(set(sum_args)) == sum_cdf_calls
 
     def test_rows_match_one_shot_calls(self):
@@ -523,14 +526,14 @@ class TestThreads:
 
             monkeypatch.setattr(module, name, record)
 
-        spy(outage, "op_ss")
+        spy(channel, "sf")
         spy(channel, "sum_cdf")
         spy(mcsim, "simulate_curves")
         spy(channel, "sample_sum")
         spy(mcsim, "_side_sum")
         run(*cli._spec_from_table(SHARED_TABLE))
         caller = threading.get_ident()
-        assert threads["op_ss"] == threads["sum_cdf"] == threads["simulate_curves"] == {caller}
+        assert threads["sf"] == threads["sum_cdf"] == threads["simulate_curves"] == {caller}
         assert threads["_side_sum"] and caller not in threads["sample_sum"]
 
     @pytest.mark.parametrize(

@@ -211,6 +211,30 @@ class TestScheduler:
             assert 0 in started and set(started) <= {0, 1}
             assert threading.active_count() == before
 
+    @pytest.mark.parametrize("workers", [-3, 0, 2.5, True])
+    def test_workers_must_be_a_positive_int(self, workers):
+        # Every entry point refuses the count before drawing, as `satrelay
+        # run` does; these used to return estimates.
+        hop, cfg = hop_at(3.0), MCConfig(trials=1000, seed=1)
+        calls = [
+            lambda: mcsim.simulate_curves([("SC", [[hop]], cfg)], THR, workers),
+            lambda: mcsim.simulate_sc_curve([[hop]], THR, cfg, workers),
+            lambda: mcsim.simulate_mrc_curve([[hop]], THR, cfg, workers),
+            lambda: mcsim.simulate_ss(hop, THR, cfg, workers),
+            lambda: mcsim.simulate_sc([hop] * 2, THR, cfg, workers),
+            lambda: mcsim.simulate_mrc([hop] * 2, THR, cfg, workers=workers),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="workers"):
+                call()
+
+    def test_numpy_integer_workers_accepted(self):
+        # An integral numpy count is a thread count like the int it equals.
+        hop, cfg = hop_at(3.0), MCConfig(trials=1000, seed=1)
+        want = mcsim.simulate_sc([hop] * 2, THR, cfg, workers=2)
+        assert mcsim.simulate_sc([hop] * 2, THR, cfg, workers=np.int64(2)) == want
+        assert mcsim.simulate_curves([("SC", [[hop] * 2], cfg)], THR, np.int32(1)) == [[want]]
+
 
 class TestSimulateSS:
     def test_tiny_threshold_never_fails(self):

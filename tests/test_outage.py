@@ -3,10 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from satrelay import channel, cli, mcsim, outage
-from satrelay.channel import AVERAGE_SHADOWING, HEAVY_SHADOWING, LinkSNR, SumSRContext
+from satrelay.channel import AVERAGE_SHADOWING, CONDITIONS, HEAVY_SHADOWING, LinkSNR, SumSRContext
 from satrelay.mcsim import MCConfig, _wilson
 from satrelay.outage import HopPair, StaircaseConfig, Threshold
 
@@ -178,8 +180,9 @@ class TestOpSS:
 
     @pytest.mark.parametrize("db, sg", [(-6.0, HEAVY_SHADOWING), (20.0, AVERAGE_SHADOWING)])
     def test_reads_each_hop_survival_once(self, monkeypatch, db, sg):
-        # Near 1 (-6 dB) and far below 1/2 (20 dB) alike: one survival
-        # evaluation per hop on one shared grid, and no CDF call.
+        # Near 1 (-6 dB, AH: two laws) and far below 1/2 (20 dB, AA: both
+        # hops one law) alike: one survival evaluation per distinct hop law
+        # on one shared grid, and no CDF call.
         hop = hop_at(db, ns=AVERAGE_SHADOWING, sg=sg)
         calls = []
         sf = channel.sf
@@ -194,8 +197,9 @@ class TestOpSS:
         monkeypatch.setattr(channel, "sf", spy_sf)
         monkeypatch.setattr(channel, "cdf", no_cdf)
         outage.op_ss(hop, THR, CFG)
-        assert [c[:2] for c in calls] == [hop.sg, hop.ns]
-        assert calls[0][2] == calls[1][2]
+        assert [c[:2] for c in calls] == list(dict.fromkeys([hop.sg, hop.ns]))
+        assert len(calls) == (1 if sg == AVERAGE_SHADOWING else 2)
+        assert len({c[2] for c in calls}) == 1
 
 
 class TestOpSC:
@@ -220,28 +224,35 @@ class TestRunMemo:
 
     def test_failure_is_raised_to_every_caller(self, monkeypatch):
         def broken(*args):
-            raise ValueError("bad hop pair")
+            raise ValueError("bad hop law")
 
-        monkeypatch.setattr(outage, "op_ss", broken)
+        monkeypatch.setattr(channel, "sf", broken)
         for _ in range(2):
-            with pytest.raises(ValueError, match="bad hop pair"):
+            with pytest.raises(ValueError, match="bad hop law"):
                 outage.op_sc_rows([[hop_at(6.0)] * 2], THR, CFG)
 
     def test_shared_memo_matches_one_shot_calls(self, monkeypatch):
-        # HH and HA share their uplink, so one row-function call computes
-        # its MRC axis and the repeated SC hop pair once, with the one-shot
-        # bits.
-        ss_calls, sum_calls = [], []
-        op_ss, sum_cdf = outage.op_ss, channel.sum_cdf
+        # HH and HA share their uplink and their ns law, so one row-function
+        # call reads each of the two hop laws once and computes the shared
+        # MRC uplink axis once, with the one-shot bits.
+        sf_calls, sum_calls = [], []
+        sf, sum_cdf = channel.sf, channel.sum_cdf
         hh, ha = hop_at(6.0), hop_at(6.0, sg=AVERAGE_SHADOWING)
         rows = [[hop] * 3 for hop in (hh, ha, hh)]
         one_shot_sc = [outage.op_sc(row, THR, CFG) for row in rows]
         one_shot_mrc = [outage.op_mrc(row, THR, CFG) for row in rows]
-        monkeypatch.setattr(outage, "op_ss", lambda *a: ss_calls.append(a) or op_ss(*a))
+
+        def spy_sf(p, link, x):
+            sf_calls.append((p, link, x.tobytes()))
+            return sf(p, link, x)
+
+        monkeypatch.setattr(channel, "sf", spy_sf)
         monkeypatch.setattr(channel, "sum_cdf", lambda *a: sum_calls.append(a) or sum_cdf(*a))
         assert outage.op_sc_rows(rows, THR, CFG) == one_shot_sc
         assert outage.op_mrc_rows(rows, THR, CFG) == one_shot_mrc
-        assert len(ss_calls) == 2  # two distinct hop pairs
+        # Two distinct hop laws, H and A at 6 dB, on one grid.
+        assert [c[:2] for c in sf_calls] == [hh.sg, ha.sg]
+        assert len({c[2] for c in sf_calls}) == 1
         # One shared uplink axis, and one downlink axis per row.
         assert len(sum_calls) == 1 + 3
 
@@ -391,6 +402,79 @@ class TestPublicCallablePath:
             )
             assert outage.op_mrc(hops, thr, cfg) == want
         assert rows
+
+
+def _ss_view(hop, thr, cfg):
+    """op_ss from the public one-row staircases: the outage form fed
+    `channel.cdf`, or 1 - the success form fed `channel.sf` at >= 1/2."""
+    g, ups = thr.gamma_th, thr.upsilon
+    out = outage.staircase_probability(
+        lambda x: channel.cdf(*hop.sg, x), lambda x: channel.cdf(*hop.ns, x), g, g, ups, cfg
+    )
+    if out < 0.5:
+        return out
+    return 1.0 - outage.staircase_success_probability(
+        lambda x: channel.sf(*hop.sg, x), lambda x: channel.sf(*hop.ns, x), g, g, ups, cfg
+    )
+
+
+def _mrc_view(row, thr, cfg):
+    """op_mrc from the public one-row staircase fed `channel.sum_cdf`."""
+    hop, g, ctx = row[0], thr.gamma_th, SumSRContext(len(row))
+    return outage.staircase_probability(
+        lambda x: channel.sum_cdf(*hop.sg, ctx, x),
+        lambda y: channel.sum_cdf(*hop.ns, ctx, y),
+        0.0,
+        g,
+        outage.c_mrc([h.ns for h in row]) * g,
+        cfg,
+    )
+
+
+def _hop(cond, db):
+    ns, sg = CONDITIONS[cond]
+    link = LinkSNR.from_db(db)
+    return HopPair(ns=(ns, link), sg=(sg, link))
+
+
+@st.composite
+def mixed_tables(draw):
+    """SC rows of 1-8 satellites, each of its own condition, and i.i.d. MRC
+    rows of K = 1-8, at SNRs from a pool of 1-3 values in [-10, 30] dB, so
+    that rows share hop pairs, single-hop laws and uplinks; (M, L) is one
+    staircase-ladder rung."""
+    snrs = draw(st.lists(st.floats(-10.0, 30.0), min_size=1, max_size=3))
+    snr, cond = st.sampled_from(snrs), st.sampled_from(sorted(CONDITIONS))
+    sats = st.lists(cond, min_size=1, max_size=8)
+    sc = draw(st.lists(st.tuples(snr, sats), min_size=1, max_size=5))
+    mrc = draw(st.lists(st.tuples(snr, cond, st.integers(1, 8)), min_size=1, max_size=3))
+    steps_m, depth_l = draw(st.sampled_from(sorted(LADDER_STEPS.values())))
+    return (
+        [[_hop(c, db) for c in conds] for db, conds in sc],
+        [[_hop(c, db)] * k for db, c, k in mrc],
+        StaircaseConfig(steps_m, depth_l),
+    )
+
+
+class TestRowsProperty:
+    """The row functions give, bit for bit, what the public one-row views
+    give row by row; those views never stack rows."""
+
+    @given(mixed_tables())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_one_row_views(self, table):
+        sc_rows, mrc_rows, cfg = table
+        assert outage.op_sc_rows(sc_rows, THR, cfg) == [
+            math.prod(_ss_view(hop, THR, cfg) for hop in row) for row in sc_rows
+        ]
+        g = THR.gamma_th
+        asymp = outage.asymp_op_sc_rows(sc_rows, THR)
+        assert asymp == [outage.asymp_op_sc(row, THR) for row in sc_rows]
+        factor = lambda h: channel.asymptotic_cdf(*h.sg, g) + channel.asymptotic_cdf(*h.ns, g)
+        assert asymp == [math.prod(factor(h) for h in row) for row in sc_rows]
+        assert outage.op_mrc_rows(mrc_rows, THR, cfg) == [
+            _mrc_view(row, THR, cfg) for row in mrc_rows
+        ]
 
 
 class TestCMrc:
