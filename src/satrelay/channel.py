@@ -7,23 +7,29 @@ and LoS power omega fully describe |h|^2.
 
 For integer m, Lambda is an exact finite Erlang mixture: a
 Gamma(j + 1, scale eta/theta) law with theta = beta - delta, taken with the
-Binomial(m - 1, delta/beta) probability of j.  One helper returns that
-mixture, and the PDF / CDF / survival function / mean and the K-fold
-sum sampler all read it.  The sampler draws a K-fold sum as Gamma(K) plus
-Gamma(J), the second part only where the mixture index J is not 0, or as
-one Gamma(K + J) where J = 0 is the rarer case.  Also provided: a
-constructive (physical) sampler, the CDF of a K-fold i.i.d. sum (via
-log-scaled Whittaker functions: one batched 1F1 series table per
-`sum_cdf` call), and the linearized high-SNR approximations of both CDFs.
-A K-fold sum law is named by its `SRParams` and K alone: `sum_cdf` takes
-its constants from the params, and its `SumSRContext` carries only K,
-checked like every K.
+Binomial(m - 1, delta/beta) probability of j.  The PDF / CDF / survival
+function / mean and the K-fold sum sampler all read that mixture.  The
+sampler draws a K-fold sum as Gamma(K) plus Gamma(J), the second part only
+where the mixture index J is not 0, or as one Gamma(K + J) where J = 0 is
+the rarer case.  Also provided: a constructive (physical) sampler, the CDF
+of a K-fold i.i.d. sum (via log-scaled Whittaker functions: one batched
+1F1 series table per `sum_cdf` call), and the linearized high-SNR
+approximations of both CDFs.  A K-fold sum law is named by its `SRParams`
+and K alone: `sum_cdf` takes its constants from the params, and its
+`SumSRContext` carries only K, checked like every K.
+
+Each law's constants are computed once and shared read-only: the derived
+alpha, beta, delta and the mixture once per `SRParams` object (kept on it
+as `_law`), and `sum_cdf`'s 1F1 parameter rows and log-constant columns
+once per (params object, K), so a `sum_cdf` call computes only z, ln(x/eta),
+the series table and the assembly.  Their arrays are not writeable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +76,13 @@ class SRParams:
             raise ValueError(f"b must be finite and > 0, got {self.b}")
         if not (math.isfinite(self.omega) and self.omega >= 0.0):
             raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
+
+    @cached_property
+    def _law(self) -> "_Law":
+        """The law's constants, computed on first use and kept on this object
+        (a frozen dataclass still has an instance dict, which is where
+        `cached_property` stores them); fields, equality and hash ignore it."""
+        return _law_of(self)
 
 
 # Land-mobile-satellite reference conditions (Abdi et al. parameterization).
@@ -121,36 +134,68 @@ class LinkSNR:
             ) from None
 
 
-def derive(p: SRParams) -> SRDerived:
-    """alpha = ((2bm)/(2bm+omega))^m / 2b, beta = 1/2b, delta = omega/(2b(2bm+omega))."""
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class _Law:
+    """One SR law's constants, shared read-only by every reader of its params.
+
+    Lambda / eta is Gamma(j + 1, scale 1/theta) with probability w[j]: w is
+    the Binomial(m - 1, q = delta/beta) pmf, j = 0..m-1, divided by its
+    float sum so roundoff leaves no mass defect, and theta = beta - delta
+    is the common rate.  mean_shape = sum_j w[j] (j + 1) is the mixture's
+    mean in units of eta/theta.  `sums` holds the `_SumLaw` of each K that
+    `sum_cdf` has met (see `_sum_law`).
+    """
+
+    derived: SRDerived
+    w: np.ndarray
+    q: float
+    theta: float
+    mean_shape: float
+    sums: dict[int, "_SumLaw"] = field(default_factory=dict)
+
+
+def _law_of(p: SRParams) -> _Law:
+    """Compute p's constants; `SRParams._law` keeps them, so this runs once per params object."""
     two_b = 2.0 * p.b
     denom = two_b * p.m + p.omega
-    return SRDerived(
+    drv = SRDerived(
         alpha=(two_b * p.m / denom) ** p.m / two_b,
         beta=1.0 / two_b,
         delta=p.omega / (two_b * denom),
     )
-
-
-def _erlang_mixture(p: SRParams) -> tuple[np.ndarray, float, float]:
-    """(w, q, theta): Lambda / eta is Gamma(j + 1, scale 1/theta) with probability w[j].
-
-    w is the Binomial(m - 1, q = delta/beta) pmf, j = 0..m-1, divided by its
-    float sum so roundoff leaves no mass defect; theta = beta - delta is the
-    common rate.
-    """
-    drv = derive(p)
     q = drv.delta / drv.beta
     n = p.m - 1
     w = np.array([math.comb(n, j) * q**j * (1.0 - q) ** (n - j) for j in range(p.m)])
-    return w / w.sum(), q, drv.beta - drv.delta
+    w = _read_only(w / w.sum())
+    return _Law(drv, w, q, drv.beta - drv.delta, float(np.dot(w, np.arange(1, p.m + 1))))
 
 
-def _as_nonneg_array(x, name: str = "x") -> tuple[np.ndarray, bool]:
+def derive(p: SRParams) -> SRDerived:
+    """alpha = ((2bm)/(2bm+omega))^m / 2b, beta = 1/2b, delta = omega/(2b(2bm+omega)),
+    computed once per params object."""
+    return p._law.derived
+
+
+def _as_nonneg_array(x, name: str = "x") -> tuple[np.ndarray | np.float64, bool]:
+    """(x as a float array, whether x was a scalar), refusing non-finite or
+    negative values.  A Python float is checked with `math` and returned as
+    a numpy float64, on which every reader computes what it computes on a
+    0-d array: the same bits, and the same warnings where a power overflows."""
+    if type(x) is float:
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite")
+        if x < 0.0:
+            raise ValueError(f"{name} must be >= 0")
+        return np.float64(x), True
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise ValueError(f"{name} must be >= 0")
     return arr, arr.ndim == 0
 
@@ -159,12 +204,12 @@ def pdf(p: SRParams, link: LinkSNR, x):
     """Density of Lambda at x >= 0 (accepts scalars or arrays):
     (theta/eta) e^{-t} sum_j w_j t^j / j!, with t = theta x / eta."""
     arr, scalar = _as_nonneg_array(x)
-    w, _, theta = _erlang_mixture(p)
-    t = (theta / link.eta) * arr
+    law = p._law
+    t = (law.theta / link.eta) * arr
     poly = np.zeros_like(arr)
     for j in range(p.m - 1, -1, -1):
-        poly = poly * t + w[j] / math.factorial(j)
-    out = (theta / link.eta) * poly * np.exp(-t)
+        poly = poly * t + law.w[j] / math.factorial(j)
+    out = (law.theta / link.eta) * poly * np.exp(-t)
     return float(out) if scalar else out
 
 
@@ -174,8 +219,8 @@ def _survival_terms(p: SRParams, link: LinkSNR, arr: np.ndarray) -> np.ndarray:
     Every term is nonnegative, so the sum keeps full relative precision
     in the far tail where 1 - cdf would round to 0.
     """
-    w, _, theta = _erlang_mixture(p)
-    t = (theta / link.eta) * arr
+    law = p._law
+    t = (law.theta / link.eta) * arr
     # pois accumulates sum_{i<=j} t^i/i! across j.
     pois_term = np.ones_like(arr)
     pois_sum = np.ones_like(arr)
@@ -184,7 +229,7 @@ def _survival_terms(p: SRParams, link: LinkSNR, arr: np.ndarray) -> np.ndarray:
         if j > 0:
             pois_term = pois_term * t / j
             pois_sum = pois_sum + pois_term
-        tail = tail + w[j] * pois_sum
+        tail = tail + law.w[j] * pois_sum
     return np.exp(-t) * tail
 
 
@@ -208,8 +253,8 @@ def sf(p: SRParams, link: LinkSNR, x):
 
 def mean_snr(p: SRParams, link: LinkSNR) -> float:
     """E[Lambda] = (eta/theta) sum_j w_j (j + 1), the mixture's mean."""
-    w, _, theta = _erlang_mixture(p)
-    return link.eta * float(np.dot(w, np.arange(1, p.m + 1))) / theta
+    law = p._law
+    return link.eta * law.mean_shape / law.theta
 
 
 def sample(p: SRParams, link: LinkSNR, rng: np.random.Generator, size=None):
@@ -239,7 +284,7 @@ def sample_sum(p: SRParams, link: LinkSNR, k: int, rng: np.random.Generator, siz
     """Draw the sum of k i.i.d. Lambda from its exact Erlang mixture.
 
     Lambda is Gamma(J + 1, scale eta/theta) with J ~ Binomial(m-1, q),
-    q = delta/beta (`_erlang_mixture`), so a k-fold sum is
+    q = delta/beta (`_Law`), so a k-fold sum is
     eta * Gamma(k + J) / theta with J ~ Binomial(k(m-1), q).  k = 1 draws
     one Lambda.  Same law as `sample` (and as summing k `sample` draws), but
     a different stream.  One of two exact paths draws it, chosen by
@@ -259,7 +304,7 @@ def sample_sum(p: SRParams, link: LinkSNR, k: int, rng: np.random.Generator, siz
     `sampler_ns_per_draw`.
     """
     _check_k(k)
-    _, q, theta = _erlang_mixture(p)
+    q, theta = p._law.q, p._law.theta
     trials = k * (p.m - 1)
     n = 1 if size is None else size
     pmf = [math.comb(trials, j) * q**j * (1.0 - q) ** (trials - j) for j in range(trials + 1)]
@@ -314,43 +359,85 @@ def _ln_binomial(c: int, l: int) -> float:
     return ln_gamma(c + 1.0) - ln_gamma(l + 1.0) - ln_gamma(c - l + 1.0)
 
 
-def _sum_cdf_terms(p: SRParams, eta: float, K: int, x: np.ndarray) -> np.ndarray:
-    """Signed log-space assembly of the sum CDF over a 1-D array of x >= 0."""
+@dataclass(frozen=True, eq=False)
+class _SumLaw:
+    """The constants of the K-fold sum law's (c+1)-term Whittaker sum,
+    l = 0..c with d = mK and c = (m - 1)K, one row per l: the 1F1
+    parameters a = 1 - l and b = 1 + d - l, the powers d - l of x/eta, and
+    the columns lnGamma(d - l + 1) and ln_base, each term's log-constant
+    K ln alpha + ln C(c, l) + (c - l) ln beta.  All read-only."""
+
+    a: np.ndarray
+    b: np.ndarray
+    powers: np.ndarray
+    ln_gammas: np.ndarray
+    ln_base: np.ndarray
+
+
+# Each law keeps the `_SumLaw` of at most this many K at once.
+_SUM_LAWS_KEPT = 64
+
+
+def _sum_law_of(p: SRParams, K: int) -> _SumLaw:
+    """Compute the constants of the sum of K SNRs of law p; `_sum_law` keeps them."""
     drv = derive(p)
     d, c = p.m * K, (p.m - 1) * K
-    bd = drv.beta - drv.delta
-    z = bd * x / eta
+    ls = range(c + 1)
+    ln_alpha_k = K * math.log(drv.alpha)
+    ln_base = np.array(
+        [ln_alpha_k + _ln_binomial(c, l) + (c - l) * math.log(drv.beta) for l in ls]
+    )
+    return _SumLaw(
+        a=_read_only(np.array([1.0 - l for l in ls])),
+        b=_read_only(np.array([1.0 + d - l for l in ls])),
+        powers=_read_only(np.array([d - l for l in ls], dtype=float)),
+        ln_gammas=_read_only(np.array([ln_gamma(d - l + 1.0) for l in ls])[:, None]),
+        ln_base=_read_only(ln_base[:, None]),
+    )
+
+
+def _sum_law(p: SRParams, K: int) -> _SumLaw:
+    """The sum law's constants, computed once per (params object, K).  Two
+    threads that miss the same K at once both compute it; either result
+    serves, since both hold the same values."""
+    sums = p._law.sums
+    law = sums.get(K)
+    if law is None:
+        if len(sums) >= _SUM_LAWS_KEPT:
+            sums.clear()
+        law = sums[K] = _sum_law_of(p, K)
+    return law
+
+
+def _sum_cdf_terms(p: SRParams, eta: float, K: int, x: np.ndarray) -> np.ndarray:
+    """Signed log-space assembly of the sum CDF over a 1-D array of x >= 0."""
+    sum_law = _sum_law(p, K)
+    z = p._law.theta * x / eta
     # The ascending 1F1 needs roughly z + O(sqrt(z)) terms at its largest z.
     z_max = float(z.max(initial=0.0))
     max_terms = max(_MAX_TERMS, int(z_max + 10.0 * math.sqrt(z_max) + 60.0))
     with np.errstate(divide="ignore"):
         ln_x_over_eta = np.log(x / eta)
 
-    ls = range(c + 1)
-    ln_alpha_k = K * math.log(drv.alpha)
-    ln_base = np.array(
-        [ln_alpha_k + _ln_binomial(c, l) + (c - l) * math.log(drv.beta) for l in ls]
-    )
     # One (c+1, x) table of 1F1(1 - l; 1 + d - l; z) series, l = 0..c.
-    signs, ln_f = _kummer_1f1_ln_grid(
-        [1.0 - l for l in ls], [1.0 + d - l for l in ls], z, max_terms
-    )
+    signs, ln_f = _kummer_1f1_ln_grid(sum_law.a, sum_law.b, z, max_terms)
     # ln G(x, l, d, eta) = (d-l) ln(x/eta) - z - lnGamma(d-l+1) + ln 1F1,
     # the (beta-delta) powers cancel between the prefactor and M's z^(nu+1/2);
     # each term's log is ln_base + ln G.
-    mags = np.multiply.outer(np.array([d - l for l in ls], dtype=float), ln_x_over_eta)
+    mags = np.multiply.outer(sum_law.powers, ln_x_over_eta)
     mags -= z
-    mags -= np.array([ln_gamma(d - l + 1.0) for l in ls])[:, None]
+    mags -= sum_law.ln_gammas
     mags += ln_f
-    mags += ln_base[:, None]
+    mags += sum_law.ln_base
     del ln_f
     peak = np.max(mags, axis=0)
-    peak_safe = np.where(np.isfinite(peak), peak, 0.0)
+    finite = np.isfinite(peak)
+    peak_safe = np.where(finite, peak, 0.0)
     mags -= peak_safe
     np.exp(mags, out=mags)
     mags *= signs
     total = np.sum(mags, axis=0)
-    return np.where(np.isfinite(peak), total * np.exp(peak_safe), 0.0)
+    return np.where(finite, total * np.exp(peak_safe), 0.0)
 
 
 def sum_cdf(p: SRParams, link: LinkSNR, ctx: SumSRContext, x):
@@ -363,9 +450,8 @@ def sum_cdf(p: SRParams, link: LinkSNR, ctx: SumSRContext, x):
     arrays; x = 0 returns exactly 0.
     """
     arr, scalar = _as_nonneg_array(x)
-    out = np.clip(_sum_cdf_terms(p, link.eta, ctx.K, arr.reshape(-1)), 0.0, 1.0)
-    out = out.reshape(arr.shape)
-    return float(out) if scalar else out
+    out = np.clip(_sum_cdf_terms(p, link.eta, ctx.K, np.reshape(arr, -1)), 0.0, 1.0)
+    return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
 def asymptotic_cdf(p: SRParams, link: LinkSNR, x):

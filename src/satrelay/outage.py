@@ -228,6 +228,21 @@ def staircase_truncation_bound(
     return float((1.0 - fx[1]) * (fy[2] - fy[0]) + (1.0 - fy[1]) * (fx[2] - fx[0]))
 
 
+def _index_rows(rows: list[list[HopPair]]) -> tuple[list[HopPair], list[list[int]]]:
+    """(the distinct hop pairs of rows in first-seen order, each row as
+    indices into them).  Each distinct object of a row is hashed once: a
+    row of K satellites often repeats one `HopPair` object K times."""
+    index: dict[HopPair, int] = {}
+    by_row = []
+    for row in rows:
+        by_id: dict[int, int] = {}
+        for hop in row:
+            if id(hop) not in by_id:
+                by_id[id(hop)] = index.setdefault(hop, len(index))
+        by_row.append([by_id[id(hop)] for hop in row])
+    return list(index), by_row
+
+
 def _ss_pieces(
     hops: list[HopPair], thr: Threshold, cfg: StaircaseConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -277,10 +292,10 @@ def op_sc_rows(rows: list[list[HopPair]], thr: Threshold, cfg: StaircaseConfig) 
     outage-form sum keeps its own relative precision."""
     if not all(rows):
         raise ValueError("need at least one satellite")
-    hops = list(dict.fromkeys(h for row in rows for h in row))
+    hops, by_row = _index_rows(rows)
     out, success = _ss_pieces(hops, thr, cfg)
-    per_hop = dict(zip(hops, np.where(out >= 0.5, 1.0 - success, out).tolist()))
-    return [math.prod(per_hop[hop] for hop in row) for row in rows]
+    per_hop = np.where(out >= 0.5, 1.0 - success, out).tolist()
+    return [math.prod(per_hop[i] for i in row) for row in by_row]
 
 
 def ps_sc(hops_per_sat: list[HopPair], thr: Threshold, cfg: StaircaseConfig) -> float:
@@ -368,11 +383,9 @@ def asymp_op_sc_rows(rows: list[list[HopPair]], thr: Threshold) -> list[float]:
     for row in rows:
         _equal_power_eta(row)
     g = thr.gamma_th
-    per_hop = {
-        hop: channel.asymptotic_cdf(*hop.sg, g) + channel.asymptotic_cdf(*hop.ns, g)
-        for hop in dict.fromkeys(h for row in rows for h in row)
-    }
-    return [math.prod(per_hop[hop] for hop in row) for row in rows]
+    hops, by_row = _index_rows(rows)
+    per_hop = [channel.asymptotic_cdf(*h.sg, g) + channel.asymptotic_cdf(*h.ns, g) for h in hops]
+    return [math.prod(per_hop[i] for i in row) for row in by_row]
 
 
 def asymp_op_mrc(hops_per_sat: list[HopPair], thr: Threshold) -> float:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -430,3 +431,91 @@ class TestAsymptoticCdf:
         exact = channel.cdf(p, link, x)
         approx = channel.asymptotic_cdf(p, link, x)
         assert abs(approx - exact) / exact < 0.05
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+# Every reader of a scalar x, called as reader(p, link, x).
+SCALAR_READERS = {
+    "pdf": channel.pdf,
+    "cdf": channel.cdf,
+    "sf": channel.sf,
+    "asymptotic_cdf": channel.asymptotic_cdf,
+    "asymptotic_sum_cdf": lambda p, link, x: channel.asymptotic_sum_cdf(p, link, 3, x),
+}
+
+
+class TestLawConstants:
+    def test_shared_arrays_are_read_only(self):
+        w = AVERAGE_SHADOWING._law.w
+        law = channel._sum_law(AVERAGE_SHADOWING, 3)
+        for arr in (w, law.a, law.b, law.powers, law.ln_gammas, law.ln_base):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                arr += 1.0
+
+    def test_constants_are_computed_once_per_params_object(self, monkeypatch):
+        p = SRParams(m=3, b=0.1, omega=0.2)
+        laws, sums = [], []
+        law_of, sum_law_of = channel._law_of, channel._sum_law_of
+        monkeypatch.setattr(channel, "_law_of", lambda q: laws.append(q) or law_of(q))
+        monkeypatch.setattr(
+            channel, "_sum_law_of", lambda q, k: sums.append((q, k)) or sum_law_of(q, k)
+        )
+        link, xs = LinkSNR(4.0), np.linspace(0.0, 20.0, 9)
+        for k in (2, 3, 2, 3):
+            channel.sum_cdf(p, link, SumSRContext(k), xs)
+        channel.pdf(p, link, xs)
+        channel.sf(p, link, xs)
+        channel.mean_snr(p, link)
+        assert channel.derive(p) is channel.derive(p)
+        assert laws == [p]
+        assert sums == [(p, 2), (p, 3)]
+
+    def test_fresh_params_read_the_module_constants_bits(self):
+        fresh = SRParams(m=2, b=0.063, omega=0.0005)
+        assert fresh == HEAVY_SHADOWING and fresh is not HEAVY_SHADOWING
+        xs = np.geomspace(1e-3, 400.0, 64)
+        for db in (-6.0, 9.0, 30.0):
+            link = LinkSNR.from_db(db)
+            for k in (1, 2, 5, 16):
+                ctx = SumSRContext(k)
+                want = channel.sum_cdf(HEAVY_SHADOWING, link, ctx, xs)
+                assert channel.sum_cdf(fresh, link, ctx, xs).tobytes() == want.tobytes()
+        assert channel.derive(fresh) == channel.derive(HEAVY_SHADOWING)
+
+    @given(
+        x=st.floats(0.0, 1e4) | st.sampled_from([0.0, 5e-324, 1e-300, 1e300]),
+        eta_db=st.floats(-20.0, 80.0),
+        p=st.sampled_from([HEAVY_SHADOWING, AVERAGE_SHADOWING]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_python_float_reads_as_0d_array(self, x, eta_db, p):
+        # A Python float takes the `math` check; the value, its type and
+        # any overflow warning match a 0-d array's.
+        link = LinkSNR.from_db(eta_db)
+        for name, reader in SCALAR_READERS.items():
+            with warnings.catch_warnings(record=True) as from_array:
+                warnings.simplefilter("always")
+                want = reader(p, link, np.asarray(x))
+            with warnings.catch_warnings(record=True) as from_float:
+                warnings.simplefilter("always")
+                got = reader(p, link, x)
+            assert type(got) is type(want) is float, name
+            assert _bits(got) == _bits(want), (name, got, want)
+            assert [str(w.message) for w in from_float] == [str(w.message) for w in from_array]
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1.0, -0.5e-300])
+    @pytest.mark.parametrize("name", sorted(SCALAR_READERS))
+    def test_python_float_refused_as_0d_array(self, name, x):
+        reader, link = SCALAR_READERS[name], LinkSNR(10.0)
+        with pytest.raises(ValueError) as from_array:
+            reader(HEAVY_SHADOWING, link, np.asarray(x))
+        with pytest.raises(ValueError) as from_float:
+            reader(HEAVY_SHADOWING, link, x)
+        finite = math.isfinite(x)
+        assert str(from_float.value) == str(from_array.value)
+        assert str(from_float.value) == ("x must be >= 0" if finite else "x must be finite")

@@ -460,6 +460,37 @@ class TestRunMemo:
         assert len({x for *_, x in sf_args}) == 1
         assert len(sum_args) == len(set(sum_args)) == sum_cdf_calls
 
+    def test_each_law_constant_computed_once(self, monkeypatch):
+        # fig3 reads two laws (H and A): their mixtures are computed once
+        # each and their sum-law constants once per K = 2..6, while
+        # sum_cdf is still called once per axis (30 times).
+        for p in (channel.HEAVY_SHADOWING, channel.AVERAGE_SHADOWING):
+            vars(p).pop("_law", None)
+        laws, sums, sum_calls = [], [], []
+        law_of, sum_law_of, sum_cdf = channel._law_of, channel._sum_law_of, channel.sum_cdf
+        monkeypatch.setattr(channel, "_law_of", lambda p: laws.append(p) or law_of(p))
+        monkeypatch.setattr(
+            channel, "_sum_law_of", lambda p, k: sums.append((p, k)) or sum_law_of(p, k)
+        )
+        monkeypatch.setattr(channel, "sum_cdf", lambda *a: sum_calls.append(a) or sum_cdf(*a))
+        run(replace(preset_spec("fig3"), mc=None))
+        assert sorted(laws, key=lambda p: p.m) == [
+            channel.HEAVY_SHADOWING, channel.AVERAGE_SHADOWING
+        ]
+        assert len(sums) == len(set(sums)) == 10
+        assert {k for _, k in sums} == {2, 3, 4, 5, 6}
+        assert len(sum_calls) == 30
+
+    def test_sweep_hashes_each_row_hop_pair_once(self, monkeypatch):
+        # A row of K satellites repeats one HopPair object K times; the row
+        # functions hash it once per row, not once per entry and lookup.
+        hashes = []
+        hop_hash = HopPair.__hash__
+        monkeypatch.setattr(HopPair, "__hash__", lambda h: hashes.append(1) or hop_hash(h))
+        for preset in ("fig1", "fig2", "fig3"):
+            run(replace(preset_spec(preset), mc=None))
+        assert 0 < len(hashes) <= 500
+
     def test_rows_match_one_shot_calls(self):
         spec = preset_spec("fig3")
         rows = run(replace(spec, mc=None))
