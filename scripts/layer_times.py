@@ -65,12 +65,12 @@ def main() -> int:
         for preset in cli.PRESETS:
             table = {"preset": preset, "trials": str(args.trials), "seed": str(args.seed)}
             spec, _ = cli._spec_from_table(table)
-            points = list(cli._row_points(spec))
+            plan = cli._plan(spec)
             csv, svg = str(pathlib.Path(tmp, "t.csv")), str(pathlib.Path(tmp, "t.svg"))
             times = {"analytic_ms": [], "mc_ms": [], "run_ms": [], "emit_ms": []}
             for _ in range(args.rounds):
-                times["analytic_ms"].append(_ms(lambda: cli._analytic_rows(spec, points)))
-                times["mc_ms"].append(_ms(lambda: cli._mc_column(spec, points, args.workers)))
+                times["analytic_ms"].append(_ms(lambda: cli._analytic_rows(spec, plan)))
+                times["mc_ms"].append(_ms(lambda: cli._mc_column(spec, plan, args.workers)))
                 rows = []
                 times["run_ms"].append(_ms(lambda: rows.extend(cli.run(spec, args.workers))))
                 times["emit_ms"].append(
@@ -79,7 +79,7 @@ def main() -> int:
             cold_argv = ["run", "--preset", preset, "--no-mc", "--csv", csv, "--svg", svg]
             times["cold_ms"] = [_cold_ms(cold_argv) for _ in range(args.rounds)]
             record = {
-                "preset": preset, "rows": len(points), "trials": args.trials,
+                "preset": preset, "rows": len(plan.points), "trials": args.trials,
                 "workers": args.workers, "rounds": args.rounds,
             }
             record.update((k, round(statistics.median(v), 2)) for k, v in times.items())

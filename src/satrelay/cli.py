@@ -10,10 +10,11 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -130,78 +131,95 @@ def _row_seed(base_seed: int, row_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _row_points(spec: ExperimentSpec):
-    for scheme in spec.schemes:
-        for cond in spec.conditions:
-            for k in spec.k_values:
-                for db in spec.snr_db[cond]:
-                    yield scheme, cond, k, float(db)
+class _Plan(NamedTuple):
+    """A run table, compiled once by `_plan`."""
+
+    points: list[tuple[str, str, int, float]]  # each row's (scheme, condition, K, snr_db)
+    pairs: list[HopPair]  # one per distinct (condition, SNR)
+    rows: list[tuple[int, ...]]  # each row's satellites, as indices into pairs
+    curves: list[tuple[str, list[list[HopPair]], list[int], int]]  # (kind, columns, ks, first row)
+    cells: list[tuple[int, int]]  # each row's (curve, cell); cells are K-major
 
 
-def _hops(scheme: str, cond: str, k: int, db: float) -> list[HopPair]:
-    """The hop pairs of one row.  SS is selection combining over one
-    satellite: an SS row runs the SC paths on a one-hop list, whatever its K."""
-    ns_params, sg_params = CONDITIONS[cond]
-    link = LinkSNR.from_db(db)
-    return [HopPair(ns=(ns_params, link), sg=(sg_params, link))] * (1 if scheme == "SS" else k)
+def _plan(spec: ExperimentSpec) -> _Plan:
+    """The spec's rows, in spec order, over one hop pair per (condition,
+    SNR).  An SS row is selection combining over one satellite, whatever
+    its K.  The rows of one (kernel, condition) form one Monte Carlo curve:
+    the largest-K hop list at each of its SNRs, in ascending SNR, and its
+    ascending Ks.  A repeated SNR or K shares its cell."""
+    points = [
+        (scheme, cond, k, float(db))
+        for scheme in spec.schemes
+        for cond in spec.conditions
+        for k in spec.k_values
+        for db in spec.snr_db[cond]
+    ]
+    pair_of = {key: i for i, key in enumerate(dict.fromkeys((c, db) for _, c, _, db in points))}
+    links = [(CONDITIONS[cond], LinkSNR.from_db(db)) for cond, db in pair_of]
+    pairs = [HopPair(ns=(ns, link), sg=(sg, link)) for (ns, sg), link in links]
+    rows = [(pair_of[c, db],) * (1 if s == "SS" else k) for s, c, k, db in points]
+    groups: dict[tuple[str, str], list[int]] = {}
+    for i, (scheme, cond, *_) in enumerate(points):
+        groups.setdefault(("MRC" if scheme == "MRC" else "SC", cond), []).append(i)
+    curves, cells = [], [(0, 0)] * len(points)
+    for c, ((kind, _), index) in enumerate(groups.items()):
+        ks = sorted({len(rows[i]) for i in index})
+        snrs = sorted({rows[i][0] for i in index}, key=lambda j: pairs[j].ns[1].eta)
+        for i in index:
+            cells[i] = c, ks.index(len(rows[i])) * len(snrs) + snrs.index(rows[i][0])
+        curves.append((kind, [[pairs[j]] * ks[-1] for j in snrs], ks, index[0]))
+    return _Plan(points, pairs, rows, curves, cells)
 
 
-def _analytic_rows(spec: ExperimentSpec, points) -> list[RunRow]:
+def _analytic_rows(spec: ExperimentSpec, plan: _Plan) -> list[RunRow]:
     """Every row's analytic and asymptotic columns (SS has no asymptote).
     The SS and SC rows go to one `op_sc_rows` call and the MRC rows to one
     `op_mrc_rows` call, so each single-hop law and uplink axis of the table
     is read once; the SC asymptotes come from one `asymp_op_sc_rows` call
     and the MRC asymptotes row by row."""
-    thr, stair = spec.threshold, spec.staircase
-    hops = [_hops(*p) for p in points]
-    is_mrc = [p[0] == "MRC" for p in points]
-    sc = iter(outage.op_sc_rows([h for h, m in zip(hops, is_mrc) if not m], thr, stair))
-    mrc = iter(outage.op_mrc_rows([h for h, m in zip(hops, is_mrc) if m], thr, stair))
-    sc_hops = [h for h, p in zip(hops, points) if p[0] == "SC"]
-    sc_asymp = iter(outage.asymp_op_sc_rows(sc_hops, thr))
-    rows = []
-    for point, row_hops, m in zip(points, hops, is_mrc):
-        if m:
-            analytic, asymptotic = next(mrc), outage.asymp_op_mrc(row_hops, thr)
+    thr, stair, pairs = spec.threshold, spec.staircase, plan.pairs
+
+    def rows_of(*schemes):
+        return [row for row, point in zip(plan.rows, plan.points) if point[0] in schemes]
+
+    sc = iter(outage.op_sc_rows(pairs, rows_of("SS", "SC"), thr, stair))
+    mrc = iter(outage.op_mrc_rows(pairs, rows_of("MRC"), thr, stair))
+    sc_asymp = iter(outage.asymp_op_sc_rows(pairs, rows_of("SC"), thr))
+    out = []
+    for point, row in zip(plan.points, plan.rows):
+        if point[0] == "MRC":
+            analytic, asymptotic = next(mrc), outage.asymp_op_mrc([pairs[i] for i in row], thr)
         else:
             analytic = next(sc)
             asymptotic = next(sc_asymp) if point[0] == "SC" else None
-        rows.append(RunRow(*point, analytic, asymptotic, None))
-    return rows
+        out.append(RunRow(*point, analytic, asymptotic, None))
+    return out
 
 
-def _mc_column(spec: ExperimentSpec, points, workers: int) -> list[OutageEstimate]:
-    """Every row's Monte Carlo estimate, in row order.
-
-    Rows that share (kernel, condition) form one curve over K and SNR: SC
-    for SS rows (its one-satellite rows) and SC rows, MRC for MRC rows.
-    Each is drawn from one set seeded by (spec.mc.seed, index of its first
-    row), so results do not depend on the worker count.  One
-    `mcsim.simulate_curves` call runs every (curve, block) pair as a task
-    on one pool of `workers` threads.
-    """
+def _mc_column(spec: ExperimentSpec, plan: _Plan, workers: int) -> list[OutageEstimate]:
+    """Every row's Monte Carlo estimate, in row order.  Each of the plan's
+    curves is drawn from one set seeded by (spec.mc.seed, index of its first
+    row), so results do not depend on the worker count; one
+    `mcsim.simulate_curves` call runs every (curve, block) pair as a task on
+    one pool of `workers` threads."""
     from . import mcsim
 
-    curves: dict[tuple[str, str], list[int]] = {}
-    for i, (scheme, cond, *_) in enumerate(points):
-        curves.setdefault(("MRC" if scheme == "MRC" else "SC", cond), []).append(i)
-    mc = spec.mc
     runs = [
-        (kind, [_hops(*points[i]) for i in index], replace(mc, seed=_row_seed(mc.seed, index[0])))
-        for (kind, _), index in curves.items()
+        (kind, columns, ks, replace(spec.mc, seed=_row_seed(spec.mc.seed, first)))
+        for kind, columns, ks, first in plan.curves
     ]
-    by_row = {}
-    for index, curve in zip(curves.values(), mcsim.simulate_curves(runs, spec.threshold, workers)):
-        by_row.update(zip(index, curve))
-    return [by_row[i] for i in range(len(points))]
+    estimates = mcsim.simulate_curves(runs, spec.threshold, workers)
+    return [estimates[c][cell] for c, cell in plan.cells]
 
 
 def run(spec: ExperimentSpec, workers: int = 1) -> list[RunRow]:
     """Compute all grid rows, returned in spec order.
 
-    Rows are keyed (scheme, condition, K, snr_db).  The calling thread
-    first computes the analytic and asymptotic columns at each row's own
-    K: one `outage.op_sc_rows` call for the SS and SC rows and one
+    Rows are keyed (scheme, condition, K, snr_db).  `_plan` compiles the
+    spec once: one hop pair per (condition, SNR), each row as indices into
+    them, and each Monte Carlo curve as SNR columns and Ks.  The calling
+    thread first computes the analytic and asymptotic columns: one
+    `outage.op_sc_rows` call for the SS and SC rows and one
     `outage.op_mrc_rows` call for the MRC rows, each reading every
     distinct single-hop law or uplink axis once, with nothing kept after
     it returns.  A table without Monte Carlo returns those rows and makes
@@ -214,11 +232,11 @@ def run(spec: ExperimentSpec, workers: int = 1) -> list[RunRow]:
     interpreter's switch interval to get it back.  An analytic error raises
     before any curve starts.
     """
-    points = list(_row_points(spec))
-    rows = _analytic_rows(spec, points)
+    plan = _plan(spec)
+    rows = _analytic_rows(spec, plan)
     if spec.mc is None:
         return rows
-    return [replace(r, mc=est) for r, est in zip(rows, _mc_column(spec, points, workers))]
+    return [replace(r, mc=est) for r, est in zip(rows, _mc_column(spec, plan, workers))]
 
 
 def _fmt(value: float | None) -> str:
@@ -551,7 +569,9 @@ def _cmd_validate(args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="satrelay",
         description="Outage analysis of LEO-satellite direct-access IoT uplinks",

@@ -1,19 +1,20 @@
 """Seeded Monte Carlo oracle for the three combining schemes.
 
-The unit of simulation is a *curve*: a (K x SNR) grid of rows of one
-kernel and one pair of fading conditions, such as fig3's K = 2..6 at one
-SNR or fig1's MRC curve, one K over eleven SNRs.  Every row's hop list
-is a prefix of the curve's longest list, and the rows' links differ by
-one SNR factor; every (K, SNR) pair of the grid must be present.
-Selection combining over one satellite is the single-satellite scheme
-(SS), so there are two curve kernels, `simulate_sc_curve` (SS rows are
-its one-satellite rows) and `simulate_mrc_curve`, each returning one
-estimate per row from one draw set.
-Every SNR is drawn once, at the links of the longest list at the lowest
-SNR, and scaled by eta_row / eta_lowest for each row; the factor is
-exactly 1.0 for a one-row curve.  Each row's outage event is tested on the
-unscaled draws in an equivalent form divided by the factor, so the lowest
-row, and a one-row curve, use the single-row arithmetic bit for bit.  A
+The unit of simulation is a *curve*: the (K x SNR) grid of one kernel and
+one pair of fading conditions, such as fig3's K = 2..6 at one SNR or
+fig1's MRC curve, one K over eleven SNRs.  A curve comes as (columns, ks):
+each column is the hop list of the largest K at one SNR, the columns
+ascend in SNR and their links differ by one SNR factor, and ks are the
+ascending satellite counts.  Cell (a, b), a row, is the first ks[a]
+satellites of column b.  Selection combining over one satellite is the
+single-satellite scheme (SS), so there are two curve kernels,
+`simulate_sc_curve` (SS rows are its one-satellite rows) and
+`simulate_mrc_curve`, each returning one estimate per cell, K-major, from
+one draw set.  Every SNR is drawn once, at the links of the first column,
+and scaled by eta_b / eta_0 for column b; the factor is exactly 1.0 for a
+one-column curve.  Each row's outage event is tested on the unscaled draws
+in an equivalent form divided by the factor, so the first column, and a
+one-row curve, use the single-row arithmetic bit for bit.  A
 transmit SNR only scales the drawn variates, so every row's hit count
 keeps its exact Binomial(n, p(eta)) law.  Every end-to-end SNR here grows
 with that factor, so a trial out of outage at one row stays out at every
@@ -23,7 +24,7 @@ and at one seed the hit count never rises with SNR within a curve.  It
 grows with K too, so a trial out of outage at the lowest SNR needs no more
 draws at larger K, and at one seed the hit count never rises with K.
 In a curve of several K, the smallest K's rows draw as that K's curve
-alone.  `simulate_ss`, `simulate_sc` and `simulate_mrc` are the one-row
+alone.  `simulate_ss`, `simulate_sc` and `simulate_mrc` are the one-cell
 curves; `simulate_ss(hop)` is `simulate_sc([hop])`.
 
 Trials are partitioned into fixed-size blocks; block i draws from an
@@ -171,14 +172,14 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _run_curves(curves, workers: int) -> list[list[OutageEstimate]]:
-    """One list of estimates per (kernel, cells, cfg) curve: kernel(rng, n)
-    counts one block's outages per cell, and cells[i] is row i's cell.  Every
-    (curve, block) pair is one task, in curve-then-block order, on one pool
-    of `workers` threads, or inline at one worker or one task.  Once a task
+    """One list of estimates per (kernel, cfg) curve, one per cell:
+    kernel(rng, n) counts one block's outages per cell.  Every (curve,
+    block) pair is one task, in curve-then-block order, on one pool of
+    `workers` threads, or inline at one worker or one task.  Once a task
     raises, no further task starts, and the caller gets that error."""
     tasks = [
         (c, kernel, cfg.seed, block, min(_BLOCK, cfg.trials - start))
-        for c, (kernel, _, cfg) in enumerate(curves)
+        for c, (kernel, cfg) in enumerate(curves)
         for block, start in enumerate(range(0, cfg.trials, _BLOCK))
     ]
     failed = threading.Event()
@@ -202,45 +203,30 @@ def _run_curves(curves, workers: int) -> list[list[OutageEstimate]]:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             hits = list(pool.map(one, tasks))
     out = []
-    for c, (_, cells, cfg) in enumerate(curves):
+    for c, (_, cfg) in enumerate(curves):
         total = sum(h for (owner, *_), h in zip(tasks, hits) if owner == c)
-        out.append([_wilson(int(total[i]), cfg.trials, cfg.ci_level) for i in cells])
+        out.append([_wilson(int(t), cfg.trials, cfg.ci_level) for t in total])
     return out
 
 
-def _grid(curve: list[list[HopPair]]):
-    """Where a curve's rows sit on its (K, SNR) grid: (hops, ks, factors, first, cells).
-
-    ks are the distinct satellite counts and factors the distinct
-    eta_row / eta_lowest (factors[0] == 1.0 exactly), both ascending.
-    first[a, b] is the first row at (ks[a], factors[b]), and row i sits at
-    the flat cell cells[i] = a * factors.size + b.  hops is the hop list of
-    the first row at the largest K and the lowest SNR, whose links every
-    draw is made at.
-    """
-    if not curve:
-        raise ValueError("a curve needs at least one row")
-    if not all(curve):
-        raise ValueError("need at least one satellite")
-    longest = max(curve, key=len)
-    shape = [(h.ns[0], h.sg[0]) for h in longest]
-    if any([(h.ns[0], h.sg[0]) for h in hops] != shape[: len(hops)] for hops in curve):
-        raise ValueError("the hop lists of a curve must be prefixes of one list of fading parameters")
-    etas = [np.array([[h.ns[1].eta, h.sg[1].eta] for h in hops]) for hops in curve]
-    base = np.array([[h.ns[1].eta, h.sg[1].eta] for h in longest])
-    for row in etas:
-        ratios = row / base[: len(row)]
-        if not np.allclose(ratios, ratios[0, 0], rtol=1e-9, atol=0.0):
-            raise ValueError("the links of a curve's rows must differ by one SNR factor")
-    lead = np.array([row[0, 0] for row in etas])
-    factors, fpos = np.unique(lead / lead.min(), return_inverse=True)
-    ks, kpos = np.unique([len(hops) for hops in curve], return_inverse=True)
-    cells = kpos * factors.size + fpos
-    found, first = np.unique(cells, return_index=True)
-    if found.size != ks.size * factors.size:
-        raise ValueError("a curve's rows must cover every pair of its satellite counts and SNRs")
-    first = first.reshape(ks.size, factors.size)
-    return curve[first[-1, 0]], ks, factors, first, cells
+def _grid(columns: list[list[HopPair]], ks) -> tuple[np.ndarray, np.ndarray]:
+    """A curve's (ks, factors), once its input is checked: ks are positive
+    and ascend, every column is ks[-1] hop pairs of one list of fading, and
+    the columns ascend in SNR by one factor each, factors[b] = eta_b / eta_0
+    of column b's own links (factors[0] == 1.0 exactly)."""
+    ks = np.asarray(ks, dtype=np.int64)
+    if not (columns and ks.size and ks[0] >= 1 and np.all(np.diff(ks) > 0)):
+        raise ValueError("a curve needs an SNR column and positive, ascending satellite counts")
+    shape = [(h.ns[0], h.sg[0]) for h in columns[0]]
+    if len(shape) != ks[-1] or any([(h.ns[0], h.sg[0]) for h in col] != shape for col in columns):
+        raise ValueError("each column of a curve must be the largest K's list of fading parameters")
+    etas = np.array([[[h.ns[1].eta, h.sg[1].eta] for h in col] for col in columns])
+    ratios = etas / etas[0]
+    factors = ratios[:, 0, 0]
+    ascending = np.all(np.diff(factors) >= 0.0)
+    if not (ascending and np.allclose(ratios, factors[:, None, None], rtol=1e-9, atol=0.0)):
+        raise ValueError("a curve's columns must ascend in SNR, their links by one factor each")
+    return ks, factors
 
 
 def _leading_outages(num: np.ndarray, den: np.ndarray, offsets, limits, shift=0.0) -> np.ndarray:
@@ -302,9 +288,9 @@ def _side_sum(links, rng: np.random.Generator, n: int) -> np.ndarray:
     )
 
 
-def _sc_kernel(curve: list[list[HopPair]], thr: Threshold):
-    """(kernel, cells) of `simulate_sc_curve`."""
-    hops, ks, factors, _, cells = _grid(curve)
+def _sc_kernel(columns: list[list[HopPair]], ks, thr: Threshold):
+    """The block kernel of `simulate_sc_curve`."""
+    ks, factors = _grid(columns, ks)
     at = {int(k): a for a, k in enumerate(ks)}
     offsets, limits = _relayed_rows(factors, thr.gamma_th)
     # lim_at[c] = limits[c - 1]: the limit of the last of c leading rows.
@@ -313,7 +299,7 @@ def _sc_kernel(curve: list[list[HopPair]], thr: Threshold):
     # of the smaller mean SNR first (ns on a tie): fewer trials draw both.
     order = [
         (h.ns, h.sg) if channel.mean_snr(*h.ns) <= channel.mean_snr(*h.sg) else (h.sg, h.ns)
-        for h in hops
+        for h in columns[0]
     ]
 
     def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -349,17 +335,18 @@ def _sc_kernel(curve: list[list[HopPair]], thr: Threshold):
                 hits[at[k]] = _row_hits(count, factors.size)
         return hits.ravel()
 
-    return kernel, cells
+    return kernel
 
 
-def _mrc_kernel(curve: list[list[HopPair]], thr: Threshold):
-    """(kernel, cells) of `simulate_mrc_curve`."""
-    hops, ks, factors, first, cells = _grid(curve)
-    ns_links, sg_links = [h.ns for h in hops], [h.sg for h in hops]
+def _mrc_kernel(columns: list[list[HopPair]], ks, thr: Threshold):
+    """The block kernel of `simulate_mrc_curve`."""
+    ks, factors = _grid(columns, ks)
+    ns_links, sg_links = [h.ns for h in columns[0]], [h.sg for h in columns[0]]
     g = thr.gamma_th
     # sum(ns) <= g at the highest SNR: in outage at every row.
     floor = g / factors[-1]
-    cms = np.array([[c_mrc([h.ns for h in curve[i]]) for i in row] for row in first])
+    # Each cell's C_m from its own column's links.
+    cms = np.array([[c_mrc([h.ns for h in col[:k]]) for col in columns] for k in ks])
     # Per satellite count, (f sg)(f ns) / (f sg + C_m) <= g is the event
     # sg*ns / ((sg + C_m0) + (C_m / f - C_m0)) <= g / f.
     offsets, limits = cms / factors - cms[:, :1], g / factors
@@ -417,7 +404,7 @@ def _mrc_kernel(curve: list[list[HopPair]], thr: Threshold):
             prev = k
         return hits.ravel()
 
-    return kernel, cells
+    return kernel
 
 
 def _thread_count(workers) -> int:
@@ -433,43 +420,46 @@ def _thread_count(workers) -> int:
 
 
 def simulate_curves(curves, thr: Threshold, workers: int = 1) -> list[list[OutageEstimate]]:
-    """One list of estimates per (kind, curve, cfg), kind "SC" or "MRC", one
-    estimate per row; every curve's blocks share one pool (`_run_curves`)
-    of `workers` threads, an integer >= 1 (a bool is refused)."""
+    """One list of estimates per (kind, columns, ks, cfg), kind "SC" or
+    "MRC", one estimate per cell, K-major; every curve's blocks share one
+    pool (`_run_curves`) of `workers` threads, an integer >= 1 (a bool is
+    refused)."""
     workers = _thread_count(workers)
     kernels = {"SC": _sc_kernel, "MRC": _mrc_kernel}
-    if any(kind not in kernels for kind, _, _ in curves):
+    if any(kind not in kernels for kind, *_ in curves):
         raise ValueError("a curve's kind must be SC or MRC")
-    return _run_curves([(*kernels[kind](curve, thr), cfg) for kind, curve, cfg in curves], workers)
+    return _run_curves(
+        [(kernels[kind](columns, ks, thr), cfg) for kind, columns, ks, cfg in curves], workers
+    )
 
 
 def simulate_sc_curve(
-    curve: list[list[HopPair]], thr: Threshold, cfg: MCConfig, workers: int = 1
+    columns: list[list[HopPair]], ks, thr: Threshold, cfg: MCConfig, workers: int = 1
 ) -> list[OutageEstimate]:
-    """Selection combining at every row of a curve, one estimate per row;
-    SS rows are its rows of one satellite."""
-    return simulate_curves([("SC", curve, cfg)], thr, workers)[0]
+    """Selection combining at every (K, SNR) cell of a curve, one estimate
+    per cell, K-major; SS rows are its cells of one satellite."""
+    return simulate_curves([("SC", columns, ks, cfg)], thr, workers)[0]
 
 
 def simulate_mrc_curve(
-    curve: list[list[HopPair]], thr: Threshold, cfg: MCConfig, workers: int = 1
+    columns: list[list[HopPair]], ks, thr: Threshold, cfg: MCConfig, workers: int = 1
 ) -> list[OutageEstimate]:
-    """Maximal ratio combining at every row of a curve, one estimate per row,
-    each row with its own fixed-gain constant C_m."""
-    return simulate_curves([("MRC", curve, cfg)], thr, workers)[0]
+    """Maximal ratio combining at every (K, SNR) cell of a curve, one
+    estimate per cell, K-major, each with its own fixed-gain constant C_m."""
+    return simulate_curves([("MRC", columns, ks, cfg)], thr, workers)[0]
 
 
 def simulate_ss(hops: HopPair, thr: Threshold, cfg: MCConfig, workers: int = 1) -> OutageEstimate:
     """Single satellite, variable gain: Lambda_GS = sg*ns / (sg + 1 + ns),
     simulated as selection combining over that one satellite."""
-    return simulate_sc_curve([[hops]], thr, cfg, workers)[0]
+    return simulate_sc_curve([[hops]], [1], thr, cfg, workers)[0]
 
 
 def simulate_sc(
     hops_per_sat: list[HopPair], thr: Threshold, cfg: MCConfig, workers: int = 1
 ) -> OutageEstimate:
     """Selection combining: outage iff the best branch SNR is at or below gamma."""
-    return simulate_sc_curve([hops_per_sat], thr, cfg, workers)[0]
+    return simulate_sc_curve([hops_per_sat], [len(hops_per_sat)], thr, cfg, workers)[0]
 
 
 def simulate_mrc(
@@ -477,4 +467,4 @@ def simulate_mrc(
 ) -> OutageEstimate:
     """Maximal ratio combining with the fixed gain constant C_m:
     Lambda_GS = sum(sg) * sum(ns) / (sum(sg) + C_m)."""
-    return simulate_mrc_curve([hops_per_sat], thr, cfg, workers)[0]
+    return simulate_mrc_curve([hops_per_sat], [len(hops_per_sat)], thr, cfg, workers)[0]

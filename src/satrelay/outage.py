@@ -11,22 +11,23 @@ to depth L.  Each axis is read once, on one `_grid` of 2M + 2 abscissae:
 representable where 1 - OP would not.  Both reduce along the last axis, so
 one call sums a stack of staircases, one per row.
 
-`op_sc_rows`, `op_mrc_rows` and `asymp_op_sc_rows` take a table's rows,
-each a list of hop pairs, and keep nothing after the call.  Every SS axis
-of a table shares one grid, so `op_sc_rows` reads each distinct
-single-hop law (params, link) with one `channel.sf` call, stacks the
-values and sums every distinct hop pair's outage and success pieces in
-one pass.  `op_mrc_rows` computes C_m and the uplink axis once per
-distinct (uplink, K), one `channel.sum_cdf` call per axis, and sums every
-row in one pass.  `op_ss`, `ps_ss`, `op_sc`, `op_mrc` and
-`asymp_op_sc` are one-row cases.
+`op_sc_rows`, `op_mrc_rows` and `asymp_op_sc_rows` take a table as
+`(pairs, rows)`: a list of hop pairs and each row as a sequence of indices
+into it, one per satellite, and keep nothing after the call.  Every SS
+axis shares one grid, so `op_sc_rows` reads each distinct single-hop law
+(params, link) of the pairs with one `channel.sf` call, stacks the values
+and sums every pair's outage and success pieces in one pass.
+`op_mrc_rows` computes C_m and the uplink axis once per distinct
+(uplink, K), one `channel.sum_cdf` call per axis, and sums every row in
+one pass.  `op_ss`, `op_sc`, `op_mrc` and `asymp_op_sc` pass their own
+hop list as one row, `range(len(hops))`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -228,21 +229,6 @@ def staircase_truncation_bound(
     return float((1.0 - fx[1]) * (fy[2] - fy[0]) + (1.0 - fy[1]) * (fx[2] - fx[0]))
 
 
-def _index_rows(rows: list[list[HopPair]]) -> tuple[list[HopPair], list[list[int]]]:
-    """(the distinct hop pairs of rows in first-seen order, each row as
-    indices into them).  Each distinct object of a row is hashed once: a
-    row of K satellites often repeats one `HopPair` object K times."""
-    index: dict[HopPair, int] = {}
-    by_row = []
-    for row in rows:
-        by_id: dict[int, int] = {}
-        for hop in row:
-            if id(hop) not in by_id:
-                by_id[id(hop)] = index.setdefault(hop, len(index))
-        by_row.append([by_id[id(hop)] for hop in row])
-    return list(index), by_row
-
-
 def _ss_pieces(
     hops: list[HopPair], thr: Threshold, cfg: StaircaseConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -252,13 +238,11 @@ def _ss_pieces(
     `channel.sf` call on the grid both SS axes share, and the CDF there is
     1 - sf; every pair's pieces are then summed in one row-wise pass.
     """
-    if not hops:
-        return np.empty(0), np.empty(0)
-    laws = {law: i for i, law in enumerate(dict.fromkeys(x for h in hops for x in (h.sg, h.ns)))}
+    laws: dict[tuple[SRParams, LinkSNR], int] = {}
+    sg, ns = np.array([[laws.setdefault(law, len(laws)) for law in (h.sg, h.ns)] for h in hops]).T
     grid = _grid(thr.gamma_th, thr.upsilon, cfg)
     s = np.stack([channel.sf(*law, grid) for law in laws])
     f = 1.0 - s
-    sg, ns = [laws[h.sg] for h in hops], [laws[h.ns] for h in hops]
     m = cfg.steps_m
     return _outage_pieces(f[sg], f[ns], m), _success_pieces(s[sg], s[ns], m)
 
@@ -270,7 +254,7 @@ def op_ss(hops: HopPair, thr: Threshold, cfg: StaircaseConfig) -> float:
     The one-row case of `op_sc_rows`: each distinct hop law's survival
     function is read once, on the grid both axes share.
     """
-    return op_sc_rows([[hops]], thr, cfg)[0]
+    return op_sc_rows([hops], [range(1)], thr, cfg)[0]
 
 
 def ps_ss(hops: HopPair, thr: Threshold, cfg: StaircaseConfig) -> float:
@@ -280,22 +264,26 @@ def ps_ss(hops: HopPair, thr: Threshold, cfg: StaircaseConfig) -> float:
 
 def op_sc(hops_per_sat: list[HopPair], thr: Threshold, cfg: StaircaseConfig) -> float:
     """Selection combining: product of the per-satellite outage probabilities,
-    each distinct hop pair evaluated once and multiplied in list order."""
-    return op_sc_rows([hops_per_sat], thr, cfg)[0]
+    each distinct hop law read once and the factors multiplied in list order."""
+    return op_sc_rows(hops_per_sat, [range(len(hops_per_sat))], thr, cfg)[0]
 
 
-def op_sc_rows(rows: list[list[HopPair]], thr: Threshold, cfg: StaircaseConfig) -> list[float]:
-    """`op_sc` at every row, one outage per row: every distinct hop pair's
-    SS outage comes from one `_ss_pieces` pass, so each single-hop law of
-    the call is read once.  An SS outage at or above 1/2 is 1 - success, so
-    one within an ulp of 1 is not clipped to exactly 1.0; below 1/2 the
-    outage-form sum keeps its own relative precision."""
+def op_sc_rows(
+    pairs: list[HopPair], rows: list[Sequence[int]], thr: Threshold, cfg: StaircaseConfig
+) -> list[float]:
+    """`op_sc` at every row, one outage per row; a row lists the indices of
+    its satellites' hop pairs.  Every pair's SS outage comes from one
+    `_ss_pieces` pass, so each single-hop law of the call is read once.  An
+    SS outage at or above 1/2 is 1 - success, so one within an ulp of 1 is
+    not clipped to exactly 1.0; below 1/2 the outage-form sum keeps its own
+    relative precision."""
     if not all(rows):
         raise ValueError("need at least one satellite")
-    hops, by_row = _index_rows(rows)
-    out, success = _ss_pieces(hops, thr, cfg)
+    if not rows:
+        return []
+    out, success = _ss_pieces(pairs, thr, cfg)
     per_hop = np.where(out >= 0.5, 1.0 - success, out).tolist()
-    return [math.prod(per_hop[i] for i in row) for row in by_row]
+    return [math.prod(per_hop[i] for i in row) for row in rows]
 
 
 def ps_sc(hops_per_sat: list[HopPair], thr: Threshold, cfg: StaircaseConfig) -> float:
@@ -316,25 +304,17 @@ def c_mrc(ns_links: list[tuple[SRParams, LinkSNR]]) -> float:
     return 1.0 / sum(1.0 / (1.0 + channel.mean_snr(p, lk)) for p, lk in ns_links)
 
 
-def _require_iid(hops_per_sat: list[HopPair]) -> HopPair:
-    first = hops_per_sat[0]
-    for hop in hops_per_sat[1:]:
-        if hop != first:
-            raise ValueError(
-                "MRC closed form requires i.i.d. satellites: all hop pairs "
-                "must share fading parameters and transmit SNR"
-            )
-    return first
-
-
 def op_mrc(hops_per_sat: list[HopPair], thr: Threshold, cfg: StaircaseConfig) -> float:
     """Fixed-gain MRC outage: Pr[(Delta_sg)(Delta_ns - gamma) <= C_m gamma],
     with Delta_* the K-fold sums of per-hop SNRs (i.i.d. satellites only)."""
-    return op_mrc_rows([hops_per_sat], thr, cfg)[0]
+    return op_mrc_rows(hops_per_sat, [range(len(hops_per_sat))], thr, cfg)[0]
 
 
-def op_mrc_rows(rows: list[list[HopPair]], thr: Threshold, cfg: StaircaseConfig) -> list[float]:
-    """`op_mrc` at every row, one outage per row.
+def op_mrc_rows(
+    pairs: list[HopPair], rows: list[Sequence[int]], thr: Threshold, cfg: StaircaseConfig
+) -> list[float]:
+    """`op_mrc` at every row, one outage per row; a row lists the indices of
+    its satellites' hop pairs, which must be equal.
 
     The uplink axis, the K-fold ns-sum CDF on gamma + {0, corner edges,
     hyperbola heights} with rhs = C_m gamma, depends only on (hop.ns, K)
@@ -344,17 +324,25 @@ def op_mrc_rows(rows: list[list[HopPair]], thr: Threshold, cfg: StaircaseConfig)
     """
     if not all(rows):
         raise ValueError("need at least one satellite")
-    keys = [(_require_iid(row), len(row)) for row in rows]
-    if not keys:
+    if not rows:
         return []
     g = thr.gamma_th
-    uplinks: dict[tuple, tuple[float, np.ndarray]] = {}
+    laws: dict[tuple[SRParams, LinkSNR], int] = {}
+    uplink = [laws.setdefault(h.ns, len(laws)) for h in pairs]
+    axes: dict[tuple[int, int], tuple[float, np.ndarray]] = {}
     f_sg, f_ns = [], []
-    for hop, k in keys:
-        if (hop.ns, k) not in uplinks:
+    for row in rows:
+        hop, k = pairs[row[0]], len(row)
+        if any(pairs[i] != hop for i in row):
+            raise ValueError(
+                "MRC closed form requires i.i.d. satellites: all hop pairs "
+                "must share fading parameters and transmit SNR"
+            )
+        key = uplink[row[0]], k
+        if key not in axes:
             rhs = c_mrc([hop.ns] * k) * g
-            uplinks[hop.ns, k] = rhs, channel.sum_cdf(*hop.ns, SumSRContext(k), _grid(g, rhs, cfg))
-        rhs, f_up = uplinks[hop.ns, k]
+            axes[key] = rhs, channel.sum_cdf(*hop.ns, SumSRContext(k), _grid(g, rhs, cfg))
+        rhs, f_up = axes[key]
         f_sg.append(channel.sum_cdf(*hop.sg, SumSRContext(k), _grid(0.0, rhs, cfg)))
         f_ns.append(f_up)
     return _outage_pieces(np.stack(f_sg), np.stack(f_ns), cfg.steps_m).tolist()
@@ -373,19 +361,20 @@ def asymp_op_sc(hops_per_sat: list[HopPair], thr: Threshold) -> float:
     """Leading-order SC outage prod_k [F_sg_k(gamma) + F_ns_k(gamma)], each F
     a linearized hop CDF `channel.asymptotic_cdf`; equal power on every hop.
     The one-row case of `asymp_op_sc_rows`."""
-    return asymp_op_sc_rows([hops_per_sat], thr)[0]
+    return asymp_op_sc_rows(hops_per_sat, [range(len(hops_per_sat))], thr)[0]
 
 
-def asymp_op_sc_rows(rows: list[list[HopPair]], thr: Threshold) -> list[float]:
-    """`asymp_op_sc` at every row: each distinct hop pair's factor is
-    computed once per call, and each row multiplies its factors in list
-    order."""
+def asymp_op_sc_rows(
+    pairs: list[HopPair], rows: list[Sequence[int]], thr: Threshold
+) -> list[float]:
+    """`asymp_op_sc` at every row, a row listing the indices of its
+    satellites' hop pairs: each pair's factor is computed once per call,
+    and each row multiplies its factors in list order."""
     for row in rows:
-        _equal_power_eta(row)
+        _equal_power_eta([pairs[i] for i in row])
     g = thr.gamma_th
-    hops, by_row = _index_rows(rows)
-    per_hop = [channel.asymptotic_cdf(*h.sg, g) + channel.asymptotic_cdf(*h.ns, g) for h in hops]
-    return [math.prod(per_hop[i] for i in row) for row in by_row]
+    per_hop = [channel.asymptotic_cdf(*h.sg, g) + channel.asymptotic_cdf(*h.ns, g) for h in pairs]
+    return [math.prod(per_hop[i] for i in row) for row in rows]
 
 
 def asymp_op_mrc(hops_per_sat: list[HopPair], thr: Threshold) -> float:
@@ -401,10 +390,10 @@ def asymp_op_mrc(hops_per_sat: list[HopPair], thr: Threshold) -> float:
     diverges and the ratio grows by about ln 10 per decade of SNR.
     """
     _equal_power_eta(hops_per_sat)
-    uplinks = {h.ns for h in hops_per_sat}
-    if len(uplinks) != 1:
+    uplink = hops_per_sat[0].ns
+    if any(h.ns != uplink for h in hops_per_sat):
         raise ValueError("MRC asymptote assumes identical node->satellite fading")
-    return channel.asymptotic_sum_cdf(*uplinks.pop(), len(hops_per_sat), thr.gamma_th)
+    return channel.asymptotic_sum_cdf(*uplink, len(hops_per_sat), thr.gamma_th)
 
 
 def coding_gains(hops_per_sat: list[HopPair], thr: Threshold) -> tuple[float, float, int]:

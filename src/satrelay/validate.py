@@ -248,8 +248,8 @@ def _check_mc_determinism():
     fast = LinkSNR(10.0)
     mixed = [HopPair(ns=(AVERAGE_SHADOWING, x), sg=(HEAVY_SHADOWING, x)) for x in (link, fast)]
     curves = [
-        ("SC", [[hop], [hop] * 3], MCConfig(trials=600_000, seed=5)),
-        ("MRC", [[mixed[0]] * 2, [mixed[1]] * 2], MCConfig(trials=600_000, seed=6)),
+        ("SC", [[hop] * 3], [1, 3], MCConfig(trials=600_000, seed=5)),
+        ("MRC", [[mixed[0]] * 2, [mixed[1]] * 2], [2], MCConfig(trials=600_000, seed=6)),
     ]
     runs = [mcsim.simulate_curves(curves, thr, workers) for workers in (1, 2, 4)]
     assert runs[0] == runs[1] == runs[2], runs

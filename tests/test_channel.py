@@ -409,6 +409,61 @@ class TestSumCdf:
         assert channel.sum_cdf(sr_params, link10, ctx, 0.0) == 0.0
 
 
+# The integer-m law grid: the package's H and A, and Abdi et al.'s
+# land-mobile-satellite (b, omega) with m rounded to an integer (frequent
+# heavy shadowing at m = 1, average shadowing at m = 3 and 10, infrequent
+# light shadowing at m = 19 and 30).
+LAW_GRID = {
+    "H": HEAVY_SHADOWING,
+    "A": AVERAGE_SHADOWING,
+    "m1": SRParams(m=1, b=0.063, omega=8.97e-4),
+    "m3": SRParams(m=3, b=0.126, omega=0.835),
+    "m10": SRParams(m=10, b=0.126, omega=0.835),
+    "m19": SRParams(m=19, b=0.158, omega=1.29),
+    "m30": SRParams(m=30, b=0.158, omega=1.29),
+}
+# (law, K) -> the worst error `test_sum_cdf_law_grid` measures on the
+# Whittaker-series `sum_cdf`, wherever it exceeds the test's bound.
+SUM_CDF_DEFECTS = {
+    ("A", 16): 0.94,
+    ("m10", 5): 0.20,
+    ("m10", 16): 3.5e7,
+    ("m19", 2): 1.2e-5,
+    ("m19", 5): 1.06,
+    ("m19", 16): 3.9e10,
+    ("m30", 1): 2.8e-8,
+    ("m30", 2): 1.95,
+    ("m30", 5): 7.1e3,
+    ("m30", 16): 7.7e10,
+}
+
+
+def _law_grid_cases():
+    for name, p in LAW_GRID.items():
+        for k in (1, 2, 5, 16):
+            marks = []
+            if (name, k) in SUM_CDF_DEFECTS:
+                reason = (
+                    f"sum_cdf's Whittaker-series evaluation errs by {SUM_CDF_DEFECTS[name, k]:g} "
+                    "here, with no error or warning (ROADMAP items 2 and 12)"
+                )
+                marks.append(pytest.mark.xfail(strict=True, reason=reason))
+            yield pytest.param(p, k, id=f"{name}-K{k}", marks=marks)
+
+
+@pytest.mark.parametrize("p, k", _law_grid_cases())
+def test_sum_cdf_law_grid(p, k):
+    # At eta = 1, at 1/4, 1/2, 1, 3/2 and 2 times the sum's mean, the error
+    # relative to min(F, 1/2): relative below the median, twice the
+    # absolute error above it.  Every passing case errs by at most 5e-10.
+    link = LinkSNR(1.0)
+    xs = k * channel.mean_snr(p, link) * np.array([0.25, 0.5, 1.0, 1.5, 2.0])
+    got = channel.sum_cdf(p, link, SumSRContext(k), xs)
+    with mpmath.workdps(40):
+        want = np.array([float(sum_cdf_mp(p, link, k, x)) for x in xs])
+    assert np.all(np.abs(got - want) <= 1e-9 * np.minimum(want, 0.5))
+
+
 class TestAsymptoticCdf:
     def test_zero(self, sr_params, link10):
         assert channel.asymptotic_cdf(sr_params, link10, 0.0) == 0.0

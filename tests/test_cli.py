@@ -1,3 +1,4 @@
+import argparse
 import json
 import pathlib
 import subprocess
@@ -348,34 +349,79 @@ class TestCurves:
             at_6, at_m3, again_6, at_0 = rows[i : i + 4]
             assert at_6 == again_6  # one draw set per curve
             assert float(at_m3[6]) >= float(at_0[6]) >= float(at_6[6])
-        # The SS and SC rows form one SC curve over K = 1 and 3, seeded by
-        # the index of its first row, the first SS row.
+        # The SS and SC rows form one SC curve over K = 1 and 3 and the
+        # SNRs -3, 0 and 6 dB, seeded by the index of its first row, the
+        # first SS row; each row reads its (K, SNR) cell.
         ns, sg = CONDITIONS["AH"]
-        links = [LinkSNR.from_db(db) for db in (6, -3, 6, 0)]
-        curve = [[HopPair(ns=(ns, link), sg=(sg, link))] * k for k in (1, 3) for link in links]
+        links = [LinkSNR.from_db(db) for db in (-3, 0, 6)]
+        columns = [[HopPair(ns=(ns, link), sg=(sg, link))] * 3 for link in links]
         cfg = MCConfig(trials=20000, seed=cli._row_seed(7, 0))
-        est = mcsim.simulate_sc_curve(curve, Threshold.from_rate(0.5), cfg)
-        assert [float(r[6]) for r in rows[0:8]] == [e.p_hat for e in est]
+        est = mcsim.simulate_sc_curve(columns, [1, 3], Threshold.from_rate(0.5), cfg)
+        dbs = (-3, 0, 6)
+        want = [est[a * 3 + dbs.index(db)].p_hat for a in (0, 1) for db in (6, -3, 6, 0)]
+        assert [float(r[6]) for r in rows[0:8]] == want
+
+    def test_repeated_conditions_k_and_snrs(self, tmp_path):
+        # Repeated and unsorted schemes' conditions, K values and SNRs: each
+        # repeated row is its first occurrence bit for bit, at one worker
+        # and at two, and every row reads its own hop pair and (K, SNR) cell.
+        conf = tmp_path / "repeated.conf"
+        conf.write_text(
+            "schemes = MRC, SS, SC\nconditions = HA, HH, HA\nk_values = 3, 2, 3\n"
+            "snr_db = 6, -3, 6, 0\ntrials = 20000\nseed = 7\n"
+        )
+        csvs = []
+        for workers in ("1", "2"):
+            csvs.append(tmp_path / f"w{workers}.csv")
+            argv = ["run", "--config", str(conf), "--workers", workers, "--csv", str(csvs[-1])]
+            assert cli.main(argv) == 0
+        assert csvs[0].read_bytes() == csvs[1].read_bytes()
+        lines = csvs[0].read_text().splitlines()[1:]
+        first = {}
+        for line in lines:
+            assert first.setdefault(tuple(line.split(",")[:4]), line) == line
+        assert (len(lines), len(first)) == (3 * 3 * 3 * 4, 3 * 2 * 2 * 3)
+
+        spec = cli._spec_from_table(cli.parse_config_text(conf.read_text()))[0]
+        rows = run(spec)
+        thr, stair, dbs = spec.threshold, spec.staircase, (-3.0, 0.0, 6.0)
+        curves = {
+            "SC": ([1, 2, 3], mcsim.simulate_sc_curve, outage.op_sc),
+            "MRC": ([2, 3], mcsim.simulate_mrc_curve, outage.op_mrc),
+        }
+        for cond in ("HA", "HH"):
+            ns, sg = CONDITIONS[cond]
+            links = {db: LinkSNR.from_db(db) for db in dbs}
+            pairs = {db: HopPair(ns=(ns, link), sg=(sg, link)) for db, link in links.items()}
+            for kind, (ks, simulate, one_shot) in curves.items():
+                index = [
+                    i for i, r in enumerate(rows)
+                    if r.condition == cond and ("MRC" if r.scheme == "MRC" else "SC") == kind
+                ]
+                cfg = replace(spec.mc, seed=cli._row_seed(7, index[0]))
+                est = simulate([[pairs[db]] * 3 for db in dbs], ks, thr, cfg)
+                for r in (rows[i] for i in index):
+                    k = 1 if r.scheme == "SS" else r.k
+                    assert r.mc == est[ks.index(k) * 3 + dbs.index(r.snr_db)]
+                    assert r.op_analytic == one_shot([pairs[r.snr_db]] * k, thr, stair)
 
     def test_ss_rows_are_the_one_satellite_rows_of_the_sc_curve(self):
         # fig1 holds one SC curve per condition: its SS rows (one hop each)
         # and its SC rows (K = 5), drawn from one set seeded by the index of
         # the condition's first SS row.
+        # Its cells, K-major over K = 1, 5 and the eleven ascending SNRs, are
+        # the rows in spec order.
         spec = replace(preset_spec("fig1"), mc=MCConfig(trials=4000, seed=12))
         rows = run(spec, workers=2)
-
-        def hops(row):
-            ns, sg = CONDITIONS[row.condition]
-            link = LinkSNR.from_db(row.snr_db)
-            return [HopPair(ns=(ns, link), sg=(sg, link))] * (1 if row.scheme == "SS" else row.k)
-
         for cond in ("HH", "HA"):
             index = [i for i, r in enumerate(rows) if r.condition == cond and r.scheme != "MRC"]
             assert [rows[i].scheme for i in index] == ["SS"] * 11 + ["SC"] * 11
-            curve = [hops(rows[i]) for i in index]
+            ns, sg = CONDITIONS[cond]
+            links = [LinkSNR.from_db(rows[i].snr_db) for i in index[:11]]
+            columns = [[HopPair(ns=(ns, link), sg=(sg, link))] * 5 for link in links]
             cfg = replace(spec.mc, seed=cli._row_seed(12, index[0]))
             assert [rows[i].mc for i in index] == mcsim.simulate_sc_curve(
-                curve, spec.threshold, cfg
+                columns, [1, 5], spec.threshold, cfg
             )
 
     def test_sc_never_above_ss_at_one_seed(self):
@@ -410,13 +456,15 @@ class TestCurves:
             assert [r.k for r in curve_rows] == [2, 3, 4, 5, 6]
             ns, sg = CONDITIONS[curve_rows[0].condition]
             link = LinkSNR.from_db(curve_rows[0].snr_db)
-            curve = [[HopPair(ns=(ns, link), sg=(sg, link))] * r.k for r in curve_rows]
+            column = [HopPair(ns=(ns, link), sg=(sg, link))] * 6
             cfg = replace(spec.mc, seed=cli._row_seed(11, first))
             scheme = curve_rows[0].scheme
             simulate = mcsim.simulate_sc_curve if scheme == "SC" else mcsim.simulate_mrc_curve
-            assert [r.mc for r in curve_rows] == simulate(curve, spec.threshold, cfg)
+            assert [r.mc for r in curve_rows] == simulate(
+                [column], [2, 3, 4, 5, 6], spec.threshold, cfg
+            )
             one_row = mcsim.simulate_sc if scheme == "SC" else mcsim.simulate_mrc
-            assert curve_rows[0].mc == one_row(curve[0], spec.threshold, cfg)
+            assert curve_rows[0].mc == one_row(column[:2], spec.threshold, cfg)
 
     def test_ss_rows_repeat_across_k(self):
         # SS does not depend on K, so its rows at one SNR share their draws.
@@ -482,14 +530,23 @@ class TestRunMemo:
         assert len(sum_calls) == 30
 
     def test_sweep_hashes_each_row_hop_pair_once(self, monkeypatch):
-        # A row of K satellites repeats one HopPair object K times; the row
-        # functions hash it once per row, not once per entry and lookup.
-        hashes = []
-        hop_hash = HopPair.__hash__
-        monkeypatch.setattr(HopPair, "__hash__", lambda h: hashes.append(1) or hop_hash(h))
+        # The plan hands the row functions one hop pair per (condition, SNR)
+        # and each row as indices into them, so a fig1-fig3 sweep hashes no
+        # HopPair at all.  Only the single-hop laws and uplinks are keyed
+        # by value: 144 SRParams and 144 LinkSNR hashes a sweep.
+        def spy(cls):
+            real, seen = cls.__hash__, []
+            monkeypatch.setattr(cls, "__hash__", lambda h: seen.append(1) or real(h))
+            return seen
+
+        pairs, laws, links = spy(HopPair), spy(channel.SRParams), spy(LinkSNR)
         for preset in ("fig1", "fig2", "fig3"):
             run(replace(preset_spec(preset), mc=None))
-        assert 0 < len(hashes) <= 500
+        assert len(pairs) == 0
+        assert 0 < len(laws) <= 200 and 0 < len(links) <= 200
+        # The HopPair spy does fire: hashing one of the plan's pairs counts.
+        hash(cli._plan(preset_spec("fig1")).pairs[0])
+        assert len(pairs) == 1
 
     def test_rows_match_one_shot_calls(self):
         spec = preset_spec("fig3")
@@ -771,6 +828,22 @@ with contextlib.redirect_stdout(io.StringIO()):
         assert proc.returncode == 0, proc.stderr
         rows = (tmp_path / "b.csv").read_text().splitlines()[1:]
         assert len(rows) == 66 and all(r.split(",")[9] == "2000" for r in rows)
+
+    def test_parser_built_once_per_process(self, monkeypatch, capsys):
+        # Several main calls parse with one parser, built at the first.
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        cli._build_parser.cache_clear()
+        for _ in range(3):
+            assert cli.main(["linkbudget"]) == 0
+        assert built.count("satrelay") == 1
+        assert "snr_db_min=" in capsys.readouterr().out
 
     def test_validate_subcommand(self, capsys):
         assert cli.main(["validate"]) == 0

@@ -19,16 +19,16 @@ from conftest import mrc_outage_mp
 THR = Threshold(gamma_th=1.0)
 
 
-def ss_curve(rows, thr, cfg, workers=1):
-    """SS rows (one hop each) as one-satellite SC rows."""
-    return mcsim.simulate_sc_curve([[hop] for hop in rows], thr, cfg, workers)
+def snr_curve(scheme, columns, thr, cfg, workers=1):
+    """One estimate per SNR column of a one-K curve; an SS column is one hop
+    pair, simulated as a one-satellite SC column."""
+    if scheme == "SS":
+        return mcsim.simulate_sc_curve([[hop] for hop in columns], [1], thr, cfg, workers)
+    simulate = mcsim.simulate_sc_curve if scheme == "SC" else mcsim.simulate_mrc_curve
+    return simulate(columns, [len(columns[0])], thr, cfg, workers)
 
 
-CURVE = {
-    "SS": ss_curve,
-    "SC": mcsim.simulate_sc_curve,
-    "MRC": mcsim.simulate_mrc_curve,
-}
+K_CURVE = {"SC": mcsim.simulate_sc_curve, "MRC": mcsim.simulate_mrc_curve}
 SINGLE = {"SS": mcsim.simulate_ss, "SC": mcsim.simulate_sc, "MRC": mcsim.simulate_mrc}
 # Bound on the traced allocation peak of one fig3 MRC K-curve at 10^5
 # trials: measured 2.69-2.74 MiB (numpy 2.4), where each one-K kernel of
@@ -207,7 +207,7 @@ class TestScheduler:
             started.clear()
             raised.clear()
             with pytest.raises(Broken, match="^block 0$"):
-                mcsim.simulate_sc_curve([[hop_at(3.0)] * 2], THR, cfg, workers=2)
+                mcsim.simulate_sc_curve([[hop_at(3.0)] * 2], [2], THR, cfg, workers=2)
             assert 0 in started and set(started) <= {0, 1}
             assert threading.active_count() == before
 
@@ -217,9 +217,9 @@ class TestScheduler:
         # run` does; these used to return estimates.
         hop, cfg = hop_at(3.0), MCConfig(trials=1000, seed=1)
         calls = [
-            lambda: mcsim.simulate_curves([("SC", [[hop]], cfg)], THR, workers),
-            lambda: mcsim.simulate_sc_curve([[hop]], THR, cfg, workers),
-            lambda: mcsim.simulate_mrc_curve([[hop]], THR, cfg, workers),
+            lambda: mcsim.simulate_curves([("SC", [[hop]], [1], cfg)], THR, workers),
+            lambda: mcsim.simulate_sc_curve([[hop]], [1], THR, cfg, workers),
+            lambda: mcsim.simulate_mrc_curve([[hop]], [1], THR, cfg, workers),
             lambda: mcsim.simulate_ss(hop, THR, cfg, workers),
             lambda: mcsim.simulate_sc([hop] * 2, THR, cfg, workers),
             lambda: mcsim.simulate_mrc([hop] * 2, THR, cfg, workers=workers),
@@ -233,7 +233,7 @@ class TestScheduler:
         hop, cfg = hop_at(3.0), MCConfig(trials=1000, seed=1)
         want = mcsim.simulate_sc([hop] * 2, THR, cfg, workers=2)
         assert mcsim.simulate_sc([hop] * 2, THR, cfg, workers=np.int64(2)) == want
-        assert mcsim.simulate_curves([("SC", [[hop] * 2], cfg)], THR, np.int32(1)) == [[want]]
+        assert mcsim.simulate_curves([("SC", [[hop] * 2], [2], cfg)], THR, np.int32(1)) == [[want]]
 
 
 class TestSimulateSS:
@@ -295,10 +295,10 @@ class TestSimulateSC:
         # own last row still in outage, f that row's SNR factor.  Replayed
         # on the spy's draws with the event at each row written out.
         dbs = [-3.0, 0.0, 3.0, 6.0]
-        rows = [[hop_at(db, ns=AVERAGE_SHADOWING)] * k for k in (1, 3) for db in dbs]
+        columns = [[hop_at(db, ns=AVERAGE_SHADOWING)] * 3 for db in dbs]
         n = 100_000
         spy = SampleSpy(monkeypatch)
-        est = mcsim.simulate_sc_curve(rows, THR, MCConfig(trials=n, seed=8))
+        est = mcsim.simulate_sc_curve(columns, [1, 3], THR, MCConfig(trials=n, seed=8))
         etas = np.array([LinkSNR.from_db(db).eta for db in dbs])
         factors = etas / etas.min()
         g = THR.gamma_th
@@ -476,46 +476,51 @@ class TestCurves:
         n, seed = 200_000, 41
         row = self.row(scheme, hops)
         cfg = MCConfig(trials=n, seed=seed)
-        [est] = CURVE[scheme]([row], THR, cfg)
+        [est] = snr_curve(scheme, [row], THR, cfg)
         assert est == SINGLE[scheme](row, THR, cfg)
         assert est.p_hat == one_block_hits(scheme, hops, n, seed) / n
 
     @pytest.mark.parametrize("scheme", ["SS", "SC", "MRC"])
     def test_hits_never_rise_with_snr(self, scheme):
         dbs = [-6.0 + 1.5 * i for i in range(11)]
-        rows = [self.row(scheme, [hop_at(db, ns=AVERAGE_SHADOWING)] * 5) for db in dbs]
-        est = CURVE[scheme](rows, THR, MCConfig(trials=300_000, seed=77))
+        columns = [self.row(scheme, [hop_at(db, ns=AVERAGE_SHADOWING)] * 5) for db in dbs]
+        est = snr_curve(scheme, columns, THR, MCConfig(trials=300_000, seed=77))
         p = [e.p_hat for e in est]
         assert all(later <= earlier for earlier, later in zip(p, p[1:]))
         assert p[-1] < p[0]
 
     def test_rows_in_any_order(self):
-        # Rows come back in the order given; a repeated SNR repeats its row.
-        dbs = [9.0, 0.0, 4.5, 0.0, -3.0]
-        rows = [[hop_at(db)] * 4 for db in dbs]
+        # A curve's columns ascend in SNR, one per SNR; putting a table's
+        # rows, repeated or unsorted, on their cells is `cli._plan`'s work.
+        # Columns out of SNR order are refused, not reordered.
+        dbs = [-3.0, 0.0, 4.5, 9.0]
+        columns = [[hop_at(db)] * 4 for db in dbs]
         cfg = MCConfig(trials=50_000, seed=5)
-        est = mcsim.simulate_sc_curve(rows, THR, cfg)
-        order = sorted(range(len(dbs)), key=dbs.__getitem__)
-        ascending = mcsim.simulate_sc_curve([rows[i] for i in order], THR, cfg)
-        assert est == [ascending[order.index(i)] for i in range(len(dbs))]
-        assert est[1] == est[3]
-        assert est[4].p_hat >= est[1].p_hat >= est[2].p_hat >= est[0].p_hat
+        est = mcsim.simulate_sc_curve(columns, [4], THR, cfg)
+        assert est[0].p_hat >= est[1].p_hat >= est[2].p_hat >= est[3].p_hat
+        with pytest.raises(ValueError, match="ascend in SNR"):
+            mcsim.simulate_sc_curve([columns[i] for i in (3, 1, 2, 1, 0)], [4], THR, cfg)
 
     def test_malformed_curves_rejected(self):
         cfg = MCConfig(trials=10, seed=0)
         with pytest.raises(ValueError):
-            mcsim.simulate_sc_curve([], THR, cfg)
+            mcsim.simulate_sc_curve([], [1], THR, cfg)
         with pytest.raises(ValueError):  # SS curves are SC curves
-            mcsim.simulate_curves([("SS", [[hop_at(3.0)]], cfg)], THR)
+            mcsim.simulate_curves([("SS", [[hop_at(3.0)]], [1], cfg)], THR)
         with pytest.raises(ValueError):  # fading parameters differ
-            mcsim.simulate_sc_curve([[hop_at(3.0)], [hop_at(6.0, sg=AVERAGE_SHADOWING)]], THR, cfg)
-        with pytest.raises(ValueError):  # hop lists that are not prefixes of one list
-            mcsim.simulate_mrc_curve([[hop_at(3.0)] * 2, [hop_at(3.0, sg=AVERAGE_SHADOWING)]], THR, cfg)
-        with pytest.raises(ValueError):  # a (K, SNR) pair of the grid is missing
-            mcsim.simulate_sc_curve([[hop_at(3.0)], [hop_at(6.0)] * 2], THR, cfg)
+            columns = [[hop_at(3.0)], [hop_at(6.0, sg=AVERAGE_SHADOWING)]]
+            mcsim.simulate_sc_curve(columns, [1], THR, cfg)
+        with pytest.raises(ValueError):  # columns that are not one list of fading parameters
+            odd = [hop_at(6.0), hop_at(6.0, sg=AVERAGE_SHADOWING)]
+            mcsim.simulate_mrc_curve([[hop_at(3.0)] * 2, odd], [2], THR, cfg)
+        with pytest.raises(ValueError):  # columns of different lengths
+            mcsim.simulate_sc_curve([[hop_at(3.0)], [hop_at(6.0)] * 2], [1], THR, cfg)
+        for ks in ([1], [1, 3], [2, 1], [1, 1], [0, 2], []):  # not ascending to the column length
+            with pytest.raises(ValueError):
+                mcsim.simulate_sc_curve([[hop_at(3.0)] * 2], ks, THR, cfg)
         with pytest.raises(ValueError):  # the two hops move by different factors
             odd = HopPair(ns=hop_at(6.0).ns, sg=hop_at(7.0).sg)
-            mcsim.simulate_sc_curve([[hop_at(3.0)], [odd]], THR, cfg)
+            mcsim.simulate_sc_curve([[hop_at(3.0)], [odd]], [1], THR, cfg)
 
     @pytest.mark.parametrize("scheme", ["SC", "MRC"])
     def test_every_row_against_full_physical_draw(self, scheme):
@@ -524,7 +529,7 @@ class TestCurves:
         # below gamma at 9 dB; each row must still match a full draw.
         rows = [[hop_at(-6.0 + 1.5 * i, ns=AVERAGE_SHADOWING)] * 5 for i in range(11)]
         n = 1_000_000
-        est = CURVE[scheme](rows, THR, MCConfig(trials=n, seed=2025))
+        est = snr_curve(scheme, rows, THR, MCConfig(trials=n, seed=2025))
         ref = physical_outage(scheme, rows, n, seed=5202)
         for e, r in zip(est, ref):
             # Two independent estimates at 1e6 trials each: 5 sigma, and no
@@ -534,48 +539,54 @@ class TestCurves:
 
 
 class TestKCurves:
-    """A curve's rows may also differ in K: their hop lists are prefixes of
-    the longest list, and every satellite is drawn once."""
+    """A curve's cells may also differ in K: cell (a, b) is the first ks[a]
+    satellites of column b, and every satellite is drawn once."""
 
     @staticmethod
     def grid(ks, dbs, **fading):
-        return [[hop_at(db, **fading)] * k for k in ks for db in dbs]
+        """(columns, ks, rows): the largest K's hop list at each SNR, and each
+        cell's hop list, K-major."""
+        columns = [[hop_at(db, **fading)] * max(ks) for db in dbs]
+        return columns, ks, [col[:k] for k in ks for col in columns]
 
     @pytest.mark.parametrize("scheme", ["SC", "MRC"])
     def test_smallest_k_rows_draw_as_one_k_curve(self, scheme):
         # Over three SNRs, the K = 2 rows are the K = 2 SNR curve; at one
         # SNR, as in fig3, the K = 2 row is the one-row call.
         cfg = MCConfig(trials=200_000, seed=43)
-        rows = self.grid([2, 3, 4, 5, 6], [0.0, 3.0, 6.0], ns=AVERAGE_SHADOWING)
-        assert CURVE[scheme](rows, THR, cfg)[:3] == CURVE[scheme](rows[:3], THR, cfg)
-        rows = self.grid([2, 3, 4, 5, 6], [3.0], ns=AVERAGE_SHADOWING)
-        assert CURVE[scheme](rows, THR, cfg)[0] == SINGLE[scheme](rows[0], THR, cfg)
+        columns, ks, rows = self.grid([2, 3, 4, 5, 6], [0.0, 3.0, 6.0], ns=AVERAGE_SHADOWING)
+        assert K_CURVE[scheme](columns, ks, THR, cfg)[:3] == snr_curve(scheme, rows[:3], THR, cfg)
+        columns, ks, rows = self.grid([2, 3, 4, 5, 6], [3.0], ns=AVERAGE_SHADOWING)
+        assert K_CURVE[scheme](columns, ks, THR, cfg)[0] == SINGLE[scheme](rows[0], THR, cfg)
 
     def test_sc_rows_equal_single_row_calls(self):
         # SC draws branch k alike whatever K follows, so every row of a
         # one-SNR K-curve, K_max's included, is its own one-row call.
-        rows = self.grid([1, 2, 3, 4, 5, 6], [6.0], sg=AVERAGE_SHADOWING)
+        columns, ks, rows = self.grid([1, 2, 3, 4, 5, 6], [6.0], sg=AVERAGE_SHADOWING)
         cfg = MCConfig(trials=200_000, seed=44)
-        est = mcsim.simulate_sc_curve(rows, THR, cfg)
+        est = mcsim.simulate_sc_curve(columns, ks, THR, cfg)
         assert est == [mcsim.simulate_sc(hops, THR, cfg) for hops in rows]
 
     @pytest.mark.parametrize("scheme", ["SC", "MRC"])
     def test_hits_never_rise_with_k_or_snr(self, scheme):
         ks, dbs = [1, 2, 3, 4, 5, 6], [-3.0, 0.0, 3.0, 6.0]
-        rows = self.grid(ks, dbs, ns=AVERAGE_SHADOWING, sg=AVERAGE_SHADOWING)
-        est = CURVE[scheme](rows, THR, MCConfig(trials=300_000, seed=78))
+        columns, _, _ = self.grid(ks, dbs, ns=AVERAGE_SHADOWING, sg=AVERAGE_SHADOWING)
+        est = K_CURVE[scheme](columns, ks, THR, MCConfig(trials=300_000, seed=78))
         p = np.array([e.p_hat for e in est]).reshape(len(ks), len(dbs))
         assert np.all(np.diff(p, axis=0) <= 0.0) and np.all(np.diff(p, axis=1) <= 0.0)
         assert p[-1, 0] < p[0, 0] and p[0, -1] < p[0, 0]
 
     def test_rows_in_any_order(self):
-        # Rows come back in the order given, whatever order their K and SNR
-        # come in; the curve draws the same set.
-        rows = [[hop_at(db)] * k for k, db in ((4, 3.0), (2, 0.0), (4, 0.0), (2, 3.0))]
+        # Cells come back K-major over ascending Ks and SNRs; putting rows
+        # of any (K, SNR) order on them is `cli._plan`'s work.  Ks out of
+        # order are refused, not reordered.
+        columns, ks, rows = self.grid([2, 4], [0.0, 3.0])
         cfg = MCConfig(trials=50_000, seed=6)
-        est = mcsim.simulate_mrc_curve(rows, THR, cfg)
-        ordered = mcsim.simulate_mrc_curve([rows[i] for i in (1, 3, 2, 0)], THR, cfg)
-        assert est == [ordered[i] for i in (3, 0, 2, 1)]
+        est = mcsim.simulate_mrc_curve(columns, ks, THR, cfg)
+        assert len(est) == len(rows) == 4
+        assert est[0].p_hat >= est[1].p_hat and est[0].p_hat >= est[2].p_hat >= est[3].p_hat
+        with pytest.raises(ValueError, match="ascending"):
+            mcsim.simulate_mrc_curve(columns, [4, 2], THR, cfg)
 
     @pytest.mark.parametrize("cond", ["HH", "HA", "AH", "AA"])
     def test_fig3_rows_against_full_physical_draw(self, cond):
@@ -583,10 +594,11 @@ class TestKCurves:
         # k >= 3 only for the trials still in outage, and MRC grows running
         # sums only for them; each row must still match a full draw.
         ns, sg = channel.CONDITIONS[cond]
-        rows = self.grid([2, 3, 4, 5, 6], [13.5 if cond[0] == "H" else 7.5], ns=ns, sg=sg)
+        db = 13.5 if cond[0] == "H" else 7.5
+        columns, ks, rows = self.grid([2, 3, 4, 5, 6], [db], ns=ns, sg=sg)
         n = 1_000_000
         for scheme in ("SC", "MRC"):
-            est = CURVE[scheme](rows, THR, MCConfig(trials=n, seed=2026))
+            est = K_CURVE[scheme](columns, ks, THR, MCConfig(trials=n, seed=2026))
             ref = physical_outage(scheme, rows, n, seed=6202)
             for e, r in zip(est, ref):
                 # Two independent estimates at 1e6 trials each: 5 sigma, and
@@ -600,12 +612,12 @@ class TestKCurves:
         # satellite counts; one more 10^5-trial float array per K (0.76 MiB
         # each, five K here) would pass the bound.
         ns, sg = channel.CONDITIONS[cond]
-        rows = self.grid([2, 3, 4, 5, 6], [13.5 if cond[0] == "H" else 7.5], ns=ns, sg=sg)
+        columns, ks, _ = self.grid([2, 3, 4, 5, 6], [13.5 if cond[0] == "H" else 7.5], ns=ns, sg=sg)
         # A first small call keeps one-time allocations out of the trace.
-        mcsim.simulate_mrc_curve(rows, THR, MCConfig(trials=1000, seed=9))
+        mcsim.simulate_mrc_curve(columns, ks, THR, MCConfig(trials=1000, seed=9))
         tracemalloc.start()
         try:
-            mcsim.simulate_mrc_curve(rows, THR, MCConfig(trials=100_000, seed=9))
+            mcsim.simulate_mrc_curve(columns, ks, THR, MCConfig(trials=100_000, seed=9))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

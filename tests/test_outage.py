@@ -229,7 +229,7 @@ class TestRunMemo:
         monkeypatch.setattr(channel, "sf", broken)
         for _ in range(2):
             with pytest.raises(ValueError, match="bad hop law"):
-                outage.op_sc_rows([[hop_at(6.0)] * 2], THR, CFG)
+                outage.op_sc_rows([hop_at(6.0)], [(0, 0)], THR, CFG)
 
     def test_shared_memo_matches_one_shot_calls(self, monkeypatch):
         # HH and HA share their uplink and their ns law, so one row-function
@@ -238,9 +238,9 @@ class TestRunMemo:
         sf_calls, sum_calls = [], []
         sf, sum_cdf = channel.sf, channel.sum_cdf
         hh, ha = hop_at(6.0), hop_at(6.0, sg=AVERAGE_SHADOWING)
-        rows = [[hop] * 3 for hop in (hh, ha, hh)]
-        one_shot_sc = [outage.op_sc(row, THR, CFG) for row in rows]
-        one_shot_mrc = [outage.op_mrc(row, THR, CFG) for row in rows]
+        pairs, rows = [hh, ha], [(i,) * 3 for i in (0, 1, 0)]
+        one_shot_sc = [outage.op_sc([pairs[i] for i in row], THR, CFG) for row in rows]
+        one_shot_mrc = [outage.op_mrc([pairs[i] for i in row], THR, CFG) for row in rows]
 
         def spy_sf(p, link, x):
             sf_calls.append((p, link, x.tobytes()))
@@ -248,8 +248,8 @@ class TestRunMemo:
 
         monkeypatch.setattr(channel, "sf", spy_sf)
         monkeypatch.setattr(channel, "sum_cdf", lambda *a: sum_calls.append(a) or sum_cdf(*a))
-        assert outage.op_sc_rows(rows, THR, CFG) == one_shot_sc
-        assert outage.op_mrc_rows(rows, THR, CFG) == one_shot_mrc
+        assert outage.op_sc_rows(pairs, rows, THR, CFG) == one_shot_sc
+        assert outage.op_mrc_rows(pairs, rows, THR, CFG) == one_shot_mrc
         # Two distinct hop laws, H and A at 6 dB, on one grid.
         assert [c[:2] for c in sf_calls] == [hh.sg, ha.sg]
         assert len({c[2] for c in sf_calls}) == 1
@@ -259,11 +259,23 @@ class TestRunMemo:
     @pytest.mark.parametrize("rows_of", [outage.op_sc_rows, outage.op_mrc_rows])
     def test_empty_row_rejected(self, rows_of):
         with pytest.raises(ValueError, match="need at least one satellite"):
-            rows_of([[hop_at(6.0)], []], THR, CFG)
+            rows_of([hop_at(6.0)], [(0,), ()], THR, CFG)
+
+    def test_mrc_row_of_unequal_pairs_rejected(self):
+        # A row's indices may name distinct but equal pairs; unequal ones
+        # have no i.i.d. closed form.
+        hh, ha = hop_at(6.0), hop_at(6.0, sg=AVERAGE_SHADOWING)
+        pairs = [hh, hop_at(6.0), ha]
+        assert outage.op_mrc_rows(pairs, [(0, 1)], THR, CFG) == [outage.op_mrc([hh] * 2, THR, CFG)]
+        with pytest.raises(ValueError, match="requires i.i.d. satellites"):
+            outage.op_mrc_rows(pairs, [(0, 2)], THR, CFG)
+        with pytest.raises(ValueError, match="requires i.i.d. satellites"):
+            outage.op_mrc([hh, ha], THR, CFG)
 
     @pytest.mark.parametrize("rows_of", [outage.op_sc_rows, outage.op_mrc_rows])
     def test_no_rows_no_values(self, rows_of):
-        assert rows_of([], THR, CFG) == []
+        assert rows_of([], [], THR, CFG) == []
+        assert rows_of([hop_at(6.0)], [], THR, CFG) == []
 
 
 def _staircase_mp(pair_x, pair_y, a, b, rhs, cfg):
@@ -352,11 +364,12 @@ LADDER_STEPS = {"ladder-m50": (50, 15.0), "ladder-m200": (200, 30.0), "ladder-m8
 
 def _table_rows(table):
     """(scheme, hop pairs, threshold, staircase) of each row of a fig1-fig3
-    preset or of one staircase-ladder rung, as `satrelay run` builds them."""
+    preset or of one staircase-ladder rung, as `satrelay run` compiles them."""
     text = ladder_table(*LADDER_STEPS[table]) if table in LADDER_STEPS else {"preset": table}
     spec = cli._spec_from_table({**text, "mc": "false"})[0]
-    for point in cli._row_points(spec):
-        yield point[0], cli._hops(*point), spec.threshold, spec.staircase
+    plan = cli._plan(spec)
+    for point, row in zip(plan.points, plan.rows):
+        yield point[0], [plan.pairs[i] for i in row], spec.threshold, spec.staircase
 
 
 TABLES = ["fig1", "fig2", "fig3", *LADDER_STEPS]
@@ -456,6 +469,15 @@ def mixed_tables(draw):
     )
 
 
+def _indexed(rows):
+    """Rows of hop pairs as the row functions take them: (the distinct pairs,
+    each row as indices into them), as `cli._plan` lists one pair per
+    (condition, SNR)."""
+    index = {}
+    rows = [tuple(index.setdefault(h, len(index)) for h in row) for row in rows]
+    return list(index), rows
+
+
 class TestRowsProperty:
     """The row functions give, bit for bit, what the public one-row views
     give row by row; those views never stack rows."""
@@ -464,15 +486,16 @@ class TestRowsProperty:
     @settings(max_examples=80, deadline=None)
     def test_rows_match_one_row_views(self, table):
         sc_rows, mrc_rows, cfg = table
-        assert outage.op_sc_rows(sc_rows, THR, cfg) == [
+        sc_pairs, sc_index = _indexed(sc_rows)
+        assert outage.op_sc_rows(sc_pairs, sc_index, THR, cfg) == [
             math.prod(_ss_view(hop, THR, cfg) for hop in row) for row in sc_rows
         ]
         g = THR.gamma_th
-        asymp = outage.asymp_op_sc_rows(sc_rows, THR)
+        asymp = outage.asymp_op_sc_rows(sc_pairs, sc_index, THR)
         assert asymp == [outage.asymp_op_sc(row, THR) for row in sc_rows]
         factor = lambda h: channel.asymptotic_cdf(*h.sg, g) + channel.asymptotic_cdf(*h.ns, g)
         assert asymp == [math.prod(factor(h) for h in row) for row in sc_rows]
-        assert outage.op_mrc_rows(mrc_rows, THR, cfg) == [
+        assert outage.op_mrc_rows(*_indexed(mrc_rows), THR, cfg) == [
             _mrc_view(row, THR, cfg) for row in mrc_rows
         ]
 

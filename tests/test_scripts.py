@@ -71,6 +71,6 @@ def test_layer_times_one_line_per_preset():
     assert [r["preset"] for r in records] == list(cli.PRESETS)
     for r in records:
         spec, _ = cli._spec_from_table({"preset": r["preset"]})
-        assert r["rows"] == len(list(cli._row_points(spec)))
+        assert r["rows"] == len(cli._plan(spec).points)
         assert (r["trials"], r["workers"], r["rounds"]) == (2000, 1, 1)
         assert all(r[k] > 0 for k in ("analytic_ms", "mc_ms", "run_ms", "emit_ms", "cold_ms"))
