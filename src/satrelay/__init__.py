@@ -18,13 +18,11 @@ from .channel import (
     AVERAGE_SHADOWING,
     HEAVY_SHADOWING,
     LinkSNR,
-    SRDerived,
     SRParams,
     SumSRContext,
     asymptotic_cdf,
     asymptotic_sum_cdf,
     cdf,
-    derive,
     mean_snr,
     pdf,
     sample,

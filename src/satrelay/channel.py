@@ -18,10 +18,10 @@ approximations of both CDFs.  A K-fold sum law is named by its `SRParams`
 and K alone: `sum_cdf` takes its constants from the params, and its
 `SumSRContext` carries only K, checked like every K.
 
-Each law's constants are computed once and shared read-only: the derived
-alpha, beta, delta and the mixture once per `SRParams` object (kept on it
-as `_law`), and `sum_cdf`'s 1F1 parameter rows and log-constant columns
-once per (params object, K), so a `sum_cdf` call computes only z, ln(x/eta),
+Each law's constants are computed once and shared read-only: alpha, beta,
+delta and the mixture once per `SRParams` object (`_Law`, kept on it as
+`_law`), and each K-fold sum's 1F1 rows, log-constant columns and sampler
+table once per (params object, K), so `sum_cdf` computes only z, ln(x/eta),
 the series table and the assembly.  Their arrays are not writeable.
 """
 
@@ -37,13 +37,11 @@ from .specfun import _MAX_TERMS, _kummer_1f1_ln_grid, ln_gamma
 
 __all__ = [
     "SRParams",
-    "SRDerived",
     "LinkSNR",
     "SumSRContext",
     "HEAVY_SHADOWING",
     "AVERAGE_SHADOWING",
     "CONDITIONS",
-    "derive",
     "pdf",
     "cdf",
     "sf",
@@ -100,21 +98,6 @@ CONDITIONS: dict[str, tuple[SRParams, SRParams]] = {
 
 
 @dataclass(frozen=True)
-class SRDerived:
-    """Constants derived from SRParams: alpha, beta, delta."""
-
-    alpha: float
-    beta: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be > 0")
-        if not self.beta > self.delta >= 0.0:
-            raise ValueError("need beta > delta >= 0 for an integrable tail")
-
-
-@dataclass(frozen=True)
 class LinkSNR:
     """Per-hop transmit SNR eta = P / sigma^2 (linear scale)."""
 
@@ -143,15 +126,18 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class _Law:
     """One SR law's constants, shared read-only by every reader of its params.
 
-    Lambda / eta is Gamma(j + 1, scale 1/theta) with probability w[j]: w is
-    the Binomial(m - 1, q = delta/beta) pmf, j = 0..m-1, divided by its
-    float sum so roundoff leaves no mass defect, and theta = beta - delta
-    is the common rate.  mean_shape = sum_j w[j] (j + 1) is the mixture's
-    mean in units of eta/theta.  `sums` holds the `_SumLaw` of each K that
-    `sum_cdf` has met (see `_sum_law`).
+    alpha = ((2bm)/(2bm+omega))^m / 2b, beta = 1/2b, delta =
+    omega/(2b(2bm+omega)) (Abdi et al.); alpha is Lambda / eta's density at
+    0.  Lambda / eta is Gamma(j + 1, scale 1/theta) with probability w[j]: w
+    is the Binomial(m - 1, q = delta/beta) pmf, j = 0..m-1, divided by its
+    float sum so roundoff leaves no mass defect, and theta = beta - delta is
+    the common rate.  mean_shape = sum_j w[j] (j + 1) is the mixture's mean
+    in units of eta/theta.  `sums` holds each met K's `_SumLaw` (`_sum_law`).
     """
 
-    derived: SRDerived
+    alpha: float
+    beta: float
+    delta: float
     w: np.ndarray
     q: float
     theta: float
@@ -163,22 +149,14 @@ def _law_of(p: SRParams) -> _Law:
     """Compute p's constants; `SRParams._law` keeps them, so this runs once per params object."""
     two_b = 2.0 * p.b
     denom = two_b * p.m + p.omega
-    drv = SRDerived(
-        alpha=(two_b * p.m / denom) ** p.m / two_b,
-        beta=1.0 / two_b,
-        delta=p.omega / (two_b * denom),
-    )
-    q = drv.delta / drv.beta
+    alpha = (two_b * p.m / denom) ** p.m / two_b
+    beta = 1.0 / two_b
+    delta = p.omega / (two_b * denom)
+    q = delta / beta
     n = p.m - 1
     w = np.array([math.comb(n, j) * q**j * (1.0 - q) ** (n - j) for j in range(p.m)])
     w = _read_only(w / w.sum())
-    return _Law(drv, w, q, drv.beta - drv.delta, float(np.dot(w, np.arange(1, p.m + 1))))
-
-
-def derive(p: SRParams) -> SRDerived:
-    """alpha = ((2bm)/(2bm+omega))^m / 2b, beta = 1/2b, delta = omega/(2b(2bm+omega)),
-    computed once per params object."""
-    return p._law.derived
+    return _Law(alpha, beta, delta, w, q, beta - delta, float(np.dot(w, np.arange(1, p.m + 1))))
 
 
 def _as_nonneg_array(x, name: str = "x") -> tuple[np.ndarray | np.float64, bool]:
@@ -292,7 +270,7 @@ def sample_sum(p: SRParams, link: LinkSNR, k: int, rng: np.random.Generator, siz
 
     - P(J = 0) >= 1/2 (heavy shadowing at every k, average at k = 1):
       Gamma(k + J) is Gamma(k) + Gamma(J) for independent parts.  One
-      uniform per sample is inverted against the Binomial CDF for J, then
+      uniform per sample is inverted against J's Binomial CDF (`_SumLaw.j_cdf`), then
       every sample draws Gamma(k) with one scalar shape (an exponential at
       k = 1), and only the samples with J > 0 add Gamma(J), drawn as a sum
       of J exponentials.
@@ -301,14 +279,11 @@ def sample_sum(p: SRParams, link: LinkSNR, k: int, rng: np.random.Generator, siz
 
     The rule P(J = 0) >= 1/2 selects the split path; the per-draw timings
     of both paths behind it are in `BENCH_pr19.json` under
-    `sampler_ns_per_draw`.
+    `sampler_ns_per_draw`.  A tuple size is drawn flat, then reshaped.
     """
     _check_k(k)
-    q, theta = p._law.q, p._law.theta
-    trials = k * (p.m - 1)
-    n = 1 if size is None else size
-    pmf = [math.comb(trials, j) * q**j * (1.0 - q) ** (trials - j) for j in range(trials + 1)]
-    cdf = np.cumsum(pmf)
+    law, cdf = p._law, _sum_law(p, k).j_cdf
+    n = 1 if size is None else int(np.prod(size))
     if cdf[0] >= 0.5:
         # The uniforms' array takes the gamma draws and the scaling, so a
         # large draw holds no whole-array temporaries.
@@ -330,11 +305,11 @@ def sample_sum(p: SRParams, link: LinkSNR, k: int, rng: np.random.Generator, siz
             deeper = u >= c
             idx, u = idx[deeper], u[deeper]
     else:
-        lam = rng.binomial(trials, q, size=n).astype(float)
+        lam = rng.binomial(k * (p.m - 1), law.q, size=n).astype(float)
         lam += k
         rng.standard_gamma(lam, out=lam)
-    lam *= link.eta / theta
-    return float(lam[0]) if size is None else lam
+    lam *= link.eta / law.theta
+    return float(lam[0]) if size is None else lam.reshape(size)
 
 
 @dataclass(frozen=True)
@@ -365,13 +340,15 @@ class _SumLaw:
     l = 0..c with d = mK and c = (m - 1)K, one row per l: the 1F1
     parameters a = 1 - l and b = 1 + d - l, the powers d - l of x/eta, and
     the columns lnGamma(d - l + 1) and ln_base, each term's log-constant
-    K ln alpha + ln C(c, l) + (c - l) ln beta.  All read-only."""
+    K ln alpha + ln C(c, l) + (c - l) ln beta; and j_cdf, the unnormalized
+    cumulative Binomial(c, q) pmf that `sample_sum` inverts.  All read-only."""
 
     a: np.ndarray
     b: np.ndarray
     powers: np.ndarray
     ln_gammas: np.ndarray
     ln_base: np.ndarray
+    j_cdf: np.ndarray
 
 
 # Each law keeps the `_SumLaw` of at most this many K at once.
@@ -380,12 +357,12 @@ _SUM_LAWS_KEPT = 64
 
 def _sum_law_of(p: SRParams, K: int) -> _SumLaw:
     """Compute the constants of the sum of K SNRs of law p; `_sum_law` keeps them."""
-    drv = derive(p)
-    d, c = p.m * K, (p.m - 1) * K
+    law = p._law
+    d, c, q = p.m * K, (p.m - 1) * K, law.q
     ls = range(c + 1)
-    ln_alpha_k = K * math.log(drv.alpha)
+    ln_alpha_k = K * math.log(law.alpha)
     ln_base = np.array(
-        [ln_alpha_k + _ln_binomial(c, l) + (c - l) * math.log(drv.beta) for l in ls]
+        [ln_alpha_k + _ln_binomial(c, l) + (c - l) * math.log(law.beta) for l in ls]
     )
     return _SumLaw(
         a=_read_only(np.array([1.0 - l for l in ls])),
@@ -393,6 +370,7 @@ def _sum_law_of(p: SRParams, K: int) -> _SumLaw:
         powers=_read_only(np.array([d - l for l in ls], dtype=float)),
         ln_gammas=_read_only(np.array([ln_gamma(d - l + 1.0) for l in ls])[:, None]),
         ln_base=_read_only(ln_base[:, None]),
+        j_cdf=_read_only(np.cumsum([math.comb(c, j) * q**j * (1.0 - q) ** (c - j) for j in ls])),
     )
 
 
@@ -455,15 +433,13 @@ def sum_cdf(p: SRParams, link: LinkSNR, ctx: SumSRContext, x):
 
 
 def asymptotic_cdf(p: SRParams, link: LinkSNR, x):
-    """High-SNR linearization F(x) ~ alpha x / eta (unclamped)."""
-    arr, scalar = _as_nonneg_array(x)
-    out = derive(p).alpha * arr / link.eta
-    return float(out) if scalar else out
+    """High-SNR linearization F(x) ~ alpha x / eta (unclamped): the K = 1 sum's."""
+    return asymptotic_sum_cdf(p, link, 1, x)
 
 
 def asymptotic_sum_cdf(p: SRParams, link: LinkSNR, K: int, x):
     """High-SNR K-fold-sum CDF F(x) ~ (alpha x / eta)^K / Gamma(K+1) (unclamped)."""
     _check_k(K)
     arr, scalar = _as_nonneg_array(x)
-    out = (derive(p).alpha * arr / link.eta) ** K / math.gamma(K + 1)
+    out = (p._law.alpha * arr / link.eta) ** K / math.gamma(K + 1)
     return float(out) if scalar else out

@@ -1,8 +1,10 @@
+from typing import NamedTuple
+
 import mpmath
 import numpy as np
 import pytest
+from scipy import special, stats
 
-from satrelay import channel
 from satrelay.channel import AVERAGE_SHADOWING, HEAVY_SHADOWING, LinkSNR
 
 
@@ -26,21 +28,39 @@ def ks_statistic(sorted_draws: np.ndarray, cdf_values: np.ndarray) -> float:
     )
 
 
+class LawConstants(NamedTuple):
+    alpha: mpmath.mpf
+    beta: mpmath.mpf
+    delta: mpmath.mpf
+    q: mpmath.mpf
+    theta: mpmath.mpf
+
+
+def law_constants(p) -> LawConstants:
+    """The constants of SRParams p, from Abdi et al.'s formulas on (m, b,
+    omega) alone, in mpmath at the caller's precision:
+    alpha = (2bm / (2bm + omega))^m / 2b, beta = 1/2b,
+    delta = omega / (2b (2bm + omega)), and the Erlang mixture's
+    q = delta/beta and rate theta = beta - delta."""
+    two_b, omega = 2 * mpmath.mpf(p.b), mpmath.mpf(p.omega)
+    denom = two_b * p.m + omega
+    beta, delta = 1 / two_b, omega / (two_b * denom)
+    alpha = (two_b * p.m / denom) ** p.m / two_b
+    return LawConstants(alpha, beta, delta, delta / beta, beta - delta)
+
+
 def quad_upper(p, link) -> float:
     """Upper limit for scipy quadratures of the SNR density: 50 times the
     larger of eta and the mixture's Gamma scale eta / (beta - delta)."""
-    drv = channel.derive(p)
-    return 50.0 * max(link.eta, link.eta / (drv.beta - drv.delta))
+    return 50.0 * max(link.eta, link.eta / float(law_constants(p).theta))
 
 
 def sum_cdf_mp(p, link, k, x):
     """Exact CDF of the sum of k i.i.d. SR SNRs at x, in mpmath at the
-    caller's precision: the Binomial(k(m - 1), delta/beta) mixture of
-    regularized gammainc(k + j, 0, theta x / eta), with theta = beta - delta.
+    caller's precision: the Binomial(k(m - 1), q) mixture of regularized
+    gammainc(k + j, 0, theta x / eta), with `law_constants`' q and theta.
     k = 1 is the one-hop CDF."""
-    drv = channel.derive(p)
-    q = mpmath.mpf(drv.delta) / drv.beta
-    theta = mpmath.mpf(drv.beta) - drv.delta
+    _, _, _, q, theta = law_constants(p)
     t = theta * mpmath.mpf(x) / link.eta
     n = k * (p.m - 1)
     return mpmath.fsum(
@@ -51,11 +71,10 @@ def sum_cdf_mp(p, link, k, x):
 
 
 def sum_pdf_mp(p, link, k, x):
-    """Exact density of the sum of k i.i.d. SR SNRs at x > 0, in mpmath: the
+    """Exact density of the sum of k i.i.d. SR SNRs at x >= 0, in mpmath: the
     mixture of `sum_cdf_mp`, with Gamma(k + j, rate theta / eta) densities."""
-    drv = channel.derive(p)
-    q = mpmath.mpf(drv.delta) / drv.beta
-    rate = (mpmath.mpf(drv.beta) - drv.delta) / link.eta
+    _, _, _, q, theta = law_constants(p)
+    rate = theta / link.eta
     x = mpmath.mpf(x)
     n = k * (p.m - 1)
     return mpmath.fsum(
@@ -63,6 +82,16 @@ def sum_pdf_mp(p, link, k, x):
         * rate ** (k + j) * x ** (k + j - 1) * mpmath.exp(-rate * x) / mpmath.factorial(k + j - 1)
         for j in range(n + 1)
     )
+
+
+def sum_cdf_np(p, link, k, x):
+    """`sum_cdf_mp` in float64 over an array x, with scipy's binomial pmf
+    and regularized lower incomplete gamma: fast enough for KS tests."""
+    c = law_constants(p)
+    j = np.arange(k * (p.m - 1) + 1)
+    w = stats.binom.pmf(j, j[-1], float(c.q))
+    t = float(c.theta) * np.asarray(x, dtype=float) / link.eta
+    return special.gammainc(k + j, t[..., None]) @ w
 
 
 def mrc_outage_mp(ns, sg, k, g, cm):

@@ -14,12 +14,18 @@ from satrelay.channel import (
     AVERAGE_SHADOWING,
     HEAVY_SHADOWING,
     LinkSNR,
-    SRDerived,
     SRParams,
     SumSRContext,
 )
 
-from conftest import ks_statistic, quad_upper, sum_cdf_mp
+from conftest import (
+    ks_statistic,
+    law_constants,
+    quad_upper,
+    sum_cdf_mp,
+    sum_cdf_np,
+    sum_pdf_mp,
+)
 
 
 class TestParams:
@@ -39,10 +45,6 @@ class TestParams:
         assert LinkSNR.from_db(10.0).eta == pytest.approx(10.0)
         with pytest.raises(ValueError):
             LinkSNR(0.0)
-
-    def test_derived_invariants(self):
-        with pytest.raises(ValueError):
-            SRDerived(alpha=1.0, beta=0.5, delta=0.6)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["b", "omega"])
@@ -64,14 +66,15 @@ class TestParams:
 
 
 class TestDerive:
+    # alpha, beta and delta as the law record `SRParams._law` holds them.
     def test_omega_zero_degenerates_to_rayleigh_constants(self):
         p = SRParams(m=3, b=0.2, omega=0.0)
-        d = channel.derive(p)
+        d = p._law
         assert d.delta == 0.0
         assert d.alpha == pytest.approx(1.0 / (2.0 * p.b), rel=1e-12)
 
     def test_average_tail_invariant(self):
-        d = channel.derive(AVERAGE_SHADOWING)
+        d = AVERAGE_SHADOWING._law
         assert d.beta - d.delta > 0.0
 
 
@@ -79,7 +82,7 @@ class TestPdf:
     def test_value_at_zero(self, sr_params):
         for eta in (1.0, 10.0):
             link = LinkSNR(eta)
-            want = channel.derive(sr_params).alpha / eta
+            want = float(law_constants(sr_params).alpha) / eta
             assert channel.pdf(sr_params, link, 0.0) == pytest.approx(want, rel=1e-12)
 
     def test_normalization(self, sr_params):
@@ -100,9 +103,8 @@ class TestPdf:
         # delta/beta (theta = beta - delta), give theta^2/beta e^{-theta x}
         # and delta theta^2/beta x e^{-theta x}; alpha = theta^2/beta at m = 2.
         p, link, x = HEAVY_SHADOWING, LinkSNR(1.0), 1.0
-        d = channel.derive(p)
-        lam = d.beta - d.delta
-        want = d.alpha * (1.0 + d.delta * x) * math.exp(-lam * x)
+        d = law_constants(p)
+        want = float(d.alpha * (1.0 + d.delta * x) * mpmath.exp(-d.theta * x))
         assert channel.pdf(p, link, x) == pytest.approx(want, rel=1e-12)
 
     def test_nonnegative_and_vectorized(self, sr_params, link10):
@@ -174,8 +176,7 @@ class TestSf:
     def test_far_tail_matches_quadrature(self, sr_params, eta):
         # 60 decay lengths out: the CDF has rounded to 1.0, the tail is ~1e-25.
         link = LinkSNR(eta)
-        drv = channel.derive(sr_params)
-        x = 60.0 * eta / (drv.beta - drv.delta)
+        x = 60.0 * eta / float(law_constants(sr_params).theta)
         assert channel.cdf(sr_params, link, x) == 1.0
         want, _ = integrate.quad(
             lambda t: channel.pdf(sr_params, link, t),
@@ -285,12 +286,12 @@ class TestSampleSum:
                 return out
 
         n = 400_000
-        drv = channel.derive(sr_params)
-        scale = LinkSNR(10.0).eta / (drv.beta - drv.delta)
+        c = law_constants(sr_params)
+        scale = LinkSNR(10.0).eta / float(c.theta)
         lam = channel.sample_sum(sr_params, LinkSNR(10.0), k, MeanDraws(), size=n)
         j = np.rint(lam / scale).astype(int) - k
         assert np.allclose(lam / scale, j + k, rtol=1e-12, atol=0.0)
-        trials, q = k * (sr_params.m - 1), drv.delta / drv.beta
+        trials, q = k * (sr_params.m - 1), float(c.q)
         counts = np.bincount(j, minlength=trials + 1)
         assert counts.size == trials + 1 and j.min() >= 0
         pmf = stats.binom.pmf(np.arange(trials + 1), trials, q)
@@ -300,6 +301,19 @@ class TestSampleSum:
     def test_scalar_draw(self, sr_params, link10):
         value = channel.sample_sum(sr_params, link10, 3, np.random.default_rng(1))
         assert isinstance(value, float) and value > 0.0
+
+    @pytest.mark.parametrize(
+        "p, k, split",
+        [(HEAVY_SHADOWING, 2, True), (AVERAGE_SHADOWING, 1, True), (AVERAGE_SHADOWING, 3, False)],
+        ids=["H-K2-split", "A-K1-split", "A-K3-binomial"],
+    )
+    def test_tuple_size_is_the_flat_draw_reshaped(self, link10, p, k, split):
+        # A 2-D size on each of the two paths, named by the law's P(J = 0).
+        assert (channel._sum_law(p, k).j_cdf[0] >= 0.5) == split
+        got = channel.sample_sum(p, link10, k, np.random.default_rng(9), size=(300, 300))
+        flat = channel.sample_sum(p, link10, k, np.random.default_rng(9), size=90_000)
+        assert got.shape == (300, 300)
+        assert got.tobytes() == flat.tobytes()
 
     @pytest.mark.parametrize("k", [0, -1, 2.0, 2.5, True])
     def test_bad_k_rejected(self, link10, k):
@@ -464,6 +478,56 @@ def test_sum_cdf_law_grid(p, k):
     assert np.all(np.abs(got - want) <= 1e-9 * np.minimum(want, 0.5))
 
 
+# The single-hop and sampler layers on the same grid.  Value checks: every
+# law errs by at most 3.4e-15 (m30's cdf), against one bound of 1e-13.  KS
+# checks: bounds at which an exact sampler fails about once in 10^6 seeds.
+@pytest.mark.parametrize("p", LAW_GRID.values(), ids=LAW_GRID)
+def test_hop_law_grid(p):
+    # pdf, cdf and sf at test_sum_cdf_law_grid's K = 1 abscissae against
+    # the K = 1 mixture; cdf and sf errors relative to min(value, 1/2).
+    link = LinkSNR(1.0)
+    xs = channel.mean_snr(p, link) * np.array([0.25, 0.5, 1.0, 1.5, 2.0])
+    with mpmath.workdps(40):
+        cdfs = [sum_cdf_mp(p, link, 1, x) for x in xs]
+        want = {
+            channel.cdf: np.array([float(f) for f in cdfs]),
+            channel.sf: np.array([float(1 - f) for f in cdfs]),
+            channel.pdf: np.array([float(sum_pdf_mp(p, link, 1, x)) for x in xs]),
+        }
+    for law, values in want.items():
+        scale = values if law is channel.pdf else np.minimum(values, 0.5)
+        assert np.all(np.abs(law(p, link, xs) - values) <= 1e-13 * scale), law.__name__
+
+
+@pytest.mark.parametrize("p", LAW_GRID.values(), ids=LAW_GRID)
+def test_asymptote_law_grid(p):
+    # The linearized CDF's slope alpha / eta is the mixture's density at 0.
+    link = LinkSNR(4.0)
+    with mpmath.workdps(40):
+        want = float(sum_pdf_mp(p, link, 1, 0))
+    assert abs(channel.asymptotic_cdf(p, link, 1.0) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("p", LAW_GRID.values(), ids=LAW_GRID)
+def test_sample_law_grid(p):
+    link = LinkSNR(1.0)
+    draws = np.sort(channel.sample(p, link, np.random.default_rng(12_000), size=200_000))
+    assert ks_statistic(draws, sum_cdf_np(p, link, 1, draws)) < 0.006
+
+
+@pytest.mark.parametrize(
+    "p, k",
+    [pytest.param(p, k, id=f"{name}-K{k}") for name, p in LAW_GRID.items() for k in (1, 2, 5, 16)],
+)
+def test_sample_sum_law_grid(p, k):
+    # As TestSampleSum's physical-sum test, at every law of the grid.
+    link, n = LinkSNR(1.0), 100_000
+    rng = np.random.default_rng(13_000)
+    mixture = channel.sample_sum(p, link, k, rng, size=n)
+    physical = sum(channel.sample(p, link, rng, size=n) for _ in range(k))
+    assert stats.ks_2samp(mixture, physical, method="asymp").statistic < 0.012
+
+
 class TestAsymptoticCdf:
     def test_zero(self, sr_params, link10):
         assert channel.asymptotic_cdf(sr_params, link10, 0.0) == 0.0
@@ -506,7 +570,7 @@ class TestLawConstants:
     def test_shared_arrays_are_read_only(self):
         w = AVERAGE_SHADOWING._law.w
         law = channel._sum_law(AVERAGE_SHADOWING, 3)
-        for arr in (w, law.a, law.b, law.powers, law.ln_gammas, law.ln_base):
+        for arr in (w, law.a, law.b, law.powers, law.ln_gammas, law.ln_base, law.j_cdf):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
             with pytest.raises(ValueError, match="read-only"):
@@ -521,14 +585,20 @@ class TestLawConstants:
             channel, "_sum_law_of", lambda q, k: sums.append((q, k)) or sum_law_of(q, k)
         )
         link, xs = LinkSNR(4.0), np.linspace(0.0, 20.0, 9)
+        rng = np.random.default_rng(5)
         for k in (2, 3, 2, 3):
             channel.sum_cdf(p, link, SumSRContext(k), xs)
+        # sample_sum reads the same (params object, K) record, sum_cdf's
+        # K first or its own, and builds no table of its own per call.
+        for k in (3, 5, 5, 2, 5):
+            channel.sample_sum(p, link, k, rng, size=4)
+        channel.sum_cdf(p, link, SumSRContext(5), xs)
         channel.pdf(p, link, xs)
         channel.sf(p, link, xs)
         channel.mean_snr(p, link)
-        assert channel.derive(p) is channel.derive(p)
+        assert p._law is p._law
         assert laws == [p]
-        assert sums == [(p, 2), (p, 3)]
+        assert sums == [(p, 2), (p, 3), (p, 5)]
 
     def test_fresh_params_read_the_module_constants_bits(self):
         fresh = SRParams(m=2, b=0.063, omega=0.0005)
@@ -540,7 +610,10 @@ class TestLawConstants:
                 ctx = SumSRContext(k)
                 want = channel.sum_cdf(HEAVY_SHADOWING, link, ctx, xs)
                 assert channel.sum_cdf(fresh, link, ctx, xs).tobytes() == want.tobytes()
-        assert channel.derive(fresh) == channel.derive(HEAVY_SHADOWING)
+        law, want = fresh._law, HEAVY_SHADOWING._law
+        for name in ("alpha", "beta", "delta", "q", "theta", "mean_shape"):
+            assert _bits(getattr(law, name)) == _bits(getattr(want, name)), name
+        assert law.w.tobytes() == want.w.tobytes()
 
     @given(
         x=st.floats(0.0, 1e4) | st.sampled_from([0.0, 5e-324, 1e-300, 1e300]),

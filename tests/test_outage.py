@@ -12,7 +12,7 @@ from satrelay.channel import AVERAGE_SHADOWING, CONDITIONS, HEAVY_SHADOWING, Lin
 from satrelay.mcsim import MCConfig, _wilson
 from satrelay.outage import HopPair, StaircaseConfig, Threshold
 
-from conftest import ladder_table, sum_cdf_mp
+from conftest import ladder_table, law_constants, sum_cdf_mp
 
 CFG = StaircaseConfig(steps_m=50, depth_l=15.0)
 THR = Threshold(gamma_th=1.0)
@@ -571,14 +571,14 @@ class TestOpMRC:
 class TestAsymptotics:
     def test_sc_iid_closed_form(self):
         hops = [hop_at(20.0, sg=AVERAGE_SHADOWING)] * 5
-        a_sg = channel.derive(AVERAGE_SHADOWING).alpha
-        a_ns = channel.derive(HEAVY_SHADOWING).alpha
+        a_sg = float(law_constants(AVERAGE_SHADOWING).alpha)
+        a_ns = float(law_constants(HEAVY_SHADOWING).alpha)
         want = (1.0 * (a_sg + a_ns) / 100.0) ** 5
         assert outage.asymp_op_sc(hops, THR) == pytest.approx(want, rel=1e-12)
 
     def test_mrc_k1_closed_form(self):
         hops = [hop_at(20.0)]
-        a_ns = channel.derive(HEAVY_SHADOWING).alpha
+        a_ns = float(law_constants(HEAVY_SHADOWING).alpha)
         assert outage.asymp_op_mrc(hops, THR) == pytest.approx(a_ns / 100.0, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
@@ -644,7 +644,7 @@ class TestCodingGains:
         k = 4
         hops = [hop_at(15.0, sg=AVERAGE_SHADOWING)] * k
         gc_sc, gc_mrc, _ = outage.coding_gains(hops, THR)
-        a_sg = channel.derive(AVERAGE_SHADOWING).alpha
-        a_ns = channel.derive(HEAVY_SHADOWING).alpha
+        a_sg = float(law_constants(AVERAGE_SHADOWING).alpha)
+        a_ns = float(law_constants(HEAVY_SHADOWING).alpha)
         want = math.gamma(k + 1.0) ** (1.0 / k) * (a_sg + a_ns) / a_ns
         assert gc_mrc / gc_sc == pytest.approx(want, rel=1e-12)
