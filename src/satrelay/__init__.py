@@ -49,7 +49,7 @@ from .outage import (
     staircase_success_probability,
     staircase_truncation_bound,
 )
-from .specfun import SeriesConvergenceError, kummer_1f1, ln_gamma, whittaker_m_ln
+from .specfun import SeriesConvergenceError, kummer_1f1, whittaker_m_ln
 
 __version__ = "0.1.0"
 
@@ -66,9 +66,7 @@ _LAZY = {
     "MCConfig": "mcsim",
     "OutageEstimate": "mcsim",
     "simulate_mrc": "mcsim",
-    "simulate_mrc_curve": "mcsim",
     "simulate_sc": "mcsim",
-    "simulate_sc_curve": "mcsim",
     "simulate_ss": "mcsim",
 }
 

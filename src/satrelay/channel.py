@@ -16,7 +16,8 @@ of a K-fold i.i.d. sum (via log-scaled Whittaker functions: one batched
 1F1 series table per `sum_cdf` call), and the linearized high-SNR
 approximations of both CDFs.  A K-fold sum law is named by its `SRParams`
 and K alone: `sum_cdf` takes its constants from the params, and its
-`SumSRContext` carries only K, checked like every K.
+`SumSRContext` carries only K.  `_count` is the package's one check of
+an integer input (m, K, M, trials, seed, workers, row indices).
 
 Each law's constants are computed once and shared read-only: alpha, beta,
 delta and the mixture once per `SRParams` object (`_Law`, kept on it as
@@ -28,12 +29,13 @@ the series table and the assembly.  Their arrays are not writeable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .specfun import _MAX_TERMS, _kummer_1f1_ln_grid, ln_gamma
+from .specfun import _MAX_TERMS, _kummer_1f1_ln_grid
 
 __all__ = [
     "SRParams",
@@ -54,6 +56,20 @@ __all__ = [
 ]
 
 
+def _count(value, name: str, low: int | None = 1, high: int | None = None) -> int:
+    """`value` as a Python int: any integral value, numpy integers too, but
+    not a bool, within low..high (no bound where None); anything else
+    raises a ValueError naming `name`."""
+    try:
+        count = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or (low is not None and count < low) or (high is not None and count > high):
+        span = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high}"
+        raise ValueError(f"{name} must be an integer{span}, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class SRParams:
     """Shadowed-Rician fading parameters (m, b, omega).
@@ -68,8 +84,7 @@ class SRParams:
     omega: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+        object.__setattr__(self, "m", _count(self.m, "m"))
         if not (math.isfinite(self.b) and self.b > 0.0):
             raise ValueError(f"b must be finite and > 0, got {self.b}")
         if not (math.isfinite(self.omega) and self.omega >= 0.0):
@@ -252,12 +267,6 @@ def sample(p: SRParams, link: LinkSNR, rng: np.random.Generator, size=None):
     return float(lam) if size is None else lam
 
 
-def _check_k(K) -> None:
-    """Refuse a K that is not a positive int; a bool is refused too."""
-    if not isinstance(K, int) or isinstance(K, bool) or K < 1:
-        raise ValueError(f"K must be a positive integer, got {K!r}")
-
-
 def sample_sum(p: SRParams, link: LinkSNR, k: int, rng: np.random.Generator, size=None):
     """Draw the sum of k i.i.d. Lambda from its exact Erlang mixture.
 
@@ -281,7 +290,7 @@ def sample_sum(p: SRParams, link: LinkSNR, k: int, rng: np.random.Generator, siz
     of both paths behind it are in `BENCH_pr19.json` under
     `sampler_ns_per_draw`.  A tuple size is drawn flat, then reshaped.
     """
-    _check_k(k)
+    k = _count(k, "K")
     law, cdf = p._law, _sum_law(p, k).j_cdf
     n = 1 if size is None else int(np.prod(size))
     if cdf[0] >= 0.5:
@@ -320,7 +329,7 @@ class SumSRContext:
     K: int
 
     def __post_init__(self) -> None:
-        _check_k(self.K)
+        object.__setattr__(self, "K", _count(self.K, "K"))
 
     @classmethod
     def for_fading(cls, p: SRParams, K: int) -> "SumSRContext":
@@ -331,7 +340,7 @@ class SumSRContext:
 def _ln_binomial(c: int, l: int) -> float:
     if c == 0:
         return 0.0
-    return ln_gamma(c + 1.0) - ln_gamma(l + 1.0) - ln_gamma(c - l + 1.0)
+    return math.lgamma(c + 1.0) - math.lgamma(l + 1.0) - math.lgamma(c - l + 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,7 +377,7 @@ def _sum_law_of(p: SRParams, K: int) -> _SumLaw:
         a=_read_only(np.array([1.0 - l for l in ls])),
         b=_read_only(np.array([1.0 + d - l for l in ls])),
         powers=_read_only(np.array([d - l for l in ls], dtype=float)),
-        ln_gammas=_read_only(np.array([ln_gamma(d - l + 1.0) for l in ls])[:, None]),
+        ln_gammas=_read_only(np.array([math.lgamma(d - l + 1.0) for l in ls])[:, None]),
         ln_base=_read_only(ln_base[:, None]),
         j_cdf=_read_only(np.cumsum([math.comb(c, j) * q**j * (1.0 - q) ** (c - j) for j in ls])),
     )
@@ -439,7 +448,7 @@ def asymptotic_cdf(p: SRParams, link: LinkSNR, x):
 
 def asymptotic_sum_cdf(p: SRParams, link: LinkSNR, K: int, x):
     """High-SNR K-fold-sum CDF F(x) ~ (alpha x / eta)^K / Gamma(K+1) (unclamped)."""
-    _check_k(K)
+    K = _count(K, "K")
     arr, scalar = _as_nonneg_array(x)
     out = (p._law.alpha * arr / link.eta) ** K / math.gamma(K + 1)
     return float(out) if scalar else out

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import outage
-from .channel import CONDITIONS, LinkSNR
+from .channel import CONDITIONS, LinkSNR, _count
 from .outage import HopPair, StaircaseConfig, Threshold
 
 if TYPE_CHECKING:
@@ -96,8 +96,9 @@ class ExperimentSpec:
             raise ValueError("schemes must be nonempty")
         if not self.conditions:
             raise ValueError("conditions must be nonempty")
-        if not self.k_values or any(k < 1 for k in self.k_values):
-            raise ValueError("k_values must be nonempty positive integers")
+        if not self.k_values:
+            raise ValueError("k_values must be nonempty")
+        object.__setattr__(self, "k_values", tuple(_count(k, "k_values") for k in self.k_values))
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r} (expected SS, SC, MRC)")
@@ -489,9 +490,7 @@ def _spec_from_table(table: dict[str, str]) -> tuple[ExperimentSpec, int]:
     mc = table.get("mc", "true").lower()
     if mc not in _BOOLEANS:
         raise ValueError(f"mc must be one of {', '.join(_BOOLEANS)}, got {table['mc']!r}")
-    workers = _parse("workers", table.get("workers", 1), int)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = _count(_parse("workers", table.get("workers", 1), int), "workers")
 
     thr = (
         Threshold(gamma_th=_parse("gamma_th", table["gamma_th"], float))

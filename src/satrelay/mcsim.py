@@ -7,12 +7,12 @@ each column is the hop list of the largest K at one SNR, the columns
 ascend in SNR and their links differ by one SNR factor, and ks are the
 ascending satellite counts.  Cell (a, b), a row, is the first ks[a]
 satellites of column b.  Selection combining over one satellite is the
-single-satellite scheme (SS), so there are two curve kernels,
-`simulate_sc_curve` (SS rows are its one-satellite rows) and
-`simulate_mrc_curve`, each returning one estimate per cell, K-major, from
-one draw set.  Every SNR is drawn once, at the links of the first column,
-and scaled by eta_b / eta_0 for column b; the factor is exactly 1.0 for a
-one-column curve.  Each row's outage event is tested on the unscaled draws
+single-satellite scheme (SS), so there are two curve kinds, "SC" (SS
+rows are its one-satellite rows) and "MRC", and `simulate_curves` returns
+one estimate per cell of each curve, K-major, from one draw set.  Every
+SNR is drawn once, at the links of the first column, and scaled by
+eta_b / eta_0 for column b; the factor is exactly 1.0 for a one-column
+curve.  Each row's outage event is tested on the unscaled draws
 in an equivalent form divided by the factor, so the first column, and a
 one-row curve, use the single-row arithmetic bit for bit.  A
 transmit SNR only scales the drawn variates, so every row's hit count
@@ -90,8 +90,6 @@ __all__ = [
     "simulate_ss",
     "simulate_sc",
     "simulate_mrc",
-    "simulate_sc_curve",
-    "simulate_mrc_curve",
     "simulate_curves",
 ]
 
@@ -115,12 +113,8 @@ class MCConfig:
     ci_level: float = 0.99
 
     def __post_init__(self) -> None:
-        for name in ("trials", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        object.__setattr__(self, "trials", channel._count(self.trials, "trials"))
+        object.__setattr__(self, "seed", channel._count(self.seed, "seed", None))
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must be in (0, 1)")
 
@@ -289,7 +283,7 @@ def _side_sum(links, rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _sc_kernel(columns: list[list[HopPair]], ks, thr: Threshold):
-    """The block kernel of `simulate_sc_curve`."""
+    """The block kernel of an "SC" curve of `simulate_curves`."""
     ks, factors = _grid(columns, ks)
     at = {int(k): a for a, k in enumerate(ks)}
     offsets, limits = _relayed_rows(factors, thr.gamma_th)
@@ -339,7 +333,7 @@ def _sc_kernel(columns: list[list[HopPair]], ks, thr: Threshold):
 
 
 def _mrc_kernel(columns: list[list[HopPair]], ks, thr: Threshold):
-    """The block kernel of `simulate_mrc_curve`."""
+    """The block kernel of an "MRC" curve of `simulate_curves`."""
     ks, factors = _grid(columns, ks)
     ns_links, sg_links = [h.ns for h in columns[0]], [h.sg for h in columns[0]]
     g = thr.gamma_th
@@ -407,24 +401,12 @@ def _mrc_kernel(columns: list[list[HopPair]], ks, thr: Threshold):
     return kernel
 
 
-def _thread_count(workers) -> int:
-    """`workers` as an int: any integral value >= 1, numpy integers too,
-    but not a bool."""
-    try:
-        count = operator.index(workers)
-    except TypeError:
-        count = 0
-    if isinstance(workers, bool) or count < 1:
-        raise ValueError(f"workers must be an int >= 1, got {workers!r}")
-    return count
-
-
 def simulate_curves(curves, thr: Threshold, workers: int = 1) -> list[list[OutageEstimate]]:
     """One list of estimates per (kind, columns, ks, cfg), kind "SC" or
     "MRC", one estimate per cell, K-major; every curve's blocks share one
     pool (`_run_curves`) of `workers` threads, an integer >= 1 (a bool is
     refused)."""
-    workers = _thread_count(workers)
+    workers = channel._count(workers, "workers")
     kernels = {"SC": _sc_kernel, "MRC": _mrc_kernel}
     if any(kind not in kernels for kind, *_ in curves):
         raise ValueError("a curve's kind must be SC or MRC")
@@ -433,33 +415,17 @@ def simulate_curves(curves, thr: Threshold, workers: int = 1) -> list[list[Outag
     )
 
 
-def simulate_sc_curve(
-    columns: list[list[HopPair]], ks, thr: Threshold, cfg: MCConfig, workers: int = 1
-) -> list[OutageEstimate]:
-    """Selection combining at every (K, SNR) cell of a curve, one estimate
-    per cell, K-major; SS rows are its cells of one satellite."""
-    return simulate_curves([("SC", columns, ks, cfg)], thr, workers)[0]
-
-
-def simulate_mrc_curve(
-    columns: list[list[HopPair]], ks, thr: Threshold, cfg: MCConfig, workers: int = 1
-) -> list[OutageEstimate]:
-    """Maximal ratio combining at every (K, SNR) cell of a curve, one
-    estimate per cell, K-major, each with its own fixed-gain constant C_m."""
-    return simulate_curves([("MRC", columns, ks, cfg)], thr, workers)[0]
-
-
 def simulate_ss(hops: HopPair, thr: Threshold, cfg: MCConfig, workers: int = 1) -> OutageEstimate:
     """Single satellite, variable gain: Lambda_GS = sg*ns / (sg + 1 + ns),
     simulated as selection combining over that one satellite."""
-    return simulate_sc_curve([[hops]], [1], thr, cfg, workers)[0]
+    return simulate_curves([("SC", [[hops]], [1], cfg)], thr, workers)[0][0]
 
 
 def simulate_sc(
     hops_per_sat: list[HopPair], thr: Threshold, cfg: MCConfig, workers: int = 1
 ) -> OutageEstimate:
     """Selection combining: outage iff the best branch SNR is at or below gamma."""
-    return simulate_sc_curve([hops_per_sat], [len(hops_per_sat)], thr, cfg, workers)[0]
+    return simulate_curves([("SC", [hops_per_sat], [len(hops_per_sat)], cfg)], thr, workers)[0][0]
 
 
 def simulate_mrc(
@@ -467,4 +433,4 @@ def simulate_mrc(
 ) -> OutageEstimate:
     """Maximal ratio combining with the fixed gain constant C_m:
     Lambda_GS = sum(sg) * sum(ns) / (sum(sg) + C_m)."""
-    return simulate_mrc_curve([hops_per_sat], [len(hops_per_sat)], thr, cfg, workers)[0]
+    return simulate_curves([("MRC", [hops_per_sat], [len(hops_per_sat)], cfg)], thr, workers)[0][0]

@@ -72,9 +72,8 @@ class StaircaseConfig:
     depth_l: float = 15.0
 
     def __post_init__(self) -> None:
-        m = self.steps_m
-        if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= self.MAX_STEPS_M:
-            raise ValueError(f"steps_m must be an int in 1..{self.MAX_STEPS_M}, got {m!r}")
+        steps_m = channel._count(self.steps_m, "steps_m", 1, self.MAX_STEPS_M)
+        object.__setattr__(self, "steps_m", steps_m)
         if not (math.isfinite(self.depth_l) and self.depth_l > 0.0):
             raise ValueError(f"depth_l must be finite and > 0, got {self.depth_l}")
 
@@ -247,6 +246,19 @@ def _ss_pieces(
     return _outage_pieces(f[sg], f[ns], m), _success_pieces(s[sg], s[ns], m)
 
 
+def _checked_rows(pairs: list[HopPair], rows: list[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Each row as Python ints, once every row is nonempty and every index
+    names one of pairs (0..len(pairs) - 1, not a bool); otherwise a
+    ValueError, which names the row of a bad index."""
+    if not all(rows):
+        raise ValueError("need at least one satellite")
+    top = len(pairs) - 1
+    return [
+        tuple(channel._count(i, f"index of row {r}", 0, top) for i in row)
+        for r, row in enumerate(rows)
+    ]
+
+
 def op_ss(hops: HopPair, thr: Threshold, cfg: StaircaseConfig) -> float:
     """Single-satellite outage under variable-gain relaying:
     Pr[(Lambda_sg - gamma)(Lambda_ns - gamma) <= gamma^2 + gamma].
@@ -277,8 +289,7 @@ def op_sc_rows(
     SS outage at or above 1/2 is 1 - success, so one within an ulp of 1 is
     not clipped to exactly 1.0; below 1/2 the outage-form sum keeps its own
     relative precision."""
-    if not all(rows):
-        raise ValueError("need at least one satellite")
+    rows = _checked_rows(pairs, rows)
     if not rows:
         return []
     out, success = _ss_pieces(pairs, thr, cfg)
@@ -322,8 +333,7 @@ def op_mrc_rows(
     shared by every row with that uplink and K; every row's pieces are
     summed in one row-wise pass.
     """
-    if not all(rows):
-        raise ValueError("need at least one satellite")
+    rows = _checked_rows(pairs, rows)
     if not rows:
         return []
     g = thr.gamma_th
@@ -370,6 +380,7 @@ def asymp_op_sc_rows(
     """`asymp_op_sc` at every row, a row listing the indices of its
     satellites' hop pairs: each pair's factor is computed once per call,
     and each row multiplies its factors in list order."""
+    rows = _checked_rows(pairs, rows)
     for row in rows:
         _equal_power_eta([pairs[i] for i in row])
     g = thr.gamma_th

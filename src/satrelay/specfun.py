@@ -30,7 +30,6 @@ import numpy as np
 
 __all__ = [
     "SeriesConvergenceError",
-    "ln_gamma",
     "kummer_1f1",
     "whittaker_m_ln",
 ]
@@ -43,13 +42,6 @@ class SeriesConvergenceError(ArithmeticError):
 _REL_TOLERANCE = 1e-12
 # Sized for moderate arguments: 500 terms covers z up to roughly 100.
 _MAX_TERMS = 500
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def _check_1f1_domain(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> None:

@@ -7,6 +7,7 @@ import threading
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from satrelay import channel, cli, mcsim, outage, validate
@@ -42,6 +43,22 @@ class TestSpecValidation:
             replace(base, conditions=("HZ",))
         with pytest.raises(ValueError):
             replace(base, k_values=())
+
+    @pytest.mark.parametrize("k", [True, 2.5, 0])
+    def test_k_values_must_be_counts(self, k):
+        # True used to run as K = 1 and write "True" in the K column, and
+        # 2.5 passed the spec only to fail in `_plan` with a TypeError.
+        with pytest.raises(ValueError, match="^k_values must be an integer >= 1"):
+            replace(preset_spec("fig1"), k_values=(k,))
+
+    def test_numpy_integer_k_runs_as_its_int(self, tmp_path):
+        spec = replace(analytic_spec("fig1", tmp_path / "np.csv"), k_values=(np.int64(5),))
+        assert spec.k_values == (5,) and type(spec.k_values[0]) is int
+        emit_csv(run(spec), spec.csv_path)
+        emit_csv(run(analytic_spec("fig1", tmp_path / "int.csv")), str(tmp_path / "int.csv"))
+        written = (tmp_path / "np.csv").read_text()
+        assert written == (tmp_path / "int.csv").read_text()
+        assert {line.split(",")[2] for line in written.splitlines()[1:]} == {"5"}
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
@@ -356,7 +373,7 @@ class TestCurves:
         links = [LinkSNR.from_db(db) for db in (-3, 0, 6)]
         columns = [[HopPair(ns=(ns, link), sg=(sg, link))] * 3 for link in links]
         cfg = MCConfig(trials=20000, seed=cli._row_seed(7, 0))
-        est = mcsim.simulate_sc_curve(columns, [1, 3], Threshold.from_rate(0.5), cfg)
+        est = mcsim.simulate_curves([("SC", columns, [1, 3], cfg)], Threshold.from_rate(0.5))[0]
         dbs = (-3, 0, 6)
         want = [est[a * 3 + dbs.index(db)].p_hat for a in (0, 1) for db in (6, -3, 6, 0)]
         assert [float(r[6]) for r in rows[0:8]] == want
@@ -386,20 +403,21 @@ class TestCurves:
         rows = run(spec)
         thr, stair, dbs = spec.threshold, spec.staircase, (-3.0, 0.0, 6.0)
         curves = {
-            "SC": ([1, 2, 3], mcsim.simulate_sc_curve, outage.op_sc),
-            "MRC": ([2, 3], mcsim.simulate_mrc_curve, outage.op_mrc),
+            "SC": ([1, 2, 3], outage.op_sc),
+            "MRC": ([2, 3], outage.op_mrc),
         }
         for cond in ("HA", "HH"):
             ns, sg = CONDITIONS[cond]
             links = {db: LinkSNR.from_db(db) for db in dbs}
             pairs = {db: HopPair(ns=(ns, link), sg=(sg, link)) for db, link in links.items()}
-            for kind, (ks, simulate, one_shot) in curves.items():
+            for kind, (ks, one_shot) in curves.items():
                 index = [
                     i for i, r in enumerate(rows)
                     if r.condition == cond and ("MRC" if r.scheme == "MRC" else "SC") == kind
                 ]
                 cfg = replace(spec.mc, seed=cli._row_seed(7, index[0]))
-                est = simulate([[pairs[db]] * 3 for db in dbs], ks, thr, cfg)
+                columns = [[pairs[db]] * 3 for db in dbs]
+                est = mcsim.simulate_curves([(kind, columns, ks, cfg)], thr)[0]
                 for r in (rows[i] for i in index):
                     k = 1 if r.scheme == "SS" else r.k
                     assert r.mc == est[ks.index(k) * 3 + dbs.index(r.snr_db)]
@@ -420,9 +438,9 @@ class TestCurves:
             links = [LinkSNR.from_db(rows[i].snr_db) for i in index[:11]]
             columns = [[HopPair(ns=(ns, link), sg=(sg, link))] * 5 for link in links]
             cfg = replace(spec.mc, seed=cli._row_seed(12, index[0]))
-            assert [rows[i].mc for i in index] == mcsim.simulate_sc_curve(
-                columns, [1, 5], spec.threshold, cfg
-            )
+            assert [rows[i].mc for i in index] == mcsim.simulate_curves(
+                [("SC", columns, [1, 5], cfg)], spec.threshold
+            )[0]
 
     def test_sc_never_above_ss_at_one_seed(self):
         # SC shares its first branch with SS, so at every SNR its hit count
@@ -459,10 +477,9 @@ class TestCurves:
             column = [HopPair(ns=(ns, link), sg=(sg, link))] * 6
             cfg = replace(spec.mc, seed=cli._row_seed(11, first))
             scheme = curve_rows[0].scheme
-            simulate = mcsim.simulate_sc_curve if scheme == "SC" else mcsim.simulate_mrc_curve
-            assert [r.mc for r in curve_rows] == simulate(
-                [column], [2, 3, 4, 5, 6], spec.threshold, cfg
-            )
+            assert [r.mc for r in curve_rows] == mcsim.simulate_curves(
+                [(scheme, [column], [2, 3, 4, 5, 6], cfg)], spec.threshold
+            )[0]
             one_row = mcsim.simulate_sc if scheme == "SC" else mcsim.simulate_mrc
             assert curve_rows[0].mc == one_row(column[:2], spec.threshold, cfg)
 

@@ -19,16 +19,19 @@ from conftest import mrc_outage_mp
 THR = Threshold(gamma_th=1.0)
 
 
+def curve(kind, columns, ks, thr, cfg, workers=1):
+    """The estimates of one curve of `simulate_curves`, one per cell, K-major."""
+    return mcsim.simulate_curves([(kind, columns, ks, cfg)], thr, workers)[0]
+
+
 def snr_curve(scheme, columns, thr, cfg, workers=1):
     """One estimate per SNR column of a one-K curve; an SS column is one hop
     pair, simulated as a one-satellite SC column."""
     if scheme == "SS":
-        return mcsim.simulate_sc_curve([[hop] for hop in columns], [1], thr, cfg, workers)
-    simulate = mcsim.simulate_sc_curve if scheme == "SC" else mcsim.simulate_mrc_curve
-    return simulate(columns, [len(columns[0])], thr, cfg, workers)
+        return curve("SC", [[hop] for hop in columns], [1], thr, cfg, workers)
+    return curve(scheme, columns, [len(columns[0])], thr, cfg, workers)
 
 
-K_CURVE = {"SC": mcsim.simulate_sc_curve, "MRC": mcsim.simulate_mrc_curve}
 SINGLE = {"SS": mcsim.simulate_ss, "SC": mcsim.simulate_sc, "MRC": mcsim.simulate_mrc}
 # Bound on the traced allocation peak of one fig3 MRC K-curve at 10^5
 # trials: measured 2.69-2.74 MiB (numpy 2.4), where each one-K kernel of
@@ -207,7 +210,7 @@ class TestScheduler:
             started.clear()
             raised.clear()
             with pytest.raises(Broken, match="^block 0$"):
-                mcsim.simulate_sc_curve([[hop_at(3.0)] * 2], [2], THR, cfg, workers=2)
+                curve("SC", [[hop_at(3.0)] * 2], [2], THR, cfg, workers=2)
             assert 0 in started and set(started) <= {0, 1}
             assert threading.active_count() == before
 
@@ -218,8 +221,7 @@ class TestScheduler:
         hop, cfg = hop_at(3.0), MCConfig(trials=1000, seed=1)
         calls = [
             lambda: mcsim.simulate_curves([("SC", [[hop]], [1], cfg)], THR, workers),
-            lambda: mcsim.simulate_sc_curve([[hop]], [1], THR, cfg, workers),
-            lambda: mcsim.simulate_mrc_curve([[hop]], [1], THR, cfg, workers),
+            lambda: mcsim.simulate_curves([("MRC", [[hop]], [1], cfg)], THR, workers),
             lambda: mcsim.simulate_ss(hop, THR, cfg, workers),
             lambda: mcsim.simulate_sc([hop] * 2, THR, cfg, workers),
             lambda: mcsim.simulate_mrc([hop] * 2, THR, cfg, workers=workers),
@@ -298,7 +300,7 @@ class TestSimulateSC:
         columns = [[hop_at(db, ns=AVERAGE_SHADOWING)] * 3 for db in dbs]
         n = 100_000
         spy = SampleSpy(monkeypatch)
-        est = mcsim.simulate_sc_curve(columns, [1, 3], THR, MCConfig(trials=n, seed=8))
+        est = curve("SC", columns, [1, 3], THR, MCConfig(trials=n, seed=8))
         etas = np.array([LinkSNR.from_db(db).eta for db in dbs])
         factors = etas / etas.min()
         g = THR.gamma_th
@@ -496,31 +498,31 @@ class TestCurves:
         dbs = [-3.0, 0.0, 4.5, 9.0]
         columns = [[hop_at(db)] * 4 for db in dbs]
         cfg = MCConfig(trials=50_000, seed=5)
-        est = mcsim.simulate_sc_curve(columns, [4], THR, cfg)
+        est = curve("SC", columns, [4], THR, cfg)
         assert est[0].p_hat >= est[1].p_hat >= est[2].p_hat >= est[3].p_hat
         with pytest.raises(ValueError, match="ascend in SNR"):
-            mcsim.simulate_sc_curve([columns[i] for i in (3, 1, 2, 1, 0)], [4], THR, cfg)
+            curve("SC", [columns[i] for i in (3, 1, 2, 1, 0)], [4], THR, cfg)
 
     def test_malformed_curves_rejected(self):
         cfg = MCConfig(trials=10, seed=0)
         with pytest.raises(ValueError):
-            mcsim.simulate_sc_curve([], [1], THR, cfg)
+            curve("SC", [], [1], THR, cfg)
         with pytest.raises(ValueError):  # SS curves are SC curves
             mcsim.simulate_curves([("SS", [[hop_at(3.0)]], [1], cfg)], THR)
         with pytest.raises(ValueError):  # fading parameters differ
             columns = [[hop_at(3.0)], [hop_at(6.0, sg=AVERAGE_SHADOWING)]]
-            mcsim.simulate_sc_curve(columns, [1], THR, cfg)
+            curve("SC", columns, [1], THR, cfg)
         with pytest.raises(ValueError):  # columns that are not one list of fading parameters
             odd = [hop_at(6.0), hop_at(6.0, sg=AVERAGE_SHADOWING)]
-            mcsim.simulate_mrc_curve([[hop_at(3.0)] * 2, odd], [2], THR, cfg)
+            curve("MRC", [[hop_at(3.0)] * 2, odd], [2], THR, cfg)
         with pytest.raises(ValueError):  # columns of different lengths
-            mcsim.simulate_sc_curve([[hop_at(3.0)], [hop_at(6.0)] * 2], [1], THR, cfg)
+            curve("SC", [[hop_at(3.0)], [hop_at(6.0)] * 2], [1], THR, cfg)
         for ks in ([1], [1, 3], [2, 1], [1, 1], [0, 2], []):  # not ascending to the column length
             with pytest.raises(ValueError):
-                mcsim.simulate_sc_curve([[hop_at(3.0)] * 2], ks, THR, cfg)
+                curve("SC", [[hop_at(3.0)] * 2], ks, THR, cfg)
         with pytest.raises(ValueError):  # the two hops move by different factors
             odd = HopPair(ns=hop_at(6.0).ns, sg=hop_at(7.0).sg)
-            mcsim.simulate_sc_curve([[hop_at(3.0)], [odd]], [1], THR, cfg)
+            curve("SC", [[hop_at(3.0)], [odd]], [1], THR, cfg)
 
     @pytest.mark.parametrize("scheme", ["SC", "MRC"])
     def test_every_row_against_full_physical_draw(self, scheme):
@@ -555,23 +557,23 @@ class TestKCurves:
         # SNR, as in fig3, the K = 2 row is the one-row call.
         cfg = MCConfig(trials=200_000, seed=43)
         columns, ks, rows = self.grid([2, 3, 4, 5, 6], [0.0, 3.0, 6.0], ns=AVERAGE_SHADOWING)
-        assert K_CURVE[scheme](columns, ks, THR, cfg)[:3] == snr_curve(scheme, rows[:3], THR, cfg)
+        assert curve(scheme, columns, ks, THR, cfg)[:3] == snr_curve(scheme, rows[:3], THR, cfg)
         columns, ks, rows = self.grid([2, 3, 4, 5, 6], [3.0], ns=AVERAGE_SHADOWING)
-        assert K_CURVE[scheme](columns, ks, THR, cfg)[0] == SINGLE[scheme](rows[0], THR, cfg)
+        assert curve(scheme, columns, ks, THR, cfg)[0] == SINGLE[scheme](rows[0], THR, cfg)
 
     def test_sc_rows_equal_single_row_calls(self):
         # SC draws branch k alike whatever K follows, so every row of a
         # one-SNR K-curve, K_max's included, is its own one-row call.
         columns, ks, rows = self.grid([1, 2, 3, 4, 5, 6], [6.0], sg=AVERAGE_SHADOWING)
         cfg = MCConfig(trials=200_000, seed=44)
-        est = mcsim.simulate_sc_curve(columns, ks, THR, cfg)
+        est = curve("SC", columns, ks, THR, cfg)
         assert est == [mcsim.simulate_sc(hops, THR, cfg) for hops in rows]
 
     @pytest.mark.parametrize("scheme", ["SC", "MRC"])
     def test_hits_never_rise_with_k_or_snr(self, scheme):
         ks, dbs = [1, 2, 3, 4, 5, 6], [-3.0, 0.0, 3.0, 6.0]
         columns, _, _ = self.grid(ks, dbs, ns=AVERAGE_SHADOWING, sg=AVERAGE_SHADOWING)
-        est = K_CURVE[scheme](columns, ks, THR, MCConfig(trials=300_000, seed=78))
+        est = curve(scheme, columns, ks, THR, MCConfig(trials=300_000, seed=78))
         p = np.array([e.p_hat for e in est]).reshape(len(ks), len(dbs))
         assert np.all(np.diff(p, axis=0) <= 0.0) and np.all(np.diff(p, axis=1) <= 0.0)
         assert p[-1, 0] < p[0, 0] and p[0, -1] < p[0, 0]
@@ -582,11 +584,11 @@ class TestKCurves:
         # order are refused, not reordered.
         columns, ks, rows = self.grid([2, 4], [0.0, 3.0])
         cfg = MCConfig(trials=50_000, seed=6)
-        est = mcsim.simulate_mrc_curve(columns, ks, THR, cfg)
+        est = curve("MRC", columns, ks, THR, cfg)
         assert len(est) == len(rows) == 4
         assert est[0].p_hat >= est[1].p_hat and est[0].p_hat >= est[2].p_hat >= est[3].p_hat
         with pytest.raises(ValueError, match="ascending"):
-            mcsim.simulate_mrc_curve(columns, [4, 2], THR, cfg)
+            curve("MRC", columns, [4, 2], THR, cfg)
 
     @pytest.mark.parametrize("cond", ["HH", "HA", "AH", "AA"])
     def test_fig3_rows_against_full_physical_draw(self, cond):
@@ -598,7 +600,7 @@ class TestKCurves:
         columns, ks, rows = self.grid([2, 3, 4, 5, 6], [db], ns=ns, sg=sg)
         n = 1_000_000
         for scheme in ("SC", "MRC"):
-            est = K_CURVE[scheme](columns, ks, THR, MCConfig(trials=n, seed=2026))
+            est = curve(scheme, columns, ks, THR, MCConfig(trials=n, seed=2026))
             ref = physical_outage(scheme, rows, n, seed=6202)
             for e, r in zip(est, ref):
                 # Two independent estimates at 1e6 trials each: 5 sigma, and
@@ -614,10 +616,10 @@ class TestKCurves:
         ns, sg = channel.CONDITIONS[cond]
         columns, ks, _ = self.grid([2, 3, 4, 5, 6], [13.5 if cond[0] == "H" else 7.5], ns=ns, sg=sg)
         # A first small call keeps one-time allocations out of the trace.
-        mcsim.simulate_mrc_curve(columns, ks, THR, MCConfig(trials=1000, seed=9))
+        curve("MRC", columns, ks, THR, MCConfig(trials=1000, seed=9))
         tracemalloc.start()
         try:
-            mcsim.simulate_mrc_curve(columns, ks, THR, MCConfig(trials=100_000, seed=9))
+            curve("MRC", columns, ks, THR, MCConfig(trials=100_000, seed=9))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -261,6 +261,26 @@ class TestRunMemo:
         with pytest.raises(ValueError, match="need at least one satellite"):
             rows_of([hop_at(6.0)], [(0,), ()], THR, CFG)
 
+    @pytest.mark.parametrize(
+        "rows_of",
+        [
+            outage.op_sc_rows,
+            outage.op_mrc_rows,
+            lambda pairs, rows, thr, cfg: outage.asymp_op_sc_rows(pairs, rows, thr),
+        ],
+        ids=["op_sc_rows", "op_mrc_rows", "asymp_op_sc_rows"],
+    )
+    def test_row_indices_checked(self, rows_of):
+        # An index names one of the pairs: -1 used to read the last pair, a
+        # bool the pair it equals, and an index past the end raised a bare
+        # IndexError.  A numpy integer is the index it equals.
+        pairs = [hop_at(6.0), hop_at(6.0, sg=AVERAGE_SHADOWING)]
+        want = rows_of(pairs, [(0,), (1,)], THR, CFG)
+        assert rows_of(pairs, [(0,), (np.int64(1),)], THR, CFG) == want
+        for bad in (-1, 2, True, 1.0, np.True_):
+            with pytest.raises(ValueError, match=r"^index of row 1 must be an integer in 0\.\.1"):
+                rows_of(pairs, [(0,), (bad,)], THR, CFG)
+
     def test_mrc_row_of_unequal_pairs_rejected(self):
         # A row's indices may name distinct but equal pairs; unequal ones
         # have no i.i.d. closed form.

@@ -15,7 +15,6 @@ from satrelay.specfun import (
     SeriesConvergenceError,
     _kummer_1f1_ln_grid,
     kummer_1f1,
-    ln_gamma,
     whittaker_m_ln,
 )
 
@@ -28,25 +27,6 @@ def rational_1f1(a: Fraction, b: Fraction, z: Fraction, terms: int = 200) -> Fra
         term *= (a + n) * z / ((b + n) * (n + 1))
         total += term
     return total
-
-
-class TestLnGamma:
-    def test_known_values(self):
-        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert ln_gamma(6.0) == pytest.approx(math.log(120.0), rel=1e-14)
-        assert ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-
-    def test_accuracy_against_mpmath(self):
-        mpmath.mp.dps = 40
-        for x in np.geomspace(0.5, 1e6, 60):
-            want = float(mpmath.loggamma(mpmath.mpf(float(x))))
-            got = ln_gamma(float(x))
-            assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.nan])
-    def test_domain_error(self, bad):
-        with pytest.raises(ValueError):
-            ln_gamma(bad)
 
 
 class TestKummer1F1:
