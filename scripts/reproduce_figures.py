@@ -12,8 +12,8 @@ from satrelay import cli
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results", help="output directory")
-    parser.add_argument("--trials", type=int, default=1_000_000)
-    parser.add_argument("--seed", type=int, default=20240915)
+    parser.add_argument("--trials", type=int, default=cli.DEFAULT_TRIALS)
+    parser.add_argument("--seed", type=int, default=cli.DEFAULT_SEED)
     parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args()
 

@@ -17,7 +17,8 @@ of a K-fold i.i.d. sum (via log-scaled Whittaker functions: one batched
 approximations of both CDFs.  A K-fold sum law is named by its `SRParams`
 and K alone: `sum_cdf` takes its constants from the params, and its
 `SumSRContext` carries only K.  `_count` is the package's one check of
-an integer input (m, K, M, trials, seed, workers, row indices).
+an integer input (m, K, M, trials, seed, workers, row indices, a Monte
+Carlo curve's ks and `OutageEstimate.trials`).
 
 Each law's constants are computed once and shared read-only: alpha, beta,
 delta and the mixture once per `SRParams` object (`_Law`, kept on it as

@@ -138,7 +138,8 @@ class _Plan(NamedTuple):
     points: list[tuple[str, str, int, float]]  # each row's (scheme, condition, K, snr_db)
     pairs: list[HopPair]  # one per distinct (condition, SNR)
     rows: list[tuple[int, ...]]  # each row's satellites, as indices into pairs
-    curves: list[tuple[str, list[list[HopPair]], list[int], int]]  # (kind, columns, ks, first row)
+    # each Monte Carlo curve's (kind, hops, ks, factors, first row)
+    curves: list[tuple[str, list[HopPair], list[int], list[float], int]]
     cells: list[tuple[int, int]]  # each row's (curve, cell); cells are K-major
 
 
@@ -146,8 +147,8 @@ def _plan(spec: ExperimentSpec) -> _Plan:
     """The spec's rows, in spec order, over one hop pair per (condition,
     SNR).  An SS row is selection combining over one satellite, whatever
     its K.  The rows of one (kernel, condition) form one Monte Carlo curve:
-    the largest-K hop list at each of its SNRs, in ascending SNR, and its
-    ascending Ks.  A repeated SNR or K shares its cell."""
+    the largest-K hop list at its lowest SNR, and its Ks and SNR factors
+    eta / eta_lowest, ascending.  A repeated SNR or K shares its cell."""
     points = [
         (scheme, cond, k, float(db))
         for scheme in spec.schemes
@@ -168,7 +169,9 @@ def _plan(spec: ExperimentSpec) -> _Plan:
         snrs = sorted({rows[i][0] for i in index}, key=lambda j: pairs[j].ns[1].eta)
         for i in index:
             cells[i] = c, ks.index(len(rows[i])) * len(snrs) + snrs.index(rows[i][0])
-        curves.append((kind, [[pairs[j]] * ks[-1] for j in snrs], ks, index[0]))
+        etas = [pairs[j].ns[1].eta for j in snrs]
+        factors = [eta / etas[0] for eta in etas]
+        curves.append((kind, [pairs[snrs[0]]] * ks[-1], ks, factors, index[0]))
     return _Plan(points, pairs, rows, curves, cells)
 
 
@@ -206,8 +209,8 @@ def _mc_column(spec: ExperimentSpec, plan: _Plan, workers: int) -> list[OutageEs
     from . import mcsim
 
     runs = [
-        (kind, columns, ks, replace(spec.mc, seed=_row_seed(spec.mc.seed, first)))
-        for kind, columns, ks, first in plan.curves
+        (kind, hops, ks, factors, replace(spec.mc, seed=_row_seed(spec.mc.seed, first)))
+        for kind, hops, ks, factors, first in plan.curves
     ]
     estimates = mcsim.simulate_curves(runs, spec.threshold, workers)
     return [estimates[c][cell] for c, cell in plan.cells]
@@ -218,8 +221,8 @@ def run(spec: ExperimentSpec, workers: int = 1) -> list[RunRow]:
 
     Rows are keyed (scheme, condition, K, snr_db).  `_plan` compiles the
     spec once: one hop pair per (condition, SNR), each row as indices into
-    them, and each Monte Carlo curve as SNR columns and Ks.  The calling
-    thread first computes the analytic and asymptotic columns: one
+    them, and each Monte Carlo curve as its hops, Ks and SNR factors.  The
+    calling thread first computes the analytic and asymptotic columns: one
     `outage.op_sc_rows` call for the SS and SC rows and one
     `outage.op_mrc_rows` call for the MRC rows, each reading every
     distinct single-hop law or uplink axis once, with nothing kept after

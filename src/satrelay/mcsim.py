@@ -2,19 +2,18 @@
 
 The unit of simulation is a *curve*: the (K x SNR) grid of one kernel and
 one pair of fading conditions, such as fig3's K = 2..6 at one SNR or
-fig1's MRC curve, one K over eleven SNRs.  A curve comes as (columns, ks):
-each column is the hop list of the largest K at one SNR, the columns
-ascend in SNR and their links differ by one SNR factor, and ks are the
-ascending satellite counts.  Cell (a, b), a row, is the first ks[a]
-satellites of column b.  Selection combining over one satellite is the
-single-satellite scheme (SS), so there are two curve kinds, "SC" (SS
-rows are its one-satellite rows) and "MRC", and `simulate_curves` returns
-one estimate per cell of each curve, K-major, from one draw set.  Every
-SNR is drawn once, at the links of the first column, and scaled by
-eta_b / eta_0 for column b; the factor is exactly 1.0 for a one-column
-curve.  Each row's outage event is tested on the unscaled draws
-in an equivalent form divided by the factor, so the first column, and a
-one-row curve, use the single-row arithmetic bit for bit.  A
+fig1's MRC curve, one K over eleven SNRs.  A curve comes as (hops, ks,
+factors): hops is the largest K's hop list at the lowest SNR, ks are the
+ascending satellite counts, ending at len(hops), and factors are the
+ascending SNR factors over that lowest SNR, starting at exactly 1.0.
+Cell (a, b), a row, is the first ks[a] satellites with both hops' SNRs
+scaled by factors[b].  Selection combining over one satellite is the
+single-satellite scheme (SS), so there are two curve kinds, "SC" (SS rows
+are its one-satellite rows) and "MRC", and `simulate_curves` returns one
+estimate per cell of each curve, K-major, from one draw set: every SNR is
+drawn once, at the links of `hops`.  Each row's outage event is tested on
+these draws in an equivalent form divided by its factor, so the first
+factor, and a one-row curve, use the single-row arithmetic bit for bit.  A
 transmit SNR only scales the drawn variates, so every row's hit count
 keeps its exact Binomial(n, p(eta)) law.  Every end-to-end SNR here grows
 with that factor, so a trial out of outage at one row stays out at every
@@ -22,10 +21,10 @@ higher-SNR row: each trial keeps the number of leading rows (in ascending
 SNR) at which it is in outage, row j counts the trials with more than j,
 and at one seed the hit count never rises with SNR within a curve.  It
 grows with K too, so a trial out of outage at the lowest SNR needs no more
-draws at larger K, and at one seed the hit count never rises with K.
-In a curve of several K, the smallest K's rows draw as that K's curve
-alone.  `simulate_ss`, `simulate_sc` and `simulate_mrc` are the one-cell
-curves; `simulate_ss(hop)` is `simulate_sc([hop])`.
+draws at larger K, and at one seed the hit count never rises with K.  In
+a curve of several K, the smallest K's rows draw as that K's curve alone.
+`simulate_ss`, `simulate_sc` and `simulate_mrc` are the one-cell curves;
+`simulate_ss(hop)` is `simulate_sc([hop])`.
 
 Trials are partitioned into fixed-size blocks; block i draws from an
 independent substream keyed by (seed, i) via SeedSequence spawn keys over
@@ -129,6 +128,7 @@ class OutageEstimate:
     trials: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "trials", channel._count(self.trials, "trials"))
         if not 0.0 <= self.ci_low <= self.p_hat <= self.ci_high <= 1.0:
             raise ValueError("need 0 <= ci_low <= p_hat <= ci_high <= 1")
 
@@ -203,23 +203,19 @@ def _run_curves(curves, workers: int) -> list[list[OutageEstimate]]:
     return out
 
 
-def _grid(columns: list[list[HopPair]], ks) -> tuple[np.ndarray, np.ndarray]:
-    """A curve's (ks, factors), once its input is checked: ks are positive
-    and ascend, every column is ks[-1] hop pairs of one list of fading, and
-    the columns ascend in SNR by one factor each, factors[b] = eta_b / eta_0
-    of column b's own links (factors[0] == 1.0 exactly)."""
-    ks = np.asarray(ks, dtype=np.int64)
-    if not (columns and ks.size and ks[0] >= 1 and np.all(np.diff(ks) > 0)):
-        raise ValueError("a curve needs an SNR column and positive, ascending satellite counts")
-    shape = [(h.ns[0], h.sg[0]) for h in columns[0]]
-    if len(shape) != ks[-1] or any([(h.ns[0], h.sg[0]) for h in col] != shape for col in columns):
-        raise ValueError("each column of a curve must be the largest K's list of fading parameters")
-    etas = np.array([[[h.ns[1].eta, h.sg[1].eta] for h in col] for col in columns])
-    ratios = etas / etas[0]
-    factors = ratios[:, 0, 0]
-    ascending = np.all(np.diff(factors) >= 0.0)
-    if not (ascending and np.allclose(ratios, factors[:, None, None], rtol=1e-9, atol=0.0)):
-        raise ValueError("a curve's columns must ascend in SNR, their links by one factor each")
+def _grid(hops: list[HopPair], ks, factors) -> tuple[list[int], np.ndarray]:
+    """A curve's (ks, factors), once checked: each K passes the count rule
+    and the ks ascend to len(hops); the factors are finite and ascend from
+    exactly 1.0, and every link scaled by the last is a `LinkSNR`."""
+    ks = [channel._count(k, "ks") for k in ks]
+    if not (ks and ks[-1] == len(hops) and all(a < b for a, b in zip(ks, ks[1:]))):
+        raise ValueError("a curve's satellite counts must ascend to its number of hop pairs")
+    factors = np.asarray(factors, dtype=float)
+    starts = factors.ndim == 1 and factors.size and factors[0] == 1.0
+    if not (starts and np.all(np.isfinite(factors)) and np.all(np.diff(factors) >= 0.0)):
+        raise ValueError("a curve's SNR factors must be finite and ascend from 1.0")
+    for h in hops:
+        channel.LinkSNR(max(h.ns[1].eta, h.sg[1].eta) * float(factors[-1]))
     return ks, factors
 
 
@@ -265,13 +261,6 @@ def _relayed(first: np.ndarray, second: np.ndarray):
     return second, den
 
 
-def _relayed_rows(factors: np.ndarray, g: float):
-    """(offsets, limits) of `_leading_outages` for relayed SNRs whose hops
-    are scaled by f: (f sg)(f ns) / (f sg + 1 + f ns) <= g is the event
-    sg*ns / ((sg + 1 + ns) + (1/f - 1)) <= g / f."""
-    return 1.0 / factors - 1.0, g / factors
-
-
 def _side_sum(links, rng: np.random.Generator, n: int) -> np.ndarray:
     """Sum of one side's hop SNRs: one k-fold draw per distinct
     (SRParams, LinkSNR) pair, in first-appearance order."""
@@ -282,22 +271,24 @@ def _side_sum(links, rng: np.random.Generator, n: int) -> np.ndarray:
     )
 
 
-def _sc_kernel(columns: list[list[HopPair]], ks, thr: Threshold):
+def _sc_kernel(hops: list[HopPair], ks, factors, thr: Threshold):
     """The block kernel of an "SC" curve of `simulate_curves`."""
-    ks, factors = _grid(columns, ks)
-    at = {int(k): a for a, k in enumerate(ks)}
-    offsets, limits = _relayed_rows(factors, thr.gamma_th)
+    ks, factors = _grid(hops, ks, factors)
+    at = {k: a for a, k in enumerate(ks)}
+    # (f sg)(f ns) / (f sg + 1 + f ns) <= g is the event
+    # sg*ns / ((sg + 1 + ns) + (1/f - 1)) <= g / f.
+    offsets, limits = 1.0 / factors - 1.0, thr.gamma_th / factors
     # lim_at[c] = limits[c - 1]: the limit of the last of c leading rows.
     lim_at = np.concatenate(([np.inf], limits))
     # The event is symmetric in the two hops, so each branch draws the hop
     # of the smaller mean SNR first (ns on a tie): fewer trials draw both.
     order = [
         (h.ns, h.sg) if channel.mean_snr(*h.ns) <= channel.mean_snr(*h.sg) else (h.sg, h.ns)
-        for h in columns[0]
+        for h in hops
     ]
 
     def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
-        hits = np.zeros((ks.size, factors.size), np.int64)
+        hits = np.zeros((len(ks), factors.size), np.int64)
         # Before the first branch, every trial is in outage at every row.
         count = np.full(n, factors.size, np.min_scalar_type(factors.size))
         for k, (weak, strong) in enumerate(order, 1):
@@ -332,21 +323,22 @@ def _sc_kernel(columns: list[list[HopPair]], ks, thr: Threshold):
     return kernel
 
 
-def _mrc_kernel(columns: list[list[HopPair]], ks, thr: Threshold):
+def _mrc_kernel(hops: list[HopPair], ks, factors, thr: Threshold):
     """The block kernel of an "MRC" curve of `simulate_curves`."""
-    ks, factors = _grid(columns, ks)
-    ns_links, sg_links = [h.ns for h in columns[0]], [h.sg for h in columns[0]]
+    ks, factors = _grid(hops, ks, factors)
+    ns_links, sg_links = [h.ns for h in hops], [h.sg for h in hops]
     g = thr.gamma_th
     # sum(ns) <= g at the highest SNR: in outage at every row.
     floor = g / factors[-1]
-    # Each cell's C_m from its own column's links.
-    cms = np.array([[c_mrc([h.ns for h in col[:k]]) for col in columns] for k in ks])
+    # Each cell's C_m from its own links: the first k ns links, scaled by f.
+    scaled = [[(p, channel.LinkSNR(lk.eta * f)) for p, lk in ns_links] for f in factors.tolist()]
+    cms = np.array([[c_mrc(links[:k]) for links in scaled] for k in ks])
     # Per satellite count, (f sg)(f ns) / (f sg + C_m) <= g is the event
     # sg*ns / ((sg + C_m0) + (C_m / f - C_m0)) <= g / f.
     offsets, limits = cms / factors - cms[:, :1], g / factors
 
     def kernel(rng: np.random.Generator, n: int) -> np.ndarray:
-        hits = np.zeros((ks.size, factors.size), np.int64)
+        hits = np.zeros((len(ks), factors.size), np.int64)
         prev = 0
         for a, k in enumerate(ks):
             # Running sums: a trial's ns sum grows by the next links' draws;
@@ -373,7 +365,7 @@ def _mrc_kernel(columns: list[list[HopPair]], ks, thr: Threshold):
                 sum_sg, over = grown, now
             num = sum_ns[over]
             under = sum_ns.size - num.size
-            if a + 1 == ks.size:
+            if a + 1 == len(ks):
                 del sum_ns  # not needed after the largest K
             num *= sum_sg
             lead = _leading_outages(num, sum_sg, offsets[a], limits, cms[a, 0])
@@ -383,7 +375,7 @@ def _mrc_kernel(columns: list[list[HopPair]], ks, thr: Threshold):
                 # that exact under roundoff.
                 lead[kept] = np.minimum(lead[kept], count)
             hits[a] = under + _row_hits(lead, factors.size)
-            if a + 1 < ks.size:
+            if a + 1 < len(ks):
                 # A trial out of outage at the lowest SNR stays out at every
                 # larger K, so only the trials still in outage are kept.
                 # Index arrays gather these faster than boolean masks do.
@@ -402,30 +394,32 @@ def _mrc_kernel(columns: list[list[HopPair]], ks, thr: Threshold):
 
 
 def simulate_curves(curves, thr: Threshold, workers: int = 1) -> list[list[OutageEstimate]]:
-    """One list of estimates per (kind, columns, ks, cfg), kind "SC" or
-    "MRC", one estimate per cell, K-major; every curve's blocks share one
-    pool (`_run_curves`) of `workers` threads, an integer >= 1 (a bool is
-    refused)."""
+    """One list of estimates per (kind, hops, ks, factors, cfg), kind "SC"
+    or "MRC": hops is the largest K's hop list at the lowest SNR, ks the
+    ascending satellite counts ending at len(hops), and factors the
+    ascending SNR factors from exactly 1.0.  One estimate per (K, factor)
+    cell, K-major; every curve's blocks share one pool (`_run_curves`) of
+    `workers` threads, an integer >= 1 (a bool is refused)."""
     workers = channel._count(workers, "workers")
     kernels = {"SC": _sc_kernel, "MRC": _mrc_kernel}
     if any(kind not in kernels for kind, *_ in curves):
         raise ValueError("a curve's kind must be SC or MRC")
-    return _run_curves(
-        [(kernels[kind](columns, ks, thr), cfg) for kind, columns, ks, cfg in curves], workers
-    )
+    runs = [(kernels[kind](hops, ks, factors, thr), cfg) for kind, hops, ks, factors, cfg in curves]
+    return _run_curves(runs, workers)
 
 
 def simulate_ss(hops: HopPair, thr: Threshold, cfg: MCConfig, workers: int = 1) -> OutageEstimate:
     """Single satellite, variable gain: Lambda_GS = sg*ns / (sg + 1 + ns),
     simulated as selection combining over that one satellite."""
-    return simulate_curves([("SC", [[hops]], [1], cfg)], thr, workers)[0][0]
+    return simulate_curves([("SC", [hops], [1], [1.0], cfg)], thr, workers)[0][0]
 
 
 def simulate_sc(
     hops_per_sat: list[HopPair], thr: Threshold, cfg: MCConfig, workers: int = 1
 ) -> OutageEstimate:
     """Selection combining: outage iff the best branch SNR is at or below gamma."""
-    return simulate_curves([("SC", [hops_per_sat], [len(hops_per_sat)], cfg)], thr, workers)[0][0]
+    k = len(hops_per_sat)
+    return simulate_curves([("SC", hops_per_sat, [k], [1.0], cfg)], thr, workers)[0][0]
 
 
 def simulate_mrc(
@@ -433,4 +427,5 @@ def simulate_mrc(
 ) -> OutageEstimate:
     """Maximal ratio combining with the fixed gain constant C_m:
     Lambda_GS = sum(sg) * sum(ns) / (sum(sg) + C_m)."""
-    return simulate_curves([("MRC", [hops_per_sat], [len(hops_per_sat)], cfg)], thr, workers)[0][0]
+    k = len(hops_per_sat)
+    return simulate_curves([("MRC", hops_per_sat, [k], [1.0], cfg)], thr, workers)[0][0]

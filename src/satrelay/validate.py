@@ -243,12 +243,11 @@ def _check_mc_determinism():
     b = mcsim.simulate_sc([hop] * 3, thr, cfg, workers=4)
     assert a == b, (a, b)
     # Two curves of two blocks each on one pool: an SC curve over K = 1 and
-    # 3, and an MRC curve over two SNRs.
-    fast = LinkSNR(10.0)
-    mixed = [HopPair(ns=(AVERAGE_SHADOWING, x), sg=(HEAVY_SHADOWING, x)) for x in (link, fast)]
+    # 3, and an MRC curve over two SNRs, eta = 5 and 10.
+    mixed = HopPair(ns=(AVERAGE_SHADOWING, link), sg=(HEAVY_SHADOWING, link))
     curves = [
-        ("SC", [[hop] * 3], [1, 3], MCConfig(trials=600_000, seed=5)),
-        ("MRC", [[mixed[0]] * 2, [mixed[1]] * 2], [2], MCConfig(trials=600_000, seed=6)),
+        ("SC", [hop] * 3, [1, 3], [1.0], MCConfig(trials=600_000, seed=5)),
+        ("MRC", [mixed] * 2, [2], [1.0, 2.0], MCConfig(trials=600_000, seed=6)),
     ]
     runs = [mcsim.simulate_curves(curves, thr, workers) for workers in (1, 2, 4)]
     assert runs[0] == runs[1] == runs[2], runs

@@ -371,9 +371,11 @@ class TestCurves:
         # first SS row; each row reads its (K, SNR) cell.
         ns, sg = CONDITIONS["AH"]
         links = [LinkSNR.from_db(db) for db in (-3, 0, 6)]
-        columns = [[HopPair(ns=(ns, link), sg=(sg, link))] * 3 for link in links]
+        hops = [HopPair(ns=(ns, links[0]), sg=(sg, links[0]))] * 3
+        factors = [link.eta / links[0].eta for link in links]
         cfg = MCConfig(trials=20000, seed=cli._row_seed(7, 0))
-        est = mcsim.simulate_curves([("SC", columns, [1, 3], cfg)], Threshold.from_rate(0.5))[0]
+        curves = [("SC", hops, [1, 3], factors, cfg)]
+        est = mcsim.simulate_curves(curves, Threshold.from_rate(0.5))[0]
         dbs = (-3, 0, 6)
         want = [est[a * 3 + dbs.index(db)].p_hat for a in (0, 1) for db in (6, -3, 6, 0)]
         assert [float(r[6]) for r in rows[0:8]] == want
@@ -416,8 +418,9 @@ class TestCurves:
                     if r.condition == cond and ("MRC" if r.scheme == "MRC" else "SC") == kind
                 ]
                 cfg = replace(spec.mc, seed=cli._row_seed(7, index[0]))
-                columns = [[pairs[db]] * 3 for db in dbs]
-                est = mcsim.simulate_curves([(kind, columns, ks, cfg)], thr)[0]
+                factors = [links[db].eta / links[dbs[0]].eta for db in dbs]
+                hops = [pairs[dbs[0]]] * 3
+                est = mcsim.simulate_curves([(kind, hops, ks, factors, cfg)], thr)[0]
                 for r in (rows[i] for i in index):
                     k = 1 if r.scheme == "SS" else r.k
                     assert r.mc == est[ks.index(k) * 3 + dbs.index(r.snr_db)]
@@ -436,10 +439,11 @@ class TestCurves:
             assert [rows[i].scheme for i in index] == ["SS"] * 11 + ["SC"] * 11
             ns, sg = CONDITIONS[cond]
             links = [LinkSNR.from_db(rows[i].snr_db) for i in index[:11]]
-            columns = [[HopPair(ns=(ns, link), sg=(sg, link))] * 5 for link in links]
+            hops = [HopPair(ns=(ns, links[0]), sg=(sg, links[0]))] * 5
+            factors = [link.eta / links[0].eta for link in links]
             cfg = replace(spec.mc, seed=cli._row_seed(12, index[0]))
             assert [rows[i].mc for i in index] == mcsim.simulate_curves(
-                [("SC", columns, [1, 5], cfg)], spec.threshold
+                [("SC", hops, [1, 5], factors, cfg)], spec.threshold
             )[0]
 
     def test_sc_never_above_ss_at_one_seed(self):
@@ -474,14 +478,14 @@ class TestCurves:
             assert [r.k for r in curve_rows] == [2, 3, 4, 5, 6]
             ns, sg = CONDITIONS[curve_rows[0].condition]
             link = LinkSNR.from_db(curve_rows[0].snr_db)
-            column = [HopPair(ns=(ns, link), sg=(sg, link))] * 6
+            hops = [HopPair(ns=(ns, link), sg=(sg, link))] * 6
             cfg = replace(spec.mc, seed=cli._row_seed(11, first))
             scheme = curve_rows[0].scheme
             assert [r.mc for r in curve_rows] == mcsim.simulate_curves(
-                [(scheme, [column], [2, 3, 4, 5, 6], cfg)], spec.threshold
+                [(scheme, hops, [2, 3, 4, 5, 6], [1.0], cfg)], spec.threshold
             )[0]
             one_row = mcsim.simulate_sc if scheme == "SC" else mcsim.simulate_mrc
-            assert curve_rows[0].mc == one_row(column[:2], spec.threshold, cfg)
+            assert curve_rows[0].mc == one_row(hops[:2], spec.threshold, cfg)
 
     def test_ss_rows_repeat_across_k(self):
         # SS does not depend on K, so its rows at one SNR share their draws.

@@ -1,5 +1,6 @@
-"""Every count of the package (m, K, M, trials, seed, workers, k_values)
-passes one rule, `channel._count`, and the public surface resolves."""
+"""Every count of the package (m, K, M, trials, seed, workers, k_values, a
+curve's ks and `OutageEstimate.trials`) passes one rule, `channel._count`,
+and the public surface resolves."""
 
 import importlib
 import pickle
@@ -11,7 +12,7 @@ import pytest
 import satrelay
 from satrelay import channel, cli, mcsim, outage
 from satrelay.channel import AVERAGE_SHADOWING, HEAVY_SHADOWING, LinkSNR, SRParams, SumSRContext
-from satrelay.mcsim import MCConfig
+from satrelay.mcsim import MCConfig, OutageEstimate
 from satrelay.outage import HopPair, StaircaseConfig, Threshold
 
 LINK = LinkSNR.from_db(10.0)
@@ -58,7 +59,16 @@ def _seed(s):
 
 
 def _workers(w):
-    return None, mcsim.simulate_curves([("MRC", [[HOP] * 2], [2], MC)], THR, w)
+    return None, mcsim.simulate_curves([("MRC", [HOP] * 2, [2], [1.0], MC)], THR, w)
+
+
+def _ks(k):
+    return None, mcsim.simulate_curves([("SC", [HOP] * 5, [k], [1.0, 2.0], MC)], THR)
+
+
+def _estimate_trials(n):
+    est = OutageEstimate(0.25, 0.2, 0.3, trials=n)
+    return est.trials, est
 
 
 def _k_values(k):
@@ -76,6 +86,8 @@ SITES = [
     ("trials", _trials, 2000, 0),
     ("seed", _seed, 7, None),
     ("workers", _workers, 2, 0),
+    ("ks", _ks, 5, 0),
+    ("trials", _estimate_trials, 2000, 0),
     ("k_values", _k_values, 5, 0),
 ]
 IDS = [use.__name__.lstrip("_") for _, use, _, _ in SITES]

@@ -19,17 +19,17 @@ from conftest import mrc_outage_mp
 THR = Threshold(gamma_th=1.0)
 
 
-def curve(kind, columns, ks, thr, cfg, workers=1):
+def curve(kind, hops, ks, factors, thr, cfg, workers=1):
     """The estimates of one curve of `simulate_curves`, one per cell, K-major."""
-    return mcsim.simulate_curves([(kind, columns, ks, cfg)], thr, workers)[0]
+    return mcsim.simulate_curves([(kind, hops, ks, factors, cfg)], thr, workers)[0]
 
 
-def snr_curve(scheme, columns, thr, cfg, workers=1):
-    """One estimate per SNR column of a one-K curve; an SS column is one hop
-    pair, simulated as a one-satellite SC column."""
+def snr_curve(scheme, hops, factors, thr, cfg, workers=1):
+    """One estimate per SNR factor of a one-K curve over `hops`; an SS curve
+    is one hop pair, simulated as a one-satellite SC curve."""
     if scheme == "SS":
-        return curve("SC", [[hop] for hop in columns], [1], thr, cfg, workers)
-    return curve(scheme, columns, [len(columns[0])], thr, cfg, workers)
+        return curve("SC", [hops], [1], factors, thr, cfg, workers)
+    return curve(scheme, hops, [len(hops)], factors, thr, cfg, workers)
 
 
 SINGLE = {"SS": mcsim.simulate_ss, "SC": mcsim.simulate_sc, "MRC": mcsim.simulate_mrc}
@@ -42,6 +42,15 @@ MRC_K_CURVE_PEAK = 3.0 * 2**20
 def hop_at(db, ns=HEAVY_SHADOWING, sg=HEAVY_SHADOWING):
     link = LinkSNR.from_db(db)
     return HopPair(ns=(ns, link), sg=(sg, link))
+
+
+def grid(ks, dbs, **fading):
+    """(hops, factors, rows) of a curve over ascending ks and dbs: the
+    largest K's hop list at dbs[0], each SNR's factor eta / eta(dbs[0]),
+    and each cell's own hop list, K-major."""
+    etas = [LinkSNR.from_db(db).eta for db in dbs]
+    rows = [[hop_at(db, **fading)] * k for k in ks for db in dbs]
+    return [hop_at(dbs[0], **fading)] * max(ks), [eta / etas[0] for eta in etas], rows
 
 
 def physical_outage(scheme, rows, n, seed):
@@ -210,7 +219,7 @@ class TestScheduler:
             started.clear()
             raised.clear()
             with pytest.raises(Broken, match="^block 0$"):
-                curve("SC", [[hop_at(3.0)] * 2], [2], THR, cfg, workers=2)
+                curve("SC", [hop_at(3.0)] * 2, [2], [1.0], THR, cfg, workers=2)
             assert 0 in started and set(started) <= {0, 1}
             assert threading.active_count() == before
 
@@ -220,8 +229,8 @@ class TestScheduler:
         # run` does; these used to return estimates.
         hop, cfg = hop_at(3.0), MCConfig(trials=1000, seed=1)
         calls = [
-            lambda: mcsim.simulate_curves([("SC", [[hop]], [1], cfg)], THR, workers),
-            lambda: mcsim.simulate_curves([("MRC", [[hop]], [1], cfg)], THR, workers),
+            lambda: mcsim.simulate_curves([("SC", [hop], [1], [1.0], cfg)], THR, workers),
+            lambda: mcsim.simulate_curves([("MRC", [hop], [1], [1.0], cfg)], THR, workers),
             lambda: mcsim.simulate_ss(hop, THR, cfg, workers),
             lambda: mcsim.simulate_sc([hop] * 2, THR, cfg, workers),
             lambda: mcsim.simulate_mrc([hop] * 2, THR, cfg, workers=workers),
@@ -235,7 +244,8 @@ class TestScheduler:
         hop, cfg = hop_at(3.0), MCConfig(trials=1000, seed=1)
         want = mcsim.simulate_sc([hop] * 2, THR, cfg, workers=2)
         assert mcsim.simulate_sc([hop] * 2, THR, cfg, workers=np.int64(2)) == want
-        assert mcsim.simulate_curves([("SC", [[hop] * 2], [2], cfg)], THR, np.int32(1)) == [[want]]
+        curves = [("SC", [hop] * 2, [2], [1.0], cfg)]
+        assert mcsim.simulate_curves(curves, THR, np.int32(1)) == [[want]]
 
 
 class TestSimulateSS:
@@ -297,12 +307,11 @@ class TestSimulateSC:
         # own last row still in outage, f that row's SNR factor.  Replayed
         # on the spy's draws with the event at each row written out.
         dbs = [-3.0, 0.0, 3.0, 6.0]
-        columns = [[hop_at(db, ns=AVERAGE_SHADOWING)] * 3 for db in dbs]
+        hops, factors, _ = grid([1, 3], dbs, ns=AVERAGE_SHADOWING)
         n = 100_000
         spy = SampleSpy(monkeypatch)
-        est = curve("SC", columns, [1, 3], THR, MCConfig(trials=n, seed=8))
-        etas = np.array([LinkSNR.from_db(db).eta for db in dbs])
-        factors = etas / etas.min()
+        est = curve("SC", hops, [1, 3], factors, THR, MCConfig(trials=n, seed=8))
+        factors = np.array(factors)
         g = THR.gamma_th
         assert len(spy.calls) == 6
         count = np.full(n, len(dbs))
@@ -478,60 +487,71 @@ class TestCurves:
         n, seed = 200_000, 41
         row = self.row(scheme, hops)
         cfg = MCConfig(trials=n, seed=seed)
-        [est] = snr_curve(scheme, [row], THR, cfg)
+        [est] = snr_curve(scheme, row, [1.0], THR, cfg)
         assert est == SINGLE[scheme](row, THR, cfg)
         assert est.p_hat == one_block_hits(scheme, hops, n, seed) / n
 
     @pytest.mark.parametrize("scheme", ["SS", "SC", "MRC"])
     def test_hits_never_rise_with_snr(self, scheme):
         dbs = [-6.0 + 1.5 * i for i in range(11)]
-        columns = [self.row(scheme, [hop_at(db, ns=AVERAGE_SHADOWING)] * 5) for db in dbs]
-        est = snr_curve(scheme, columns, THR, MCConfig(trials=300_000, seed=77))
+        hops, factors, _ = grid([5], dbs, ns=AVERAGE_SHADOWING)
+        cfg = MCConfig(trials=300_000, seed=77)
+        est = snr_curve(scheme, self.row(scheme, hops), factors, THR, cfg)
         p = [e.p_hat for e in est]
         assert all(later <= earlier for earlier, later in zip(p, p[1:]))
         assert p[-1] < p[0]
 
     def test_rows_in_any_order(self):
-        # A curve's columns ascend in SNR, one per SNR; putting a table's
-        # rows, repeated or unsorted, on their cells is `cli._plan`'s work.
-        # Columns out of SNR order are refused, not reordered.
-        dbs = [-3.0, 0.0, 4.5, 9.0]
-        columns = [[hop_at(db)] * 4 for db in dbs]
+        # A curve's factors ascend, one per SNR; putting a table's rows,
+        # repeated or unsorted, on their cells is `cli._plan`'s work.
+        # Factors out of order are refused, not reordered.
+        hops, factors, _ = grid([4], [-3.0, 0.0, 4.5, 9.0])
         cfg = MCConfig(trials=50_000, seed=5)
-        est = curve("SC", columns, [4], THR, cfg)
+        est = curve("SC", hops, [4], factors, THR, cfg)
         assert est[0].p_hat >= est[1].p_hat >= est[2].p_hat >= est[3].p_hat
-        with pytest.raises(ValueError, match="ascend in SNR"):
-            curve("SC", [columns[i] for i in (3, 1, 2, 1, 0)], [4], THR, cfg)
+        with pytest.raises(ValueError, match="ascend from 1.0"):
+            curve("SC", hops, [4], [factors[i] for i in (0, 2, 1, 3)], THR, cfg)
 
     def test_malformed_curves_rejected(self):
-        cfg = MCConfig(trials=10, seed=0)
+        cfg, hops = MCConfig(trials=10, seed=0), [hop_at(3.0)] * 2
         with pytest.raises(ValueError):
-            curve("SC", [], [1], THR, cfg)
+            curve("SC", [], [1], [1.0], THR, cfg)
         with pytest.raises(ValueError):  # SS curves are SC curves
-            mcsim.simulate_curves([("SS", [[hop_at(3.0)]], [1], cfg)], THR)
-        with pytest.raises(ValueError):  # fading parameters differ
-            columns = [[hop_at(3.0)], [hop_at(6.0, sg=AVERAGE_SHADOWING)]]
-            curve("SC", columns, [1], THR, cfg)
-        with pytest.raises(ValueError):  # columns that are not one list of fading parameters
-            odd = [hop_at(6.0), hop_at(6.0, sg=AVERAGE_SHADOWING)]
-            curve("MRC", [[hop_at(3.0)] * 2, odd], [2], THR, cfg)
-        with pytest.raises(ValueError):  # columns of different lengths
-            curve("SC", [[hop_at(3.0)], [hop_at(6.0)] * 2], [1], THR, cfg)
-        for ks in ([1], [1, 3], [2, 1], [1, 1], [0, 2], []):  # not ascending to the column length
-            with pytest.raises(ValueError):
-                curve("SC", [[hop_at(3.0)] * 2], ks, THR, cfg)
-        with pytest.raises(ValueError):  # the two hops move by different factors
-            odd = HopPair(ns=hop_at(6.0).ns, sg=hop_at(7.0).sg)
-            curve("SC", [[hop_at(3.0)], [odd]], [1], THR, cfg)
+            mcsim.simulate_curves([("SS", [hop_at(3.0)], [1], [1.0], cfg)], THR)
+        for ks in ([1], [1, 3], [2, 1], [1, 1], []):  # not ascending to len(hops)
+            for kind in ("SC", "MRC"):
+                with pytest.raises(ValueError, match="ascend to its number of hop pairs"):
+                    curve(kind, hops, ks, [1.0], THR, cfg)
+        with pytest.raises(ValueError, match="^ks must be an integer >= 1, got 0$"):
+            curve("SC", hops, [0, 2], [1.0], THR, cfg)
+        bad = (
+            [],  # no SNR
+            [2.0],  # not starting at 1.0
+            [0.5, 1.0],
+            [1.0 + 1e-15, 2.0],
+            [1.0, 2.0, 1.5],  # descending
+            [1.0, 0.5],
+            [1.0, np.inf],  # not finite
+            [1.0, np.nan],
+            [1.0, np.nan, 2.0],
+        )
+        for factors in bad:
+            for kind in ("SC", "MRC"):
+                with pytest.raises(ValueError, match="factors must be finite and ascend from 1.0"):
+                    curve(kind, hops, [2], factors, THR, cfg)
+        for kind in ("SC", "MRC"):  # a finite factor that overflows a link's SNR
+            with pytest.raises(ValueError, match="^eta must be finite and > 0, got inf$"):
+                curve(kind, hops, [2], [1.0, 1e308], THR, cfg)
 
     @pytest.mark.parametrize("scheme", ["SC", "MRC"])
     def test_every_row_against_full_physical_draw(self, scheme):
         # Fig. 2's AH K=5 sweep: SC keeps only the trials in outage at -6 dB
         # for branches 2..5 and MRC skips the sg sums where the ns sum is
         # below gamma at 9 dB; each row must still match a full draw.
-        rows = [[hop_at(-6.0 + 1.5 * i, ns=AVERAGE_SHADOWING)] * 5 for i in range(11)]
+        dbs = [-6.0 + 1.5 * i for i in range(11)]
+        hops, factors, rows = grid([5], dbs, ns=AVERAGE_SHADOWING)
         n = 1_000_000
-        est = snr_curve(scheme, rows, THR, MCConfig(trials=n, seed=2025))
+        est = snr_curve(scheme, hops, factors, THR, MCConfig(trials=n, seed=2025))
         ref = physical_outage(scheme, rows, n, seed=5202)
         for e, r in zip(est, ref):
             # Two independent estimates at 1e6 trials each: 5 sigma, and no
@@ -542,38 +562,35 @@ class TestCurves:
 
 class TestKCurves:
     """A curve's cells may also differ in K: cell (a, b) is the first ks[a]
-    satellites of column b, and every satellite is drawn once."""
-
-    @staticmethod
-    def grid(ks, dbs, **fading):
-        """(columns, ks, rows): the largest K's hop list at each SNR, and each
-        cell's hop list, K-major."""
-        columns = [[hop_at(db, **fading)] * max(ks) for db in dbs]
-        return columns, ks, [col[:k] for k in ks for col in columns]
+    satellites at factor b, and every satellite is drawn once."""
 
     @pytest.mark.parametrize("scheme", ["SC", "MRC"])
     def test_smallest_k_rows_draw_as_one_k_curve(self, scheme):
         # Over three SNRs, the K = 2 rows are the K = 2 SNR curve; at one
         # SNR, as in fig3, the K = 2 row is the one-row call.
-        cfg = MCConfig(trials=200_000, seed=43)
-        columns, ks, rows = self.grid([2, 3, 4, 5, 6], [0.0, 3.0, 6.0], ns=AVERAGE_SHADOWING)
-        assert curve(scheme, columns, ks, THR, cfg)[:3] == snr_curve(scheme, rows[:3], THR, cfg)
-        columns, ks, rows = self.grid([2, 3, 4, 5, 6], [3.0], ns=AVERAGE_SHADOWING)
-        assert curve(scheme, columns, ks, THR, cfg)[0] == SINGLE[scheme](rows[0], THR, cfg)
+        cfg, ks = MCConfig(trials=200_000, seed=43), [2, 3, 4, 5, 6]
+        hops, factors, _ = grid(ks, [0.0, 3.0, 6.0], ns=AVERAGE_SHADOWING)
+        assert curve(scheme, hops, ks, factors, THR, cfg)[:3] == snr_curve(
+            scheme, hops[:2], factors, THR, cfg
+        )
+        hops, factors, rows = grid(ks, [3.0], ns=AVERAGE_SHADOWING)
+        est = curve(scheme, hops, ks, factors, THR, cfg)
+        assert est[0] == SINGLE[scheme](rows[0], THR, cfg)
 
     def test_sc_rows_equal_single_row_calls(self):
         # SC draws branch k alike whatever K follows, so every row of a
         # one-SNR K-curve, K_max's included, is its own one-row call.
-        columns, ks, rows = self.grid([1, 2, 3, 4, 5, 6], [6.0], sg=AVERAGE_SHADOWING)
+        ks = [1, 2, 3, 4, 5, 6]
+        hops, factors, rows = grid(ks, [6.0], sg=AVERAGE_SHADOWING)
         cfg = MCConfig(trials=200_000, seed=44)
-        est = curve("SC", columns, ks, THR, cfg)
-        assert est == [mcsim.simulate_sc(hops, THR, cfg) for hops in rows]
+        est = curve("SC", hops, ks, factors, THR, cfg)
+        assert est == [mcsim.simulate_sc(row, THR, cfg) for row in rows]
 
     @pytest.mark.parametrize("scheme", ["SC", "MRC"])
     def test_hits_never_rise_with_k_or_snr(self, scheme):
         ks, dbs = [1, 2, 3, 4, 5, 6], [-3.0, 0.0, 3.0, 6.0]
-        columns, _, _ = self.grid(ks, dbs, ns=AVERAGE_SHADOWING, sg=AVERAGE_SHADOWING)
-        est = curve(scheme, columns, ks, THR, MCConfig(trials=300_000, seed=78))
+        hops, factors, _ = grid(ks, dbs, ns=AVERAGE_SHADOWING, sg=AVERAGE_SHADOWING)
+        est = curve(scheme, hops, ks, factors, THR, MCConfig(trials=300_000, seed=78))
         p = np.array([e.p_hat for e in est]).reshape(len(ks), len(dbs))
         assert np.all(np.diff(p, axis=0) <= 0.0) and np.all(np.diff(p, axis=1) <= 0.0)
         assert p[-1, 0] < p[0, 0] and p[0, -1] < p[0, 0]
@@ -582,13 +599,13 @@ class TestKCurves:
         # Cells come back K-major over ascending Ks and SNRs; putting rows
         # of any (K, SNR) order on them is `cli._plan`'s work.  Ks out of
         # order are refused, not reordered.
-        columns, ks, rows = self.grid([2, 4], [0.0, 3.0])
+        hops, factors, rows = grid([2, 4], [0.0, 3.0])
         cfg = MCConfig(trials=50_000, seed=6)
-        est = curve("MRC", columns, ks, THR, cfg)
+        est = curve("MRC", hops, [2, 4], factors, THR, cfg)
         assert len(est) == len(rows) == 4
         assert est[0].p_hat >= est[1].p_hat and est[0].p_hat >= est[2].p_hat >= est[3].p_hat
-        with pytest.raises(ValueError, match="ascending"):
-            curve("MRC", columns, [4, 2], THR, cfg)
+        with pytest.raises(ValueError, match="ascend to"):
+            curve("MRC", hops, [4, 2], factors, THR, cfg)
 
     @pytest.mark.parametrize("cond", ["HH", "HA", "AH", "AA"])
     def test_fig3_rows_against_full_physical_draw(self, cond):
@@ -597,10 +614,11 @@ class TestKCurves:
         # sums only for them; each row must still match a full draw.
         ns, sg = channel.CONDITIONS[cond]
         db = 13.5 if cond[0] == "H" else 7.5
-        columns, ks, rows = self.grid([2, 3, 4, 5, 6], [db], ns=ns, sg=sg)
+        ks = [2, 3, 4, 5, 6]
+        hops, factors, rows = grid(ks, [db], ns=ns, sg=sg)
         n = 1_000_000
         for scheme in ("SC", "MRC"):
-            est = curve(scheme, columns, ks, THR, MCConfig(trials=n, seed=2026))
+            est = curve(scheme, hops, ks, factors, THR, MCConfig(trials=n, seed=2026))
             ref = physical_outage(scheme, rows, n, seed=6202)
             for e, r in zip(est, ref):
                 # Two independent estimates at 1e6 trials each: 5 sigma, and
@@ -614,12 +632,13 @@ class TestKCurves:
         # satellite counts; one more 10^5-trial float array per K (0.76 MiB
         # each, five K here) would pass the bound.
         ns, sg = channel.CONDITIONS[cond]
-        columns, ks, _ = self.grid([2, 3, 4, 5, 6], [13.5 if cond[0] == "H" else 7.5], ns=ns, sg=sg)
+        ks = [2, 3, 4, 5, 6]
+        hops, factors, _ = grid(ks, [13.5 if cond[0] == "H" else 7.5], ns=ns, sg=sg)
         # A first small call keeps one-time allocations out of the trace.
-        curve("MRC", columns, ks, THR, MCConfig(trials=1000, seed=9))
+        curve("MRC", hops, ks, factors, THR, MCConfig(trials=1000, seed=9))
         tracemalloc.start()
         try:
-            curve("MRC", columns, ks, THR, MCConfig(trials=100_000, seed=9))
+            curve("MRC", hops, ks, factors, THR, MCConfig(trials=100_000, seed=9))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
