@@ -13,8 +13,8 @@ sampler draws a K-fold sum as Gamma(K) plus Gamma(J), the second part only
 where the mixture index J is not 0, or as one Gamma(K + J) where J = 0 is
 the rarer case.  Also provided: a constructive (physical) sampler, the CDF
 of a K-fold i.i.d. sum (via log-scaled Whittaker functions: one batched
-1F1 series table per `sum_cdf` call), and the linearized high-SNR
-approximations of both CDFs.  A K-fold sum law is named by its `SRParams`
+1F1 series table per chunk of at most `_CELLS` cells), and the
+linearized high-SNR approximations of both CDFs.  A K-fold sum law is named by its `SRParams`
 and K alone: `sum_cdf` takes its constants from the params, and its
 `SumSRContext` carries only K.  `_count` is the package's one check of
 an integer input (m, K, M, trials, seed, workers, row indices, a Monte
@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .specfun import _MAX_TERMS, _kummer_1f1_ln_grid
+from .specfun import _MAX_TERMS, SeriesConvergenceError, _kummer_1f1_ln_grid
 
 __all__ = [
     "SRParams",
@@ -397,13 +397,22 @@ def _sum_law(p: SRParams, K: int) -> _SumLaw:
     return law
 
 
-def _sum_cdf_terms(p: SRParams, eta: float, K: int, x: np.ndarray) -> np.ndarray:
+# Working cells of every analytic table: `sum_cdf` evaluates its abscissae,
+# and the outage rows are gathered and reduced, in chunks of at most this
+# many (row x abscissa) cells, so working memory stays bounded whatever the
+# number of abscissae, the depth M or K.  Every figure table is one chunk;
+# the ladder's largest axis (A, K = 16, M = 800: 65 rows x 1602 abscissae)
+# is two, which lowers the ladder's peak.  Smaller chunks cost time: a
+# ladder table at M = 20000 ran about 20% longer at 2^15 cells, 75% at 2^13.
+_CELLS = 1 << 16
+# The largest series term budget `sum_cdf` starts: far above the ~2e3 that
+# the figure and ladder grids reach, and enough for a -40 dB MRC row (~1.3e6).
+_MAX_SERIES_TERMS = 10**7
+
+
+def _sum_cdf_chunk(p: SRParams, eta: float, sum_law: _SumLaw, x: np.ndarray, max_terms: int):
     """Signed log-space assembly of the sum CDF over a 1-D array of x >= 0."""
-    sum_law = _sum_law(p, K)
     z = p._law.theta * x / eta
-    # The ascending 1F1 needs roughly z + O(sqrt(z)) terms at its largest z.
-    z_max = float(z.max(initial=0.0))
-    max_terms = max(_MAX_TERMS, int(z_max + 10.0 * math.sqrt(z_max) + 60.0))
     with np.errstate(divide="ignore"):
         ln_x_over_eta = np.log(x / eta)
 
@@ -424,8 +433,38 @@ def _sum_cdf_terms(p: SRParams, eta: float, K: int, x: np.ndarray) -> np.ndarray
     mags -= peak_safe
     np.exp(mags, out=mags)
     mags *= signs
-    total = np.sum(mags, axis=0)
+    # np.sum adds each column's terms in row order, but one column's
+    # pairwise; accumulate keeps that column in row order, so an abscissa
+    # gets the same bits in a chunk of one as in a wider one.
+    if mags.shape[1] > 1:
+        total = np.sum(mags, axis=0)
+    else:
+        total = np.add.accumulate(mags, axis=0)[-1]
     return np.where(finite, total * np.exp(peak_safe), 0.0)
+
+
+def _sum_cdf_terms(p: SRParams, eta: float, K: int, x: np.ndarray) -> np.ndarray:
+    """The sum CDF, unclipped, over a 1-D array of x >= 0, in consecutive
+    chunks of at most _CELLS // (c + 1) abscissae (at least one).  Every
+    step is per element or per column, so each value has the bits of a
+    single call; the term budget is the whole array's."""
+    sum_law = _sum_law(p, K)
+    # The ascending 1F1 needs roughly z + O(sqrt(z)) terms at its largest z,
+    # which is the z of the largest x: rounding is monotone.
+    x_max = float(x.max(initial=0.0))
+    z_max = p._law.theta * x_max / eta
+    budget = z_max + 10.0 * math.sqrt(z_max) + 60.0
+    if not budget <= _MAX_SERIES_TERMS:
+        raise SeriesConvergenceError(
+            f"sum_cdf at x = {x_max:g}, eta = {eta:g} needs a 1F1 series of about "
+            f"{budget:.3g} terms, over the cap of {_MAX_SERIES_TERMS:g}"
+        )
+    max_terms = max(_MAX_TERMS, int(budget))
+    step = max(1, _CELLS // sum_law.a.size)
+    out = np.empty(x.size)
+    for i in range(0, x.size, step):
+        out[i : i + step] = _sum_cdf_chunk(p, eta, sum_law, x[i : i + step], max_terms)
+    return out
 
 
 def sum_cdf(p: SRParams, link: LinkSNR, ctx: SumSRContext, x):
@@ -434,8 +473,13 @@ def sum_cdf(p: SRParams, link: LinkSNR, ctx: SumSRContext, x):
     The law's constants (d = mK, c = (m - 1)K and the derived alpha, beta,
     delta) come from p; ctx names only K.  Assembled in log space from
     Whittaker-function terms (integer m, so no epsilon correction term),
-    with a series term budget sized to the largest x.  Accepts scalars or
-    arrays; x = 0 returns exactly 0.
+    with a series term budget sized to the largest x.  A budget over 10^7
+    terms raises SeriesConvergenceError before any series starts.  The
+    abscissae run in consecutive chunks of at most 2^16 // (c + 1), so
+    each (c + 1)-row table holds at most 2^16 cells: over 10^5 abscissae
+    at K = 16, m = 5 a call peaks near 2.5 MB.  Each value has the same
+    bits whatever the chunk, size or shape of x it came in.  Accepts
+    scalars or arrays; x = 0 returns exactly 0.
     """
     arr, scalar = _as_nonneg_array(x)
     out = np.clip(_sum_cdf_terms(p, link.eta, ctx.K, np.reshape(arr, -1)), 0.0, 1.0)

@@ -16,11 +16,14 @@ one call sums a stack of staircases, one per row.
 into it, one per satellite, and keep nothing after the call.  Every SS
 axis shares one grid, so `op_sc_rows` reads each distinct single-hop law
 (params, link) of the pairs with one `channel.sf` call, stacks the values
-and sums every pair's outage and success pieces in one pass.
-`op_mrc_rows` computes C_m and the uplink axis once per distinct
-(uplink, K), one `channel.sum_cdf` call per axis, and sums every row in
-one pass.  `op_ss`, `op_sc`, `op_mrc` and `asymp_op_sc` pass their own
-hop list as one row, `range(len(hops))`.
+and sums every pair's outage and success pieces.  `op_mrc_rows` computes
+C_m and the uplink axis once per distinct (uplink, K), one
+`channel.sum_cdf` call per axis, and sums every row's pieces.  Both
+gather and reduce their rows in groups of at most `channel._CELLS` cells
+(`_rows_per_group`), so their working memory does not grow with rows
+times M; every table of M <= 800 is one group, that is one pass.  `op_ss`,
+`op_sc`, `op_mrc` and `asymp_op_sc` pass their own hop list as one row,
+`range(len(hops))`.
 """
 
 from __future__ import annotations
@@ -228,6 +231,12 @@ def staircase_truncation_bound(
     return float((1.0 - fx[1]) * (fy[2] - fy[0]) + (1.0 - fy[1]) * (fx[2] - fx[0]))
 
 
+def _rows_per_group(cfg: StaircaseConfig) -> int:
+    """How many `_grid` rows (2M + 2 abscissae each) fill one group of at
+    most `channel._CELLS` cells; one at least."""
+    return max(1, channel._CELLS // (2 * cfg.steps_m + 2))
+
+
 def _ss_pieces(
     hops: list[HopPair], thr: Threshold, cfg: StaircaseConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -235,15 +244,22 @@ def _ss_pieces(
 
     Every single-hop law (params, link) of the pairs is read once, by one
     `channel.sf` call on the grid both SS axes share, and the CDF there is
-    1 - sf; every pair's pieces are then summed in one row-wise pass.
+    1 - sf.  The pairs' rows are then gathered and reduced in groups of at
+    most 2^16 cells (`_rows_per_group`): one group for every table of
+    M <= 800.  The reductions are row-wise, so each pair gets the bits of
+    one pass whatever its group.
     """
     laws: dict[tuple[SRParams, LinkSNR], int] = {}
     sg, ns = np.array([[laws.setdefault(law, len(laws)) for law in (h.sg, h.ns)] for h in hops]).T
     grid = _grid(thr.gamma_th, thr.upsilon, cfg)
     s = np.stack([channel.sf(*law, grid) for law in laws])
-    f = 1.0 - s
-    m = cfg.steps_m
-    return _outage_pieces(f[sg], f[ns], m), _success_pieces(s[sg], s[ns], m)
+    m, step = cfg.steps_m, _rows_per_group(cfg)
+    out, success = np.empty(len(hops)), np.empty(len(hops))
+    for i in range(0, len(hops), step):
+        rows_sg, rows_ns = sg[i : i + step], ns[i : i + step]
+        out[i : i + step] = _outage_pieces(1.0 - s[rows_sg], 1.0 - s[rows_ns], m)
+        success[i : i + step] = _success_pieces(s[rows_sg], s[rows_ns], m)
+    return out, success
 
 
 def _checked_rows(pairs: list[HopPair], rows: list[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -330,32 +346,36 @@ def op_mrc_rows(
     The uplink axis, the K-fold ns-sum CDF on gamma + {0, corner edges,
     hyperbola heights} with rhs = C_m gamma, depends only on (hop.ns, K)
     within a call, so C_m and that axis are computed once per call and
-    shared by every row with that uplink and K; every row's pieces are
-    summed in one row-wise pass.
+    shared by every row with that uplink and K.  The rows are gathered and
+    reduced in groups of at most 2^16 cells (`_rows_per_group`): every
+    table of M <= 800 is one row-wise pass; at M = 20000 each row is a
+    group, and a whole ladder table there peaks near 9 MB.
     """
     rows = _checked_rows(pairs, rows)
-    if not rows:
-        return []
     g = thr.gamma_th
     laws: dict[tuple[SRParams, LinkSNR], int] = {}
     uplink = [laws.setdefault(h.ns, len(laws)) for h in pairs]
     axes: dict[tuple[int, int], tuple[float, np.ndarray]] = {}
-    f_sg, f_ns = [], []
-    for row in rows:
-        hop, k = pairs[row[0]], len(row)
-        if any(pairs[i] != hop for i in row):
-            raise ValueError(
-                "MRC closed form requires i.i.d. satellites: all hop pairs "
-                "must share fading parameters and transmit SNR"
-            )
-        key = uplink[row[0]], k
-        if key not in axes:
-            rhs = c_mrc([hop.ns] * k) * g
-            axes[key] = rhs, channel.sum_cdf(*hop.ns, SumSRContext(k), _grid(g, rhs, cfg))
-        rhs, f_up = axes[key]
-        f_sg.append(channel.sum_cdf(*hop.sg, SumSRContext(k), _grid(0.0, rhs, cfg)))
-        f_ns.append(f_up)
-    return _outage_pieces(np.stack(f_sg), np.stack(f_ns), cfg.steps_m).tolist()
+    step = _rows_per_group(cfg)
+    out: list[float] = []
+    for i in range(0, len(rows), step):
+        f_sg, f_ns = [], []
+        for row in rows[i : i + step]:
+            hop, k = pairs[row[0]], len(row)
+            if any(pairs[j] != hop for j in row):
+                raise ValueError(
+                    "MRC closed form requires i.i.d. satellites: all hop pairs "
+                    "must share fading parameters and transmit SNR"
+                )
+            key = uplink[row[0]], k
+            if key not in axes:
+                rhs = c_mrc([hop.ns] * k) * g
+                axes[key] = rhs, channel.sum_cdf(*hop.ns, SumSRContext(k), _grid(g, rhs, cfg))
+            rhs, f_up = axes[key]
+            f_sg.append(channel.sum_cdf(*hop.sg, SumSRContext(k), _grid(0.0, rhs, cfg)))
+            f_ns.append(f_up)
+        out += _outage_pieces(np.stack(f_sg), np.stack(f_ns), cfg.steps_m).tolist()
+    return out
 
 
 def _equal_power_eta(hops_per_sat: list[HopPair]) -> float:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import tracemalloc
 import warnings
 
 import mpmath
@@ -17,6 +19,7 @@ from satrelay.channel import (
     SRParams,
     SumSRContext,
 )
+from satrelay.specfun import SeriesConvergenceError
 
 from conftest import (
     ks_statistic,
@@ -476,6 +479,78 @@ def test_sum_cdf_law_grid(p, k):
     with mpmath.workdps(40):
         want = np.array([float(sum_cdf_mp(p, link, k, x)) for x in xs])
     assert np.all(np.abs(got - want) <= 1e-9 * np.minimum(want, 0.5))
+
+
+CHUNK_LAWS = {"H": HEAVY_SHADOWING, "A": AVERAGE_SHADOWING, "m10": LAW_GRID["m10"]}
+
+
+class TestSumCdfChunks:
+    """`sum_cdf` runs its abscissae in consecutive chunks of at most
+    `channel._CELLS` (term row x abscissa) cells, and caps its term budget."""
+
+    @given(
+        name=st.sampled_from(sorted(CHUNK_LAWS)),
+        k=st.sampled_from([1, 2, 5, 16]),
+        eta_db=st.floats(-6.0, 20.0),
+        chunks=st.floats(0.0, 2.5),
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_pieces_concatenate_to_the_whole(self, name, k, eta_db, chunks, cuts, seed):
+        # From one abscissa to two and a half chunks, cut anywhere, pieces
+        # of one abscissa included: each value has the bits of one call on
+        # the whole array, whatever its chunk, size or shape.
+        p, link, ctx = CHUNK_LAWS[name], LinkSNR.from_db(eta_db), SumSRContext(k)
+        n = int(chunks * channel._CELLS // ((p.m - 1) * k + 1)) + 1
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 3.0 * k * channel.mean_snr(p, link), n)
+        x[rng.random(n) < 0.05] = 0.0
+        whole = channel.sum_cdf(p, link, ctx, x)
+        assert whole.shape == x.shape
+        bounds = sorted({0, n, *(int(c * n) for c in cuts)})
+        pieces = [channel.sum_cdf(p, link, ctx, x[i:j]) for i, j in zip(bounds, bounds[1:])]
+        assert np.concatenate(pieces).tobytes() == whole.tobytes()
+        i = int(rng.integers(n))
+        for scalar in (float(x[i]), np.asarray(x[i])):
+            got = channel.sum_cdf(p, link, ctx, scalar)
+            assert type(got) is float and _bits(got) == _bits(whole[i])
+        even = n - n % 2
+        got = channel.sum_cdf(p, link, ctx, x[:even].reshape(2, -1))
+        assert got.shape == (2, even // 2) and got.tobytes() == whole[:even].tobytes()
+
+    def test_empty_input_gives_an_empty_array(self):
+        got = channel.sum_cdf(AVERAGE_SHADOWING, LinkSNR(1.0), SumSRContext(16), np.empty((0, 3)))
+        assert got.shape == (0, 3)
+
+    def test_working_memory_is_bounded(self):
+        # 10^5 abscissae at A, K = 16: 65 term rows, 100 chunks.  One call
+        # on the whole array held about 150 MB of tables.
+        x = np.linspace(0.0, 40.0, 10**5)
+        tracemalloc.start()
+        try:
+            channel.sum_cdf(AVERAGE_SHADOWING, LinkSNR(1.0), SumSRContext(16), x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6
+
+    @pytest.mark.parametrize(
+        "eta, x, shown",
+        [(1.0, 1e300, "x = 1e+300, eta = 1"), (1.0, [1.0, 2e6], "x = 2e+06, eta = 1"),
+         (1e-300, 1e10, "x = 1e+10, eta = 1e-300")],
+        ids=["far", "far-among-near", "z-overflows"],
+    )
+    def test_term_cap_raises_before_any_series(self, monkeypatch, eta, x, shown):
+        # A budget of z + 10 sqrt(z) + 60 terms over 10^7 used to run that
+        # many steps (at x = 1e300, for ever); now no series starts.
+        def no_series(*args):
+            raise AssertionError("a series started")
+
+        monkeypatch.setattr(channel, "_kummer_1f1_ln_grid", no_series)
+        message = rf"^sum_cdf at {re.escape(shown)} needs .* terms, over the cap of 1e\+07$"
+        with pytest.raises(SeriesConvergenceError, match=message):
+            channel.sum_cdf(HEAVY_SHADOWING, LinkSNR(eta), SumSRContext(2), x)
 
 
 # The single-hop and sampler layers on the same grid.  Value checks: every

@@ -774,6 +774,27 @@ class TestMain:
         assert payload["error"] == "ValueError"
         assert "scheme" in payload["message"]
 
+    def test_mrc_row_past_the_term_cap_fails_fast(self, tmp_path, capsys, monkeypatch):
+        # At -300 dB an MRC row's sum CDF needs ~1e31 series terms: the run
+        # used to loop for ever; now it fails before any series starts,
+        # while the SS row there reads 1.0 at once.
+        def no_series(*args):
+            raise AssertionError("a series started")
+
+        monkeypatch.setattr(channel, "_kummer_1f1_ln_grid", no_series)
+        conf = tmp_path / "deep.conf"
+        conf.write_text("schemes = SS, MRC\nconditions = HH\nk_values = 2\nsnr_db = -300\n")
+        out = tmp_path / "deep.csv"
+        assert cli.main(["run", "--config", str(conf), "--no-mc", "--csv", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().split("\n")[-1])
+        assert payload["error"] == "SeriesConvergenceError"
+        assert "eta = 1e-30" in payload["message"] and "cap of 1e+07" in payload["message"]
+        assert not out.exists()
+        ss = tmp_path / "ss.conf"
+        ss.write_text("schemes = SS\nconditions = HH\nk_values = 2\nsnr_db = -300\n")
+        assert cli.main(["run", "--config", str(ss), "--no-mc", "--csv", str(out)]) == 0
+        assert float(out.read_text().splitlines()[1].split(",")[4]) == 1.0
+
     def test_linkbudget_subcommand(self, capsys):
         assert cli.main(["linkbudget"]) == 0
         out = capsys.readouterr().out

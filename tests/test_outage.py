@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -496,6 +497,42 @@ def _indexed(rows):
     index = {}
     rows = [tuple(index.setdefault(h, len(index)) for h in row) for row in rows]
     return list(index), rows
+
+
+class TestRowGroups:
+    """The row functions gather and reduce their rows, and `sum_cdf` its
+    abscissae, in groups of at most `channel._CELLS` cells."""
+
+    def test_groups_keep_the_one_pass_bits(self, monkeypatch):
+        pairs = [_hop(c, db) for c in ("HH", "AA") for db in (-6.0, 12.0)]
+        rows = [(i,) * k for i in range(len(pairs)) for k in (1, 2, 16)]
+        row_functions = [outage.op_sc_rows, outage.op_mrc_rows]
+        want = [rows_of(pairs, rows, THR, CFG) for rows_of in row_functions]
+        want_ps = [outage.ps_sc([pairs[i] for i in row], THR, CFG) for row in rows]
+        assert len(want[0]) == len(want[1]) == len(rows)
+        # A _grid row holds 2M + 2 = 102 abscissae: one row and one
+        # abscissa per group, then three rows and four abscissae at K = 16.
+        for cells in (1, 3 * 102 + 1):
+            monkeypatch.setattr(channel, "_CELLS", cells)
+            assert [rows_of(pairs, rows, THR, CFG) for rows_of in row_functions] == want
+            assert [outage.ps_sc([pairs[i] for i in row], THR, CFG) for row in rows] == want_ps
+
+    def test_ladder_table_memory_is_bounded(self):
+        # The 12 dB column of a staircase-ladder table at M = 20000 (40002
+        # abscissae a row; the column keeps the series short) is one row
+        # per group and one K = 16 axis in 40 chunks.  Evaluated in one
+        # pass, it held 68 MB (the whole table, 80 MB).
+        thr, cfg = Threshold.from_rate(0.5), StaircaseConfig(20000, 45.0)
+        pairs = [_hop(c, 12.0) for c in sorted(CONDITIONS)]
+        rows = [(i,) * k for i in range(len(pairs)) for k in (2, 8, 16)]
+        tracemalloc.start()
+        try:
+            outage.op_sc_rows(pairs, [(i,) for i in range(len(pairs))] + rows, thr, cfg)
+            outage.op_mrc_rows(pairs, rows, thr, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15e6
 
 
 class TestRowsProperty:

@@ -200,28 +200,56 @@ def _record_series_args(monkeypatch):
     return calls
 
 
+LINK, THR, CFG = LinkSNR.from_db(-6.0), Threshold.from_rate(0.5), StaircaseConfig(800, 45.0)
+
+
 def _sum_cdf_series_args(monkeypatch, p, k):
     """The (a, b, z, max_terms) of every series table `op_mrc` runs at
     -6 dB, K = k, M = 800, L = 45 (the finest staircase-ladder step)."""
     calls = _record_series_args(monkeypatch)
-    link = LinkSNR.from_db(-6.0)
-    hops = [HopPair(ns=(p, link), sg=(p, link))] * k
-    outage.op_mrc(hops, Threshold.from_rate(0.5), StaircaseConfig(800, 45.0))
+    outage.op_mrc([HopPair(ns=(p, LINK), sg=(p, LINK))] * k, THR, CFG)
     return calls
+
+
+def _mrc_axes(p, k):
+    """The abscissae of that `op_mrc`'s uplink and downlink axes, in the
+    order it reads them."""
+    g = THR.gamma_th
+    rhs = outage.c_mrc([(p, LINK)] * k) * g
+    return outage._grid(g, rhs, CFG), outage._grid(0.0, rhs, CFG)
+
+
+def _axis_chunks(calls, p, k):
+    """The recorded calls split by axis: for each axis of `_mrc_axes`, the
+    consecutive calls whose z concatenate to the axis's z."""
+    calls, axes = iter(calls), []
+    for x in _mrc_axes(p, k):
+        axes.append([])
+        while sum(call[2].size for call in axes[-1]) < x.size:
+            axes[-1].append(next(calls))
+        z = np.concatenate([call[2] for call in axes[-1]])
+        assert z.tobytes() == (p._law.theta * x / LINK.eta).tobytes()
+    assert next(calls, None) is None
+    return axes
 
 
 class TestBatchedKernel:
     @pytest.mark.parametrize("k", [2, 16])
     @pytest.mark.parametrize("p", [HEAVY_SHADOWING, AVERAGE_SHADOWING], ids=["HH", "AA"])
     def test_sum_cdf_tables_match_per_row(self, monkeypatch, p, k):
+        # The uplink axis, then the downlink axis, each in chunks of at most
+        # channel._CELLS cells (AA at K = 16, 65 rows x 1602 abscissae, in
+        # two); every chunk is the per-row loop's, bit for bit.
         calls = _sum_cdf_series_args(monkeypatch, p, k)
-        assert len(calls) == 2
         for a, b, z, max_terms in calls:
             assert len(a) == (p.m - 1) * k + 1
+            assert len(a) * z.size <= channel._CELLS
             _, ln_mag = assert_matches_per_row(a, b, z, max_terms)
+        chunks = 2 if (p, k) == (AVERAGE_SHADOWING, 16) else 1
+        assert [len(axis) for axis in _axis_chunks(calls, p, k)] == [chunks, chunks]
         if p is HEAVY_SHADOWING:
             # z ~ 1460: the a = 1 row's partial sums pass 1e250 and rescale
-            assert z.max() > 1400.0
+            assert max(z.max() for _, _, z, _ in calls) > 1400.0
             assert ln_mag.max() > math.log(1e250)
 
     def test_z_zero(self):
@@ -308,15 +336,20 @@ class TestBatchedKernel:
 
 
 def test_kernel_memory_stays_near_its_output(monkeypatch):
-    """The largest staircase-ladder table (AA, K = 16, M = 800, L = 45, z up
-    to ~330) peaks within 1.5x the bytes of its two output tables."""
+    """The staircase-ladder's largest axis (AA, K = 16, M = 800, L = 45, z
+    up to ~330: 65 rows x 1602 abscissae) runs as series tables of at most
+    channel._CELLS cells, one after the other, and the kernel's peak over
+    them stays within 1.5x the bytes of the axis's two output tables."""
     calls = _sum_cdf_series_args(monkeypatch, AVERAGE_SHADOWING, 16)
-    a, b, z, max_terms = max(calls, key=lambda call: call[2].max())
-    assert (len(a), z.size) == (65, 1602) and z.max() > 300.0
+    axes = _axis_chunks(calls, AVERAGE_SHADOWING, 16)
+    chunks = max(axes, key=lambda axis: max(call[2].max() for call in axis))
+    assert max(len(a) * z.size for a, _, z, _ in chunks) <= channel._CELLS
+    assert len(chunks) == 2 and max(z.max() for _, _, z, _ in chunks) > 300.0
     tracemalloc.start()
     try:
-        sign, ln_mag = _kummer_1f1_ln_grid(a, b, z, max_terms)
+        for a, b, z, max_terms in chunks:
+            _kummer_1f1_ln_grid(a, b, z, max_terms)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * (sign.nbytes + ln_mag.nbytes)
+    assert peak <= 1.5 * 2 * (65 * 1602) * 8
