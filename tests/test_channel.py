@@ -552,6 +552,17 @@ class TestSumCdfChunks:
         with pytest.raises(SeriesConvergenceError, match=message):
             channel.sum_cdf(HEAVY_SHADOWING, LinkSNR(eta), SumSRContext(2), x)
 
+    def test_budget_just_under_the_cap_runs_to_the_end(self):
+        # z + 10 sqrt(z) + 60 = 10^7 - 1 at z ~ 9.97e6: the series runs its
+        # ~10^7 terms (a few seconds) and returns 1 to within the signed
+        # sum's cancellation (~z * 1e-16); one term more is over the cap.
+        p, link, ctx = HEAVY_SHADOWING, LinkSNR(1.0), SumSRContext(2)
+        root_z = -5.0 + math.sqrt(25.0 + channel._MAX_SERIES_TERMS - 61.0)
+        x = root_z**2 / p._law.theta
+        assert abs(channel.sum_cdf(p, link, ctx, x) - 1.0) < 1e-7
+        with pytest.raises(SeriesConvergenceError, match="over the cap"):
+            channel.sum_cdf(p, link, ctx, x + 2.0 / p._law.theta)
+
 
 # The single-hop and sampler layers on the same grid.  Value checks: every
 # law errs by at most 3.4e-15 (m30's cdf), against one bound of 1e-13.  KS

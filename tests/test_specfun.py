@@ -338,18 +338,28 @@ class TestBatchedKernel:
 def test_kernel_memory_stays_near_its_output(monkeypatch):
     """The staircase-ladder's largest axis (AA, K = 16, M = 800, L = 45, z
     up to ~330: 65 rows x 1602 abscissae) runs as series tables of at most
-    channel._CELLS cells, one after the other, and the kernel's peak over
-    them stays within 1.5x the bytes of the axis's two output tables."""
+    channel._CELLS cells.  As one table, the kernel peaks within 1.5x the
+    bytes of its two output tables; run in its chunks, one after the other
+    as `sum_cdf` runs them, it peaks lower than that one table."""
+
+    def peak_of(tables):
+        tracemalloc.start()
+        try:
+            for a, b, z, max_terms in tables:
+                out = _kummer_1f1_ln_grid(a, b, z, max_terms)
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
     calls = _sum_cdf_series_args(monkeypatch, AVERAGE_SHADOWING, 16)
     axes = _axis_chunks(calls, AVERAGE_SHADOWING, 16)
     chunks = max(axes, key=lambda axis: max(call[2].max() for call in axis))
     assert max(len(a) * z.size for a, _, z, _ in chunks) <= channel._CELLS
     assert len(chunks) == 2 and max(z.max() for _, _, z, _ in chunks) > 300.0
-    tracemalloc.start()
-    try:
-        for a, b, z, max_terms in chunks:
-            _kummer_1f1_ln_grid(a, b, z, max_terms)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * 2 * (65 * 1602) * 8
+    a, b, _, max_terms = chunks[0]
+    assert all(call[3] == max_terms for call in chunks)
+    table = (a, b, np.concatenate([call[2] for call in chunks]), max_terms)
+    assert (len(a), table[2].size) == (65, 1602)
+    peak, (sign, ln_mag) = peak_of([table])
+    assert peak <= 1.5 * (sign.nbytes + ln_mag.nbytes)
+    assert peak_of(chunks)[0] < peak
