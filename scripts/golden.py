@@ -3,8 +3,8 @@
 
 The golden set in tests/golden/ holds the CSV text of
 `satrelay run --preset fig1|fig2|fig3 --no-mc` and of the staircase-ladder
-tables at M = 50, 200 and 800 (`tests/conftest.py::ladder_table`), and in
-`svg.sha256` the SHA-256 of each table's SVG chart.  Monte Carlo columns
+tables at M = 50, 200 and 800 (`ladder_table`, which the test suite reads
+too), and in `svg.sha256` the SHA-256 of each table's SVG chart.  Monte Carlo columns
 are left out: numpy does not promise that a seeded Generator's stream stays
 the same across its feature releases (NEP 19).
 

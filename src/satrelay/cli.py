@@ -20,10 +20,10 @@ import numpy as np
 
 from . import outage
 from .channel import CONDITIONS, LinkSNR, _count
-from .outage import HopPair, StaircaseConfig, Threshold
+from .outage import HopPair, MCConfig, StaircaseConfig, Threshold
 
 if TYPE_CHECKING:
-    from .mcsim import MCConfig, OutageEstimate
+    from .mcsim import OutageEstimate
 
 # A table without Monte Carlo never imports `mcsim`, `linkbudget` or
 # `json`: each is imported inside the function that uses it.
@@ -462,16 +462,6 @@ def _parse(key: str, text, convert):
         raise ValueError(f"config key {key!r}: {text!r} is not a valid {convert.__name__}") from None
 
 
-def _mc_config(table: dict[str, str]) -> MCConfig:
-    from .mcsim import MCConfig
-
-    return MCConfig(
-        trials=_parse("trials", table.get("trials", DEFAULT_TRIALS), int),
-        seed=_parse("seed", table.get("seed", DEFAULT_SEED), int),
-        ci_level=_parse("ci_level", table.get("ci_level", 0.99), float),
-    )
-
-
 def _spec_from_table(table: dict[str, str]) -> tuple[ExperimentSpec, int]:
     """The spec and worker count of a run table (config key -> text value).
 
@@ -494,6 +484,12 @@ def _spec_from_table(table: dict[str, str]) -> tuple[ExperimentSpec, int]:
     if mc not in _BOOLEANS:
         raise ValueError(f"mc must be one of {', '.join(_BOOLEANS)}, got {table['mc']!r}")
     workers = _count(_parse("workers", table.get("workers", 1), int), "workers")
+    # The Monte Carlo keys are checked whether or not the table runs it.
+    mc_config = MCConfig(
+        trials=_parse("trials", table.get("trials", DEFAULT_TRIALS), int),
+        seed=_parse("seed", table.get("seed", DEFAULT_SEED), int),
+        ci_level=_parse("ci_level", table.get("ci_level", 0.99), float),
+    )
 
     thr = (
         Threshold(gamma_th=_parse("gamma_th", table["gamma_th"], float))
@@ -518,7 +514,7 @@ def _spec_from_table(table: dict[str, str]) -> tuple[ExperimentSpec, int]:
             depth_l=_parse("depth_l", table.get("depth_l", stairs.depth_l), float),
         ),
         threshold=thr,
-        mc=_mc_config(table) if _BOOLEANS[mc] else None,
+        mc=mc_config if _BOOLEANS[mc] else None,
         csv_path=table.get("csv", f"{preset}.csv"),
         svg_path=table.get("svg"),
     )

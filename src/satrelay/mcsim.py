@@ -81,7 +81,7 @@ from functools import reduce
 import numpy as np
 
 from . import channel
-from .outage import HopPair, Threshold, c_mrc
+from .outage import HopPair, MCConfig, Threshold, c_mrc
 
 __all__ = [
     "MCConfig",
@@ -101,21 +101,6 @@ _SLICE = 1 << 14
 
 # Estimates with fewer hits than this cannot resolve the tail reliably.
 _MIN_HITS = 20
-
-
-@dataclass(frozen=True)
-class MCConfig:
-    """Trial budget, stream seed, and confidence level for the interval."""
-
-    trials: int
-    seed: int
-    ci_level: float = 0.99
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "trials", channel._count(self.trials, "trials"))
-        object.__setattr__(self, "seed", channel._count(self.seed, "seed", None))
-        if not 0.0 < self.ci_level < 1.0:
-            raise ValueError("ci_level must be in (0, 1)")
 
 
 @dataclass(frozen=True)

@@ -5,25 +5,22 @@ Every outage here is one staircase sum over Pr[(X - a)(Y - b) <= c] for
 independent nonnegative X, Y: the exact event for variable-gain AF relaying
 (per-hop SNRs) and for fixed-gain MRC (sums of per-hop SNRs).  The region
 is covered exactly near the origin and by M rectangles along each wing, out
-to depth L.  Each axis is read once, on one `_grid` of 2M + 2 abscissae:
+to depth L.  Each axis is read on one `_grid` of 2M + 2 abscissae:
 `_outage_pieces` sums the covered mass from CDF values there, and
 `_success_pieces` the uncovered mass from survival values, which stays
-representable where 1 - OP would not.  Both reduce along the last axis, so
-one call sums a stack of staircases, one per row.
+representable where 1 - OP would not.
 
 `op_sc_rows`, `op_mrc_rows` and `asymp_op_sc_rows` take a table as
-`(pairs, rows)`: a list of hop pairs and each row as a sequence of indices
-into it, one per satellite, and keep nothing after the call.  Every SS
-axis shares one grid, so `op_sc_rows` reads each distinct single-hop law
-(params, link) of the pairs with one `channel.sf` call, stacks the values
-and sums every pair's outage and success pieces.  `op_mrc_rows` computes
-C_m and the uplink axis once per distinct (uplink, K), one
-`channel.sum_cdf` call per axis, and sums every row's pieces.  Both
-gather and reduce their rows in groups of at most `channel._CELLS` cells
-(`_rows_per_group`), so their working memory does not grow with rows
-times M; every table of M <= 800 is one group, that is one pass.  `op_ss`,
-`op_sc`, `op_mrc` and `asymp_op_sc` pass their own hop list as one row,
-`range(len(hops))`.
+`(pairs, rows)`: hop pairs, and each row as indices into them, one per
+satellite.  The first two reduce one staircase table (`_staircases`), in
+which each distinct single-hop law and each distinct axis (law, K, offset,
+rhs) is keyed and evaluated once: an SS staircase is a pair's sg and ns
+axes, read by `channel.sf`; an MRC row's is its K-fold uplink and downlink
+axes, read by `channel.sum_cdf`.  Groups of at most `channel._CELLS` cells
+keep working memory from growing with rows times M, and nothing is kept
+after the call.  `op_ss`, `op_sc`, `op_mrc` and `asymp_op_sc` are one-row
+tables.  Call counts, memory peaks and timings are in `BENCH_*.json` and
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -39,6 +36,7 @@ from .channel import LinkSNR, SRParams, SumSRContext
 
 __all__ = [
     "StaircaseConfig",
+    "MCConfig",
     "Threshold",
     "HopPair",
     "staircase_probability",
@@ -84,6 +82,22 @@ class StaircaseConfig:
     def for_threshold(cls, thr: "Threshold") -> "StaircaseConfig":
         """The reference configuration: M = 50, L = 15 * gamma_th."""
         return cls(depth_l=15.0 * thr.gamma_th)
+
+
+@dataclass(frozen=True)
+class MCConfig:
+    """Monte Carlo trial budget, stream seed, and interval confidence level;
+    `mcsim` runs it, and `cli` checks every run table's keys with it."""
+
+    trials: int
+    seed: int
+    ci_level: float = 0.99
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "trials", channel._count(self.trials, "trials"))
+        object.__setattr__(self, "seed", channel._count(self.seed, "seed", None))
+        if not 0.0 < self.ci_level < 1.0:
+            raise ValueError("ci_level must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -231,35 +245,48 @@ def staircase_truncation_bound(
     return float((1.0 - fx[1]) * (fy[2] - fy[0]) + (1.0 - fy[1]) * (fx[2] - fx[0]))
 
 
-def _rows_per_group(cfg: StaircaseConfig) -> int:
-    """How many `_grid` rows (2M + 2 abscissae each) fill one group of at
-    most `channel._CELLS` cells; one at least."""
-    return max(1, channel._CELLS // (2 * cfg.steps_m + 2))
+def _staircases(pairs, stairs, cfg, evaluate, pieces) -> list[np.ndarray]:
+    """The staircase table: pieces' arrays, one value per stair, in order.
 
-
-def _ss_pieces(
-    hops: list[HopPair], thr: Threshold, cfg: StaircaseConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """(outage-form sum, success) of each hop pair, as arrays in list order.
-
-    Every single-hop law (params, link) of the pairs is read once, by one
-    `channel.sf` call on the grid both SS axes share, and the CDF there is
-    1 - sf.  The pairs' rows are then gathered and reduced in groups of at
-    most 2^16 cells (`_rows_per_group`): one group for every table of
-    M <= 800.  The reductions are row-wise, so each pair gets the bits of
-    one pass whatever its group.
+    A stair is two axes, each (pair index, "sg" or "ns", K, offset, rhs):
+    that hop's law, summed K-fold, on `_grid(offset, rhs, cfg)`.  Each
+    distinct single-hop law of pairs is keyed once, and each axis then as
+    (law index, K, offset, rhs).  The stairs are reduced in groups of at
+    most `channel._CELLS` cells: each distinct axis is evaluated once, by
+    evaluate(params, link, K, abscissae) in the order the stairs first name
+    it, for the first group that reads it, and dropped after the last;
+    pieces(first axes, second axes, M) reduces a group's stacked values
+    row-wise, so each stair has the bits of one pass.
     """
     laws: dict[tuple[SRParams, LinkSNR], int] = {}
-    sg, ns = np.array([[laws.setdefault(law, len(laws)) for law in (h.sg, h.ns)] for h in hops]).T
-    grid = _grid(thr.gamma_th, thr.upsilon, cfg)
-    s = np.stack([channel.sf(*law, grid) for law in laws])
-    m, step = cfg.steps_m, _rows_per_group(cfg)
-    out, success = np.empty(len(hops)), np.empty(len(hops))
-    for i in range(0, len(hops), step):
-        rows_sg, rows_ns = sg[i : i + step], ns[i : i + step]
-        out[i : i + step] = _outage_pieces(1.0 - s[rows_sg], 1.0 - s[rows_ns], m)
-        success[i : i + step] = _success_pieces(s[rows_sg], s[rows_ns], m)
-    return out, success
+    law_ids = [
+        {hop: laws.setdefault(getattr(h, hop), len(laws)) for hop in ("sg", "ns")} for h in pairs
+    ]
+    law_list = list(laws)
+    stairs = [[(law_ids[i][hop], *axis) for i, hop, *axis in stair] for stair in stairs]
+    step = max(1, channel._CELLS // (2 * cfg.steps_m + 2))
+    starts = range(0, len(stairs), step)
+    last = {axis: i for i in starts for stair in stairs[i : i + step] for axis in stair}
+    values: dict[tuple, np.ndarray] = {}
+    parts = []
+    for i in starts:
+        group = stairs[i : i + step]
+        for law, k, offset, rhs in dict.fromkeys(a for s in group for a in s if a not in values):
+            values[law, k, offset, rhs] = evaluate(*law_list[law], k, _grid(offset, rhs, cfg))
+        parts.append(pieces(*(np.stack([values[a] for a in c]) for c in zip(*group)), cfg.steps_m))
+        values = {axis: v for axis, v in values.items() if last[axis] > i}
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def _ss_pieces(hops: list[HopPair], thr: Threshold, cfg: StaircaseConfig) -> list[np.ndarray]:
+    """[outage-form sum, success] of each hop pair, in list order: the stair
+    of its sg and ns axes, each read by `channel.sf` on the one grid all SS
+    axes share, with the CDF there 1 - sf."""
+    axes = [(hop, 1, thr.gamma_th, thr.upsilon) for hop in ("sg", "ns")]
+    stairs = [[(i, *axis) for axis in axes] for i in range(len(hops))]
+    sf = lambda p, link, k, x: channel.sf(p, link, x)
+    pieces = lambda sx, sy, m: (_outage_pieces(1.0 - sx, 1.0 - sy, m), _success_pieces(sx, sy, m))
+    return _staircases(hops, stairs, cfg, sf, pieces)
 
 
 def _checked_rows(pairs: list[HopPair], rows: list[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -277,11 +304,8 @@ def _checked_rows(pairs: list[HopPair], rows: list[Sequence[int]]) -> list[tuple
 
 def op_ss(hops: HopPair, thr: Threshold, cfg: StaircaseConfig) -> float:
     """Single-satellite outage under variable-gain relaying:
-    Pr[(Lambda_sg - gamma)(Lambda_ns - gamma) <= gamma^2 + gamma].
-
-    The one-row case of `op_sc_rows`: each distinct hop law's survival
-    function is read once, on the grid both axes share.
-    """
+    Pr[(Lambda_sg - gamma)(Lambda_ns - gamma) <= gamma^2 + gamma];
+    the one-row case of `op_sc_rows`."""
     return op_sc_rows([hops], [range(1)], thr, cfg)[0]
 
 
@@ -300,11 +324,10 @@ def op_sc_rows(
     pairs: list[HopPair], rows: list[Sequence[int]], thr: Threshold, cfg: StaircaseConfig
 ) -> list[float]:
     """`op_sc` at every row, one outage per row; a row lists the indices of
-    its satellites' hop pairs.  Every pair's SS outage comes from one
-    `_ss_pieces` pass, so each single-hop law of the call is read once.  An
-    SS outage at or above 1/2 is 1 - success, so one within an ulp of 1 is
-    not clipped to exactly 1.0; below 1/2 the outage-form sum keeps its own
-    relative precision."""
+    its satellites' hop pairs, each pair's SS outage read off one
+    `_ss_pieces` table.  An SS outage at or above 1/2 is 1 - success, so one
+    within an ulp of 1 is not clipped to exactly 1.0; below 1/2 the
+    outage-form sum keeps its own relative precision."""
     rows = _checked_rows(pairs, rows)
     if not rows:
         return []
@@ -341,41 +364,26 @@ def op_mrc_rows(
     pairs: list[HopPair], rows: list[Sequence[int]], thr: Threshold, cfg: StaircaseConfig
 ) -> list[float]:
     """`op_mrc` at every row, one outage per row; a row lists the indices of
-    its satellites' hop pairs, which must be equal.
-
-    The uplink axis, the K-fold ns-sum CDF on gamma + {0, corner edges,
-    hyperbola heights} with rhs = C_m gamma, depends only on (hop.ns, K)
-    within a call, so C_m and that axis are computed once per call and
-    shared by every row with that uplink and K.  The rows are gathered and
-    reduced in groups of at most 2^16 cells (`_rows_per_group`): every
-    table of M <= 800 is one row-wise pass; at M = 20000 each row is a
-    group, and a whole ladder table there peaks near 9 MB.
-    """
+    its satellites' hop pairs, which must be equal.  A row of K satellites
+    is the stair of its K-fold uplink axis (offset gamma) and downlink axis
+    (offset 0), rhs = C_m gamma, each read by `channel.sum_cdf`."""
     rows = _checked_rows(pairs, rows)
-    g = thr.gamma_th
-    laws: dict[tuple[SRParams, LinkSNR], int] = {}
-    uplink = [laws.setdefault(h.ns, len(laws)) for h in pairs]
-    axes: dict[tuple[int, int], tuple[float, np.ndarray]] = {}
-    step = _rows_per_group(cfg)
-    out: list[float] = []
-    for i in range(0, len(rows), step):
-        f_sg, f_ns = [], []
-        for row in rows[i : i + step]:
-            hop, k = pairs[row[0]], len(row)
-            if any(pairs[j] != hop for j in row):
-                raise ValueError(
-                    "MRC closed form requires i.i.d. satellites: all hop pairs "
-                    "must share fading parameters and transmit SNR"
-                )
-            key = uplink[row[0]], k
-            if key not in axes:
-                rhs = c_mrc([hop.ns] * k) * g
-                axes[key] = rhs, channel.sum_cdf(*hop.ns, SumSRContext(k), _grid(g, rhs, cfg))
-            rhs, f_up = axes[key]
-            f_sg.append(channel.sum_cdf(*hop.sg, SumSRContext(k), _grid(0.0, rhs, cfg)))
-            f_ns.append(f_up)
-        out += _outage_pieces(np.stack(f_sg), np.stack(f_ns), cfg.steps_m).tolist()
-    return out
+    if not rows:
+        return []
+    g, stairs = thr.gamma_th, []
+    for row in rows:
+        hop, k = pairs[row[0]], len(row)
+        if any(pairs[j] != hop for j in row):
+            raise ValueError(
+                "MRC closed form requires i.i.d. satellites: all hop pairs "
+                "must share fading parameters and transmit SNR"
+            )
+        rhs = c_mrc([hop.ns] * k) * g
+        stairs.append(((row[0], "ns", k, g, rhs), (row[0], "sg", k, 0.0, rhs)))
+    sum_cdf = lambda p, link, k, x: channel.sum_cdf(p, link, SumSRContext(k), x)
+    pieces = lambda ns, sg, m: (_outage_pieces(sg, ns, m),)
+    [out] = _staircases(pairs, stairs, cfg, sum_cdf, pieces)
+    return out.tolist()
 
 
 def _equal_power_eta(hops_per_sat: list[HopPair]) -> float:

@@ -4,11 +4,12 @@ Everything here is pure and stateless.  The confluent hypergeometric
 function has one implementation, `_kummer_1f1_ln_grid`: its ascending
 power series, log-scaled, to a fixed relative tolerance within a term
 budget, run for rows of parameters (a_i, b_i) over one array of z as one
-batch.  `channel.sum_cdf` runs it once per call, on all (m-1)K+1 of its
-Whittaker arguments, and `kummer_1f1` and `whittaker_m_ln` read it at one
-row and one z.  Callers feeding it arguments outside the convergent regime
-get a SeriesConvergenceError instead of a silently degraded value, and
-non-finite arguments get a ValueError naming the argument.
+batch.  `channel.sum_cdf` runs it once per chunk of at most
+`channel._CELLS` cells, each chunk all (m-1)K+1 of its Whittaker rows over
+consecutive abscissae, and `kummer_1f1` and `whittaker_m_ln` read it at
+one row and one z.  Callers feeding it arguments outside the convergent
+regime get a SeriesConvergenceError instead of a silently degraded value,
+and non-finite arguments get a ValueError naming the argument.
 
 The kernel runs each block of series in one of two regimes, chosen by the
 number of series still active, which it observes as it goes.  Above 2^10
@@ -255,9 +256,10 @@ def _kummer_1f1_ln(a: float, b: float, z: float) -> tuple[float, float]:
 
 
 def kummer_1f1(a: float, b: float, z: float) -> float:
-    """Confluent hypergeometric 1F1(a; b; z) from the series `channel.sum_cdf`
-    runs; raises SeriesConvergenceError after 500 terms and OverflowError
-    where the value is beyond float range."""
+    """Confluent hypergeometric 1F1(a; b; z): one row and one z of the series
+    kernel that `channel.sum_cdf` runs chunk by chunk; raises
+    SeriesConvergenceError after 500 terms and OverflowError where the
+    value is beyond float range."""
     sign, ln_mag = _kummer_1f1_ln(a, b, z)
     return sign * math.exp(ln_mag)
 

@@ -1,3 +1,5 @@
+import importlib.util
+import pathlib
 from typing import NamedTuple
 
 import mpmath
@@ -108,15 +110,15 @@ def mrc_outage_mp(ns, sg, k, g, cm):
     return sum_cdf_mp(*ns, k, g) + tail
 
 
-def ladder_table(steps_m, depth_l):
-    """The staircase-refinement ladder's run table at one (M, L)."""
-    return {
-        "schemes": "SS, SC, MRC",
-        "conditions": "HH, HA, AH, AA",
-        "k_values": "2, 8, 16",
-        "snr_db": "-6, 3, 12",
-        "rate_r": "0.5",
-        "steps_m": str(steps_m),
-        "depth_l": str(depth_l),
-        "mc": "false",
-    }
+def _load_script(name: str):
+    """scripts/<name>.py as a module."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The golden-output script, and its staircase-ladder run table at one (M, L).
+golden = _load_script("golden")
+ladder_table = golden.ladder_table

@@ -289,6 +289,28 @@ class TestConfigFile:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "extra, flags, named",
+        [
+            ("mc = false\ntrials = -4\n", [], "trials"),
+            ("mc = false\nseed = abc\n", [], "'seed'"),
+            ("mc = false\nci_level = 1.5\n", [], "ci_level must be in (0, 1)"),
+            ("", ["--no-mc", "--trials", "-4"], "trials"),
+        ],
+        ids=["trials", "seed", "ci-level", "no-mc-flag"],
+    )
+    def test_monte_carlo_keys_checked_without_monte_carlo(
+        self, tmp_path, capsys, extra, flags, named
+    ):
+        # A table that runs no Monte Carlo still holds only valid Monte
+        # Carlo keys: it is refused before any row, and writes no CSV.
+        conf, out = tmp_path / "bad.conf", tmp_path / "bad.csv"
+        conf.write_text("schemes = SS\nconditions = HH\nk_values = 1\nsnr_db = 10\n" + extra)
+        assert cli.main(["run", "--config", str(conf), "--csv", str(out), *flags]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().split("\n")[-1])
+        assert payload["error"] == "ValueError" and named in payload["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "key, value", [("trials", "1e5"), ("k_values", "5, x"), ("snr_db", "10, 1O")]
     )
     def test_unparsable_value_names_key(self, key, value):
@@ -553,8 +575,9 @@ class TestRunMemo:
     def test_sweep_hashes_each_row_hop_pair_once(self, monkeypatch):
         # The plan hands the row functions one hop pair per (condition, SNR)
         # and each row as indices into them, so a fig1-fig3 sweep hashes no
-        # HopPair at all.  Only the single-hop laws and uplinks are keyed
-        # by value: 144 SRParams and 144 LinkSNR hashes a sweep.
+        # HopPair at all.  Only the single-hop laws are keyed by value, both
+        # of each pair's once per row-function call: 192 SRParams and 192
+        # LinkSNR hashes a sweep.
         def spy(cls):
             real, seen = cls.__hash__, []
             monkeypatch.setattr(cls, "__hash__", lambda h: seen.append(1) or real(h))

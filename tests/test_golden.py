@@ -2,35 +2,16 @@
 tests/golden/ (`scripts/golden.py --diff` prints what moved; `--write`
 records a deliberate change)."""
 
-import importlib.util
 import math
-import pathlib
 
-import pytest
-
-from conftest import ladder_table
-
-ROOT = pathlib.Path(__file__).resolve().parents[1]
+from conftest import golden
 
 
-@pytest.fixture(scope="module")
-def golden():
-    spec = importlib.util.spec_from_file_location("golden", ROOT / "scripts" / "golden.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_outputs_match_the_golden_set(golden):
+def test_outputs_match_the_golden_set():
     assert golden.differences(golden.expected(), golden.actual()) == []
 
 
-def test_ladder_tables_are_the_suites(golden):
-    for m, l in ((50, 15.0), (200, 30.0), (800, 45.0)):
-        assert golden.TABLES[f"ladder-m{m}"] == ladder_table(m, l)
-
-
-def test_a_moved_value_names_its_row(golden):
+def test_a_moved_value_names_its_row():
     want = golden.expected()
     got = dict(want)
     # One ulp up on fig1's first MRC row, a new SVG digest, a lost CSV.

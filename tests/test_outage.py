@@ -254,8 +254,9 @@ class TestRunMemo:
         # Two distinct hop laws, H and A at 6 dB, on one grid.
         assert [c[:2] for c in sf_calls] == [hh.sg, ha.sg]
         assert len({c[2] for c in sf_calls}) == 1
-        # One shared uplink axis, and one downlink axis per row.
-        assert len(sum_calls) == 1 + 3
+        # One shared uplink axis, and one downlink axis per distinct row:
+        # rows 0 and 2 are equal, so they share it.
+        assert len(sum_calls) == 1 + 2
 
     @pytest.mark.parametrize("rows_of", [outage.op_sc_rows, outage.op_mrc_rows])
     def test_empty_row_rejected(self, rows_of):
@@ -504,17 +505,48 @@ class TestRowGroups:
     abscissae, in groups of at most `channel._CELLS` cells."""
 
     def test_groups_keep_the_one_pass_bits(self, monkeypatch):
-        pairs = [_hop(c, db) for c in ("HH", "AA") for db in (-6.0, 12.0)]
-        rows = [(i,) * k for i in range(len(pairs)) for k in (1, 2, 16)]
+        # The last pair equals the first, so its K = 2 row repeats row 1 by
+        # value: it reads no axis of its own.
+        pairs = [_hop(c, db) for c in ("HH", "AA") for db in (-6.0, 12.0)] + [_hop("HH", -6.0)]
+        rows = [(i,) * k for i in range(len(pairs) - 1) for k in (1, 2, 16)] + [(4, 4)]
         row_functions = [outage.op_sc_rows, outage.op_mrc_rows]
         want = [rows_of(pairs, rows, THR, CFG) for rows_of in row_functions]
         want_ps = [outage.ps_sc([pairs[i] for i in row], THR, CFG) for row in rows]
         assert len(want[0]) == len(want[1]) == len(rows)
+        assert want[1][-1] == want[1][1]
+        g, ups = THR.gamma_th, THR.upsilon
+        ss_grid = outage._grid(g, ups, CFG).tobytes()
+        ss_axes = {(*law, ss_grid) for h in pairs for law in (h.sg, h.ns)}
+        mrc_axes = set()
+        for row in rows:
+            hop, k = pairs[row[0]], len(row)
+            rhs = outage.c_mrc([hop.ns] * k) * g
+            mrc_axes |= {
+                (*hop.ns, k, outage._grid(g, rhs, CFG).tobytes()),
+                (*hop.sg, k, outage._grid(0.0, rhs, CFG).tobytes()),
+            }
+        sf, sum_cdf, sf_calls, sum_calls = channel.sf, channel.sum_cdf, [], []
+
+        def spy_sf(p, link, x):
+            sf_calls.append((p, link, x.tobytes()))
+            return sf(p, link, x)
+
+        def spy_sum_cdf(p, link, ctx, x):
+            sum_calls.append((p, link, ctx.K, x.tobytes()))
+            return sum_cdf(p, link, ctx, x)
+
+        monkeypatch.setattr(channel, "sf", spy_sf)
+        monkeypatch.setattr(channel, "sum_cdf", spy_sum_cdf)
         # A _grid row holds 2M + 2 = 102 abscissae: one row and one
         # abscissa per group, then three rows and four abscissae at K = 16.
-        for cells in (1, 3 * 102 + 1):
+        for cells in (channel._CELLS, 1, 3 * 102 + 1):
             monkeypatch.setattr(channel, "_CELLS", cells)
+            sf_calls.clear()
+            sum_calls.clear()
             assert [rows_of(pairs, rows, THR, CFG) for rows_of in row_functions] == want
+            # Each distinct axis once: 4 hop laws, 12 uplink and 12 downlink axes.
+            assert len(sf_calls) == len(ss_axes) == 4 and set(sf_calls) == ss_axes
+            assert len(sum_calls) == len(mrc_axes) == 24 and set(sum_calls) == mrc_axes
             assert [outage.ps_sc([pairs[i] for i in row], THR, CFG) for row in rows] == want_ps
 
     def test_ladder_table_memory_is_bounded(self):
