@@ -4,9 +4,10 @@
 The golden set in tests/golden/ holds the CSV text of
 `satrelay run --preset fig1|fig2|fig3 --no-mc` and of the staircase-ladder
 tables at M = 50, 200 and 800 (`ladder_table`, which the test suite reads
-too), and in `svg.sha256` the SHA-256 of each table's SVG chart.  Monte Carlo columns
-are left out: numpy does not promise that a seeded Generator's stream stays
-the same across its feature releases (NEP 19).
+too), in `svg.sha256` the SHA-256 of each table's SVG chart, and in
+`validate.txt` what `satrelay validate` prints.  Monte Carlo columns are left
+out: numpy does not promise that a seeded Generator's stream stays the same
+across its feature releases (NEP 19).
 
   --check  name every output that differs from the golden set (the default)
   --diff   print each moved row as old -> new with its relative change
@@ -17,15 +18,19 @@ move digits runs --diff, records its output in CHANGES.md, then --write.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 from satrelay import cli
 
 GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden"
 SVG_SUMS = "svg.sha256"
+VALIDATE = "validate.txt"
 
 
 def ladder_table(steps_m: int, depth_l: float) -> dict[str, str]:
@@ -50,7 +55,8 @@ TABLES = {
 
 
 def outputs() -> dict[str, bytes]:
-    """{file name: bytes} of every table's CSV and SVG, as this tree writes them."""
+    """{file name: bytes} of every table's CSV and SVG and of `validate`'s
+    output, as this tree writes them."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, table in TABLES.items():
@@ -59,20 +65,24 @@ def outputs() -> dict[str, bytes]:
                 path = Path(tmp, f"{name}.{ext}")
                 emit(rows, str(path))
                 out[path.name] = path.read_bytes()
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        cli.main(["validate"])
+    out[VALIDATE] = printed.getvalue().encode("utf-8")
     return out
 
 
 def _digests(files: dict[str, bytes]) -> dict[str, str]:
-    """CSV files as their text, SVG files as their SHA-256."""
+    """SVG files as their SHA-256, the others as their text."""
     return {
-        name: data.decode("utf-8") if name.endswith(".csv") else hashlib.sha256(data).hexdigest()
+        name: hashlib.sha256(data).hexdigest() if name.endswith(".svg") else data.decode("utf-8")
         for name, data in files.items()
     }
 
 
 def expected() -> dict[str, str]:
     """The golden set, in `_digests`' form."""
-    want = {path.name: path.read_text(encoding="utf-8") for path in sorted(GOLDEN.glob("*.csv"))}
+    texts = [*sorted(GOLDEN.glob("*.csv")), GOLDEN / VALIDATE]
+    want = {path.name: path.read_text(encoding="utf-8") for path in texts}
     for line in (GOLDEN / SVG_SUMS).read_text(encoding="utf-8").splitlines():
         digest, name = line.split()
         want[name] = digest
@@ -117,9 +127,16 @@ def _csv_differences(name: str, old: str, new: str) -> list[str]:
     return out
 
 
+def _text_differences(name: str, old: str, new: str) -> list[str]:
+    """One line per changed line, by line number."""
+    pairs = zip_longest(old.splitlines(), new.splitlines(), fillvalue="")
+    return [f"{name} line {i}: {a!r} -> {b!r}" for i, (a, b) in enumerate(pairs, 1) if a != b]
+
+
 def differences(want: dict[str, str], got: dict[str, str]) -> list[str]:
     """Every difference between two output sets in `_digests`' form, one
-    line each; a CSV reports its moved rows."""
+    line each; a CSV reports its moved rows, `validate`'s output its
+    changed lines."""
     out = []
     for name in sorted(want.keys() | got.keys()):
         old, new = want.get(name), got.get(name)
@@ -130,8 +147,10 @@ def differences(want: dict[str, str], got: dict[str, str]) -> list[str]:
         elif old != new:
             if name.endswith(".csv"):
                 out += _csv_differences(name, old, new)
-            else:
+            elif name.endswith(".svg"):
                 out.append(f"{name}: sha256 {old} -> {new}")
+            else:
+                out += _text_differences(name, old, new) or [f"{name}: different bytes"]
     return out
 
 
@@ -139,10 +158,10 @@ def write() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     sums = []
     for name, value in _digests(outputs()).items():
-        if name.endswith(".csv"):
-            (GOLDEN / name).write_text(value, encoding="utf-8", newline="\n")
-        else:
+        if name.endswith(".svg"):
             sums.append(f"{value}  {name}\n")
+        else:
+            (GOLDEN / name).write_text(value, encoding="utf-8", newline="\n")
     (GOLDEN / SVG_SUMS).write_text("".join(sums), encoding="utf-8", newline="\n")
 
 
@@ -158,14 +177,15 @@ def main() -> int:
 
     if args.write:
         write()
-        print(f"wrote {len(TABLES)} CSV files and {SVG_SUMS} to {GOLDEN}")
+        print(f"wrote {len(TABLES)} CSV files, {VALIDATE} and {SVG_SUMS} to {GOLDEN}")
         return 0
-    diffs = differences(expected(), actual())
+    got = actual()
+    diffs = differences(expected(), got)
     if args.diff:
         print("\n".join(diffs))
     else:
         moved = sorted({line.split(" ", 1)[0].rstrip(":") for line in diffs})
-        print(f"differ: {', '.join(moved)}" if moved else f"all {2 * len(TABLES)} outputs match")
+        print(f"differ: {', '.join(moved)}" if moved else f"all {len(got)} outputs match")
     return 1 if diffs else 0
 
 

@@ -175,17 +175,10 @@ def _law_of(p: SRParams) -> _Law:
     return _Law(alpha, beta, delta, w, q, beta - delta, float(np.dot(w, np.arange(1, p.m + 1))))
 
 
-def _as_nonneg_array(x, name: str = "x") -> tuple[np.ndarray | np.float64, bool]:
+def _as_nonneg_array(x, name: str = "x") -> tuple[np.ndarray, bool]:
     """(x as a float array, whether x was a scalar), refusing non-finite or
-    negative values.  A Python float is checked with `math` and returned as
-    a numpy float64, on which every reader computes what it computes on a
-    0-d array: the same bits, and the same warnings where a power overflows."""
-    if type(x) is float:
-        if not math.isfinite(x):
-            raise ValueError(f"{name} must be finite")
-        if x < 0.0:
-            raise ValueError(f"{name} must be >= 0")
-        return np.float64(x), True
+    negative values.  A scalar, a Python float included, becomes a 0-d
+    array, so every reader computes its bits and warnings one way."""
     arr = np.asarray(x, dtype=float)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
@@ -77,6 +78,15 @@ CONFIG_KEYS = (
 _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
+def _check_snr(grid, name: str) -> None:
+    """Refuse, naming name, any dB value of grid that gives no `LinkSNR`."""
+    for db in grid:
+        try:
+            LinkSNR.from_db(db)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment: grids, schemes, approximation knobs, outputs."""
@@ -92,26 +102,27 @@ class ExperimentSpec:
     svg_path: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.schemes:
-            raise ValueError("schemes must be nonempty")
-        if not self.conditions:
-            raise ValueError("conditions must be nonempty")
-        if not self.k_values:
-            raise ValueError("k_values must be nonempty")
+        for name in ("schemes", "conditions", "k_values"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be nonempty")
         object.__setattr__(self, "k_values", tuple(_count(k, "k_values") for k in self.k_values))
         for s in self.schemes:
             if s not in SCHEMES:
-                raise ValueError(f"unknown scheme {s!r} (expected SS, SC, MRC)")
+                raise ValueError(f"unknown scheme {s!r} in schemes (expected SS, SC, MRC)")
         for c in self.conditions:
             if c not in CONDITIONS:
-                raise ValueError(f"unknown condition {c!r} (expected HH, HA, AH, AA)")
+                raise ValueError(f"unknown condition {c!r} in conditions (expected HH, HA, AH, AA)")
             if not self.snr_db.get(c):
-                raise ValueError(f"no SNR grid for condition {c}")
-            for db in self.snr_db[c]:
-                try:
-                    LinkSNR.from_db(db)
-                except ValueError as exc:
-                    raise ValueError(f"snr_db of condition {c}: {exc}") from None
+                raise ValueError(f"no SNR grid for condition {c} (snr_db or snr_db_{c.lower()})")
+            _check_snr(self.snr_db[c], f"snr_db of condition {c}")
+        # Each output is checked here, before any row is computed.
+        if not self.csv_path:
+            raise ValueError("csv must name a file")
+        if self.svg_path is not None:
+            if not self.svg_path:
+                raise ValueError("svg must name a file")
+            if os.path.abspath(self.svg_path) == os.path.abspath(self.csv_path):
+                raise ValueError(f"csv and svg must name different files, got {self.csv_path!r}")
 
 
 @dataclass(frozen=True)
@@ -251,29 +262,14 @@ def emit_csv(rows: list[RunRow], path: str) -> None:
     """Write the run table; full-precision scientific floats, LF endings."""
     lines = [CSV_HEADER]
     for r in rows:
+        cols = [r.scheme, r.condition, str(r.k)]
+        cols += map(_fmt, (r.snr_db, r.op_analytic, r.op_asymptotic))
         if r.mc is None:
-            mc_cols = ["", "", "", "", ""]
+            cols += [""] * 5
         else:
-            mc_cols = [
-                _fmt(r.mc.p_hat),
-                _fmt(r.mc.ci_low),
-                _fmt(r.mc.ci_high),
-                str(r.mc.trials),
-                "1" if r.mc.low_confidence else "0",
-            ]
-        lines.append(
-            ",".join(
-                [
-                    r.scheme,
-                    r.condition,
-                    str(r.k),
-                    _fmt(r.snr_db),
-                    _fmt(r.op_analytic),
-                    _fmt(r.op_asymptotic),
-                    *mc_cols,
-                ]
-            )
-        )
+            cols += [*map(_fmt, (r.mc.p_hat, r.mc.ci_low, r.mc.ci_high)), str(r.mc.trials)]
+            cols.append("1" if r.mc.low_confidence else "0")
+        lines.append(",".join(cols))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -466,6 +462,7 @@ def _spec_from_table(table: dict[str, str]) -> tuple[ExperimentSpec, int]:
     """The spec and worker count of a run table (config key -> text value).
 
     A table naming a preset lies over that preset's table, key by key.
+    Every key is checked, whether or not the run reads it.
     """
     unknown = [key for key in table if key not in CONFIG_KEYS]
     if unknown:
@@ -498,17 +495,19 @@ def _spec_from_table(table: dict[str, str]) -> tuple[ExperimentSpec, int]:
     )
     stairs = StaircaseConfig.for_threshold(thr)
     conditions = tuple(c.upper() for c in _split_list(table["conditions"]))
-    # Each condition reads its own SNR key if the table has one, else snr_db.
-    snr_keys = {c: f"snr_db_{c.lower()}" for c in conditions}
-    snr_keys = {c: key if key in table else "snr_db" for c, key in snr_keys.items()}
+    grids = {
+        key: tuple(_parse(key, v, float) for v in _split_list(text))
+        for key, text in table.items()
+        if key.startswith("snr_db")
+    }
+    for key, grid in grids.items():
+        _check_snr(grid, f"config key {key!r}")
     spec = ExperimentSpec(
         schemes=tuple(s.upper() for s in _split_list(table["schemes"])),
         conditions=conditions,
         k_values=tuple(_parse("k_values", k, int) for k in _split_list(table["k_values"])),
-        snr_db={
-            c: tuple(_parse(key, v, float) for v in _split_list(table.get(key, "")))
-            for c, key in snr_keys.items()
-        },
+        # Each condition reads its own SNR key if the table has one, else snr_db.
+        snr_db={c: grids.get(f"snr_db_{c.lower()}", grids.get("snr_db", ())) for c in conditions},
         staircase=StaircaseConfig(
             steps_m=_parse("steps_m", table.get("steps_m", stairs.steps_m), int),
             depth_l=_parse("depth_l", table.get("depth_l", stairs.depth_l), float),

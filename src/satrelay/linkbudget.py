@@ -43,14 +43,10 @@ class LinkBudget:
             value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if not self.altitude_km > 0.0:
-            raise ValueError("altitude_km must be > 0")
-        if not self.frequency_hz > 0.0:
-            raise ValueError("frequency_hz must be > 0")
-        if not 0.0 < self.elevation_deg <= 90.0:
-            raise ValueError("elevation_deg must be in (0, 90]")
-        if not self.bandwidth_hz > 0.0:
-            raise ValueError("bandwidth_hz must be > 0")
+        slant_range_km(self.altitude_km, self.elevation_deg)  # checks altitude and elevation
+        for name in ("frequency_hz", "bandwidth_hz"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0")
         if self.extra_losses_db < 0.0:
             raise ValueError("extra_losses_db must be >= 0")
 

@@ -324,15 +324,16 @@ def op_sc_rows(
     pairs: list[HopPair], rows: list[Sequence[int]], thr: Threshold, cfg: StaircaseConfig
 ) -> list[float]:
     """`op_sc` at every row, one outage per row; a row lists the indices of
-    its satellites' hop pairs, each pair's SS outage read off one
-    `_ss_pieces` table.  An SS outage at or above 1/2 is 1 - success, so one
-    within an ulp of 1 is not clipped to exactly 1.0; below 1/2 the
-    outage-form sum keeps its own relative precision."""
+    its satellites' hop pairs, the SS outage of each pair a row names read
+    off one `_ss_pieces` table.  An SS outage at or above 1/2 is 1 -
+    success, so one within an ulp of 1 is not clipped to exactly 1.0; below
+    1/2 the outage-form sum keeps its own relative precision."""
     rows = _checked_rows(pairs, rows)
     if not rows:
         return []
-    out, success = _ss_pieces(pairs, thr, cfg)
-    per_hop = np.where(out >= 0.5, 1.0 - success, out).tolist()
+    named = sorted(set().union(*rows))
+    out, success = _ss_pieces([pairs[i] for i in named], thr, cfg)
+    per_hop = dict(zip(named, np.where(out >= 0.5, 1.0 - success, out).tolist()))
     return [math.prod(per_hop[i] for i in row) for row in rows]
 
 
@@ -406,13 +407,14 @@ def asymp_op_sc_rows(
     pairs: list[HopPair], rows: list[Sequence[int]], thr: Threshold
 ) -> list[float]:
     """`asymp_op_sc` at every row, a row listing the indices of its
-    satellites' hop pairs: each pair's factor is computed once per call,
-    and each row multiplies its factors in list order."""
+    satellites' hop pairs: each named pair's factor is computed once per
+    call, and each row multiplies its factors in list order."""
     rows = _checked_rows(pairs, rows)
     for row in rows:
         _equal_power_eta([pairs[i] for i in row])
     g = thr.gamma_th
-    per_hop = [channel.asymptotic_cdf(*h.sg, g) + channel.asymptotic_cdf(*h.ns, g) for h in pairs]
+    factor = lambda h: channel.asymptotic_cdf(*h.sg, g) + channel.asymptotic_cdf(*h.ns, g)
+    per_hop = {i: factor(pairs[i]) for i in set().union(*rows)}
     return [math.prod(per_hop[i] for i in row) for row in rows]
 
 

@@ -708,8 +708,8 @@ class TestLawConstants:
     )
     @settings(max_examples=150, deadline=None)
     def test_python_float_reads_as_0d_array(self, x, eta_db, p):
-        # A Python float takes the `math` check; the value, its type and
-        # any overflow warning match a 0-d array's.
+        # A Python float reads as a 0-d array: the value, its type and any
+        # overflow warning match a 0-d array's.
         link = LinkSNR.from_db(eta_db)
         for name, reader in SCALAR_READERS.items():
             with warnings.catch_warnings(record=True) as from_array:

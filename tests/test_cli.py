@@ -1,6 +1,9 @@
 import argparse
 import json
+import math
+import os
 import pathlib
+import re
 import subprocess
 import sys
 import threading
@@ -9,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from satrelay import channel, cli, mcsim, outage, validate
 from satrelay.channel import CONDITIONS, LinkSNR
@@ -19,6 +24,7 @@ from satrelay.outage import HopPair, StaircaseConfig, Threshold
 from conftest import ladder_table
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+SMALL_TABLE = {"schemes": "SS", "conditions": "HH", "k_values": "1", "snr_db": "10"}
 
 
 def preset_spec(preset):
@@ -365,6 +371,155 @@ class TestConfigFile:
         assert threads["1"] == {caller}
         assert len(threads["2"]) == 2 and caller not in threads["2"]
         assert csvs[0].read_bytes() == csvs[1].read_bytes()
+
+
+def _items(text):
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _number(convert, text):
+    try:
+        return convert(text)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _gamma_ok(g):
+    return g is not None and g > 0.0 and math.isfinite(g * (g + 1.0))
+
+
+def _db_ok(text):
+    db = _number(float, text)
+    eta = None if db is None else _number(lambda d: 10.0 ** (d / 10.0), db)
+    return eta is not None and math.isfinite(eta) and eta > 0.0
+
+
+def _int_ok(text, low=None, high=None):
+    n = _number(int, text)
+    return n is not None and (low is None or n >= low) and (high is None or n <= high)
+
+
+def _list_ok(ok, empty_ok=False):
+    return lambda text: (empty_ok or bool(_items(text))) and all(map(ok, _items(text)))
+
+
+# Whether one config value is valid, key by key, read off the documented
+# rules rather than the parser.
+VALID = {
+    "preset": lambda t: t in (*cli.PRESETS, "custom"),
+    "schemes": _list_ok(lambda i: i.upper() in cli.SCHEMES),
+    "conditions": _list_ok(lambda i: i.upper() in CONDITIONS),
+    "k_values": _list_ok(lambda i: _int_ok(i, 1)),
+    # An SNR key may list nothing, unless a listed condition reads it.
+    **{key: _list_ok(_db_ok, True) for key in cli.CONFIG_KEYS if key.startswith("snr_db")},
+    "rate_r": lambda t: _gamma_ok(_number(lambda r: 2.0 ** (2.0 * float(r)) - 1.0, t)),
+    "gamma_th": lambda t: _gamma_ok(_number(float, t)),
+    "steps_m": lambda t: _int_ok(t, 1, StaircaseConfig.MAX_STEPS_M),
+    "depth_l": lambda t: (v := _number(float, t)) is not None and math.isfinite(v) and v > 0.0,
+    "mc": lambda t: t.lower() in ("true", "1", "yes", "false", "0", "no"),
+    "trials": lambda t: _int_ok(t, 1),
+    "seed": _int_ok,
+    "ci_level": lambda t: (v := _number(float, t)) is not None and 0.0 < v < 1.0,
+    "csv": bool,
+    "svg": bool,
+    "workers": lambda t: _int_ok(t, 1),
+}
+
+ITEMS = [
+    "SS", "sc", "MRC", "XX", "HH", "ha", "AA", "HZ", "1", "2", "5", "0", "-1", "1.5", "13.5",
+    "-6", "1e2", "nan", "inf", "-inf", "1e400", "-1e400", "1e308", "1e-320", "5e-324", "300",
+    "1e10", "", " ", "true", "False", "yes", "no", "fig1", "fig9", "custom", "abc", "out.csv",
+]
+
+
+def _text(key):
+    """Text for key: a value known to be valid, or one or more items,
+    joined with commas, from a pool mixing valid text with nan, +-inf,
+    huge, tiny, negative, empty and boolean values; items may repeat."""
+    valid = {
+        "preset": ["fig1", "fig2", "fig3", "custom"],
+        "schemes": ["SS", "SC, MRC", "ss, SS"],
+        "conditions": ["HH", "HA, AA", "hh, HH"],
+        "k_values": ["1", "2, 5", "5, 5"],
+        "rate_r": ["0.5", "1.0"],
+        "gamma_th": ["1", "3"],
+        "steps_m": ["1", "50"],
+        "depth_l": ["15", "45"],
+        "mc": ["true", "no", "0"],
+        "trials": ["1000"],
+        "seed": ["7", "-3"],
+        "ci_level": ["0.99"],
+        "csv": ["out.csv", "a/out.csv"],
+        "svg": ["out.svg", "out.csv", "fig1.csv"],
+        "workers": ["1", "2"],
+    }.get(key, ["10", "-6, 0, 13.5", "0, 0"])
+    items = st.lists(st.sampled_from(ITEMS), min_size=1, max_size=3).map(", ".join)
+    return st.sampled_from(valid) | st.sampled_from(ITEMS) | items
+
+
+def _problems(table):
+    """(invalid, structural): the keys whose values break their own rule,
+    and the key sets that break a rule across keys; an unknown preset is
+    refused before the rules across keys are read."""
+    invalid = {key for key, text in table.items() if key not in VALID or not VALID[key](text)}
+    preset = table.get("preset", "custom")
+    if "preset" in invalid:
+        return invalid, []
+    merged = {**cli.PRESETS.get(preset, {}), **table}
+    structural = [{key} for key in ("schemes", "conditions", "k_values") if key not in merged]
+    if "gamma_th" in merged and "rate_r" in merged:
+        structural.append({"gamma_th", "rate_r"})
+    if "conditions" in merged and "conditions" not in invalid:
+        for c in {c.upper() for c in _items(merged["conditions"])}:
+            own = f"snr_db_{c.lower()}"
+            if not _items(merged.get(own, merged.get("snr_db", ""))):
+                structural.append({own, "snr_db"})
+    csv, svg = merged.get("csv", f"{preset}.csv"), merged.get("svg")
+    if csv and svg and os.path.abspath(csv) == os.path.abspath(svg):
+        structural.append({"csv", "svg"})
+    return invalid, structural
+
+
+class TestConfigProperty:
+    @given(
+        base=st.sampled_from([{}, {"preset": "fig1"}, {"preset": "fig3"}, SMALL_TABLE]),
+        drawn=st.lists(st.sampled_from([*cli.CONFIG_KEYS, "trails"]), unique=True, max_size=5)
+        .flatmap(lambda keys: st.fixed_dictionaries({key: _text(key) for key in keys})),
+    )
+    @example(base=SMALL_TABLE, drawn={"csv": ""})
+    @example(base=SMALL_TABLE, drawn={"svg": ""})
+    @settings(max_examples=400, deadline=None)
+    def test_table_refused_naming_a_key_or_valid_on_every_key(self, base, drawn):
+        # Every key a table holds is checked, whether or not the run reads
+        # it: a table is refused with a ValueError that names a bad key, or
+        # every key it holds is valid.  At the parent `csv =` (empty) was
+        # accepted and failed only after the whole table was computed, and
+        # `svg =` silently wrote no chart.
+        table = {**base, **drawn}
+        invalid, structural = _problems(table)
+        bad = invalid.union(*structural)
+        if not bad:
+            spec, workers = cli._spec_from_table(table)
+            assert spec.csv_path and spec.svg_path != "" and workers >= 1
+            return
+        with pytest.raises(ValueError) as refused:
+            cli._spec_from_table(table)
+        message = str(refused.value)
+        named = {key for key in bad if re.search(rf"(?<!\w){re.escape(key)}(?!\w)", message)}
+        assert named, (table, message)
+
+    @pytest.mark.parametrize("key", ["csv", "svg"])
+    def test_empty_output_refused_before_any_row(self, tmp_path, capsys, monkeypatch, key):
+        called = []
+        for name in ("op_sc_rows", "op_mrc_rows"):
+            monkeypatch.setattr(outage, name, lambda *a, name=name: called.append(name) or [])
+        conf = tmp_path / "empty.conf"
+        conf.write_text("".join(f"{k} = {v}\n" for k, v in SMALL_TABLE.items()) + f"{key} =\n")
+        out = [] if key == "csv" else ["--csv", str(tmp_path / "out.csv")]
+        assert cli.main(["run", "--config", str(conf), "--no-mc", *out]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().split("\n")[-1])
+        assert payload == {"error": "ValueError", "message": f"{key} must name a file"}
+        assert called == []
 
 
 class TestCurves:

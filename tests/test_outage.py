@@ -258,6 +258,29 @@ class TestRunMemo:
         # rows 0 and 2 are equal, so they share it.
         assert len(sum_calls) == 1 + 2
 
+    def test_unnamed_pairs_are_not_read(self, monkeypatch):
+        # Pair 1 is named by no row, so no row function reads its laws:
+        # op_sc_rows used to call sf on them, and asymp_op_sc_rows computed
+        # its factor.
+        named, unnamed = hop_at(6.0, sg=AVERAGE_SHADOWING), hop_at(9.0, ns=AVERAGE_SHADOWING)
+        pairs, rows = [named, unnamed], [(0,), (0, 0)]
+        want = [
+            [outage.op_sc([named] * len(row), THR, CFG) for row in rows],
+            [outage.op_mrc([named] * len(row), THR, CFG) for row in rows],
+            [outage.asymp_op_sc([named] * len(row), THR) for row in rows],
+        ]
+        read = []
+        for name in ("sf", "sum_cdf", "asymptotic_cdf"):
+            real = getattr(channel, name)
+            spy = lambda p, link, *rest, real=real: read.append((p, link)) or real(p, link, *rest)
+            monkeypatch.setattr(channel, name, spy)
+        assert [
+            outage.op_sc_rows(pairs, rows, THR, CFG),
+            outage.op_mrc_rows(pairs, rows, THR, CFG),
+            outage.asymp_op_sc_rows(pairs, rows, THR),
+        ] == want
+        assert read and set(read) == {named.ns, named.sg}
+
     @pytest.mark.parametrize("rows_of", [outage.op_sc_rows, outage.op_mrc_rows])
     def test_empty_row_rejected(self, rows_of):
         with pytest.raises(ValueError, match="need at least one satellite"):
