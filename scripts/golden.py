@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Golden outputs: the analytic tables `satrelay run` writes, kept byte for byte.
+"""Golden outputs: the tables `satrelay run` writes, kept byte for byte.
 
 The golden set in tests/golden/ holds the CSV text of
 `satrelay run --preset fig1|fig2|fig3 --no-mc` and of the staircase-ladder
 tables at M = 50, 200 and 800 (`ladder_table`, which the test suite reads
 too), in `svg.sha256` the SHA-256 of each table's SVG chart, and in
-`validate.txt` what `satrelay validate` prints.  Monte Carlo columns are left
-out: numpy does not promise that a seeded Generator's stream stays the same
-across its feature releases (NEP 19).
+`validate.txt` what `satrelay validate` prints.  Its Monte Carlo part holds
+`run --preset fig1|fig2|fig3 --trials 100000 --seed 20240915` as
+figN-mc.csv and figN-mc.svg, and in `numpy.txt` the numpy version that wrote
+them: numpy does not promise that a seeded Generator's stream stays the same
+across its feature releases (NEP 19), so on another version that part is
+not compared.
 
   --check  name every output that differs from the golden set (the default)
   --diff   print each moved row as old -> new with its relative change
@@ -26,11 +29,14 @@ import tempfile
 from itertools import zip_longest
 from pathlib import Path
 
+import numpy as np
+
 from satrelay import cli
 
 GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden"
 SVG_SUMS = "svg.sha256"
 VALIDATE = "validate.txt"
+NUMPY = "numpy.txt"
 
 
 def ladder_table(steps_m: int, depth_l: float) -> dict[str, str]:
@@ -47,24 +53,40 @@ def ladder_table(steps_m: int, depth_l: float) -> dict[str, str]:
     }
 
 
-# Output name -> its run table; every table runs without Monte Carlo.
+# Output name -> its run table; these tables run without Monte Carlo.
 TABLES = {
     **{preset: {"preset": preset, "mc": "false"} for preset in cli.PRESETS},
     **{f"ladder-m{m}": ladder_table(m, l) for m, l in ((50, 15.0), (200, 30.0), (800, 45.0))},
 }
 
+# The Monte Carlo part: each preset at 10^5 trials and the default seed.
+MC_TABLES = {
+    f"{preset}-mc": {"preset": preset, "trials": "100000", "seed": str(cli.DEFAULT_SEED)}
+    for preset in cli.PRESETS
+}
+MC_FILES = {f"{name}.{ext}" for name in MC_TABLES for ext in ("csv", "svg")}
 
-def outputs() -> dict[str, bytes]:
-    """{file name: bytes} of every table's CSV and SVG and of `validate`'s
-    output, as this tree writes them."""
+
+def _tables(tables: dict[str, dict[str, str]], workers: int) -> dict[str, bytes]:
+    """{file name: bytes} of each table's CSV and SVG, run on `workers` threads."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, table in TABLES.items():
-            rows = cli.run(cli._spec_from_table(table)[0])
+        for name, table in tables.items():
+            rows = cli.run(cli._spec_from_table(table)[0], workers)
             for ext, emit in (("csv", cli.emit_csv), ("svg", cli.emit_svg)):
                 path = Path(tmp, f"{name}.{ext}")
                 emit(rows, str(path))
                 out[path.name] = path.read_bytes()
+    return out
+
+
+def outputs(mc: bool, workers: int = 1) -> dict[str, bytes]:
+    """{file name: bytes} as this tree writes them: of the Monte Carlo
+    tables on `workers` threads, or else of the analytic tables and of
+    `validate`'s output."""
+    if mc:
+        return _tables(MC_TABLES, workers)
+    out = _tables(TABLES, workers)
     with contextlib.redirect_stdout(io.StringIO()) as printed:
         cli.main(["validate"])
     out[VALIDATE] = printed.getvalue().encode("utf-8")
@@ -79,19 +101,35 @@ def _digests(files: dict[str, bytes]) -> dict[str, str]:
     }
 
 
-def expected() -> dict[str, str]:
-    """The golden set, in `_digests`' form."""
+def expected(mc: bool) -> dict[str, str]:
+    """The golden set's Monte Carlo part, or else the rest of it, in
+    `_digests`' form."""
     texts = [*sorted(GOLDEN.glob("*.csv")), GOLDEN / VALIDATE]
     want = {path.name: path.read_text(encoding="utf-8") for path in texts}
     for line in (GOLDEN / SVG_SUMS).read_text(encoding="utf-8").splitlines():
         digest, name = line.split()
         want[name] = digest
-    return want
+    return {name: value for name, value in want.items() if (name in MC_FILES) == mc}
 
 
-def actual() -> dict[str, str]:
-    """This tree's outputs, in `_digests`' form."""
-    return _digests(outputs())
+def actual(mc: bool, workers: int = 1) -> dict[str, str]:
+    """This tree's outputs of that part, in `_digests`' form."""
+    return _digests(outputs(mc, workers))
+
+
+def mc_numpy() -> str:
+    """The numpy version that wrote the golden Monte Carlo outputs."""
+    return (GOLDEN / NUMPY).read_text(encoding="utf-8").strip()
+
+
+def mc_skip_reason() -> str | None:
+    """Why this numpy cannot compare the Monte Carlo part, or None if it can."""
+    if np.__version__ == mc_numpy():
+        return None
+    return (
+        f"Monte Carlo golden outputs were written by numpy {mc_numpy()}, "
+        f"this is numpy {np.__version__} (NEP 19); not compared"
+    )
 
 
 def _rel(old: str, new: str) -> str:
@@ -157,12 +195,13 @@ def differences(want: dict[str, str], got: dict[str, str]) -> list[str]:
 def write() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
     sums = []
-    for name, value in _digests(outputs()).items():
+    for name, value in _digests({**outputs(False), **outputs(True)}).items():
         if name.endswith(".svg"):
             sums.append(f"{value}  {name}\n")
         else:
             (GOLDEN / name).write_text(value, encoding="utf-8", newline="\n")
     (GOLDEN / SVG_SUMS).write_text("".join(sums), encoding="utf-8", newline="\n")
+    (GOLDEN / NUMPY).write_text(f"{np.__version__}\n", encoding="utf-8", newline="\n")
 
 
 def main() -> int:
@@ -177,15 +216,23 @@ def main() -> int:
 
     if args.write:
         write()
-        print(f"wrote {len(TABLES)} CSV files, {VALIDATE} and {SVG_SUMS} to {GOLDEN}")
+        count = len(TABLES) + len(MC_TABLES)
+        print(f"wrote {count} CSV files, {VALIDATE}, {SVG_SUMS} and {NUMPY} to {GOLDEN}")
         return 0
-    got = actual()
-    diffs = differences(expected(), got)
+    got = actual(False)
+    diffs = differences(expected(False), got)
+    skip = mc_skip_reason()
+    if skip is None:
+        mc = actual(True)
+        diffs += differences(expected(True), mc)
+        got.update(mc)
     if args.diff:
         print("\n".join(diffs))
     else:
         moved = sorted({line.split(" ", 1)[0].rstrip(":") for line in diffs})
         print(f"differ: {', '.join(moved)}" if moved else f"all {len(got)} outputs match")
+    if skip is not None:
+        print(skip)
     return 1 if diffs else 0
 
 

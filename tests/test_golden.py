@@ -1,18 +1,29 @@
-"""Every analytic table's CSV and SVG bytes and `satrelay validate`'s
-output against the golden set in tests/golden/ (`scripts/golden.py --diff`
-prints what moved; `--write` records a deliberate change)."""
+"""Every table's CSV and SVG bytes and `satrelay validate`'s output against
+the golden set in tests/golden/ (`scripts/golden.py --diff` prints what
+moved; `--write` records a deliberate change).  The Monte Carlo tables are
+compared only under the numpy version that wrote them."""
 
 import math
+
+import pytest
 
 from conftest import golden
 
 
 def test_outputs_match_the_golden_set():
-    assert golden.differences(golden.expected(), golden.actual()) == []
+    assert golden.differences(golden.expected(False), golden.actual(False)) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mc_outputs_match_the_golden_set(workers):
+    skip = golden.mc_skip_reason()
+    if skip is not None:
+        pytest.skip(skip)
+    assert golden.differences(golden.expected(True), golden.actual(True, workers)) == []
 
 
 def test_a_moved_value_names_its_row():
-    want = golden.expected()
+    want = golden.expected(False)
     got = dict(want)
     # One ulp up on fig1's first MRC row, a new SVG digest, a lost CSV, a
     # failing `validate` check.
@@ -36,3 +47,21 @@ def test_a_moved_value_names_its_row():
         f"validate.txt line {line}: {passed!r} -> {failed!r}",
         "validate.txt line 16: '15/15 checks passed' -> '14/15 checks passed'",
     ]
+
+
+def test_a_moved_mc_estimate_names_its_row():
+    want = golden.expected(True)
+    lines = want["fig3-mc.csv"].splitlines(keepends=True)
+    cols = lines[1].split(",")
+    old = cols[6]
+    cols[6] = format(float(old) + 1e-5, ".17e")
+    got = {**want, "fig3-mc.csv": "".join([lines[0], ",".join(cols), *lines[2:]])}
+    rel = (float(cols[6]) - float(old)) / float(old)
+    label = f"fig3-mc.csv {cols[0]} {cols[1]} K={cols[2]} snr_db={cols[3]}"
+    assert golden.differences(want, got) == [f"{label}: op_mc {old} -> {cols[6]} ({rel:+.3e})"]
+
+
+def test_another_numpy_names_both_versions(monkeypatch):
+    monkeypatch.setattr(golden, "mc_numpy", lambda: "0.0.0")
+    reason = golden.mc_skip_reason()
+    assert "numpy 0.0.0" in reason and f"numpy {golden.np.__version__}" in reason
