@@ -124,10 +124,11 @@ def mc_numpy() -> str:
 
 def mc_skip_reason() -> str | None:
     """Why this numpy cannot compare the Monte Carlo part, or None if it can."""
-    if np.__version__ == mc_numpy():
+    written = mc_numpy()
+    if np.__version__ == written:
         return None
     return (
-        f"Monte Carlo golden outputs were written by numpy {mc_numpy()}, "
+        f"Monte Carlo golden outputs were written by numpy {written}, "
         f"this is numpy {np.__version__} (NEP 19); not compared"
     )
 

@@ -6,8 +6,8 @@ combining, and maximal ratio combining.  Closed-form staircase outage
 expressions, their high-SNR asymptotes, a seeded Monte Carlo oracle, and
 a link-budget calculator, all exposed through one CLI.
 
-The analytic names load with the package.  The Monte Carlo and
-link-budget names, and the `cli`, `mcsim`, `linkbudget` and `validate`
+The analytic names, and `MCConfig`, load with the package.  The Monte Carlo
+and link-budget names, and the `cli`, `mcsim`, `linkbudget` and `validate`
 submodules, load on first use (`_LAZY`), so a run without Monte Carlo
 never imports them.
 """
@@ -31,6 +31,7 @@ from .channel import (
 )
 from .outage import (
     HopPair,
+    MCConfig,
     StaircaseConfig,
     Threshold,
     asymp_op_mrc,
@@ -63,7 +64,6 @@ _LAZY = {
     "feasible_range": "linkbudget",
     "slant_range_km": "linkbudget",
     "snr_db": "linkbudget",
-    "MCConfig": "mcsim",
     "OutageEstimate": "mcsim",
     "simulate_mrc": "mcsim",
     "simulate_sc": "mcsim",

@@ -136,30 +136,19 @@ class RunRow:
     mc: OutageEstimate | None
 
 
-def _row_seed(base_seed: int, row_index: int) -> int:
-    seq = np.random.SeedSequence(
-        entropy=base_seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(row_index,)
-    )
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
 class _Plan(NamedTuple):
-    """A run table, compiled once by `_plan`."""
+    """A run's analytic table, compiled once by `_plan`."""
 
     points: list[tuple[str, str, int, float]]  # each row's (scheme, condition, K, snr_db)
     pairs: list[HopPair]  # one per distinct (condition, SNR)
     rows: list[tuple[int, ...]]  # each row's satellites, as indices into pairs
-    # each Monte Carlo curve's (kind, hops, ks, factors, first row)
-    curves: list[tuple[str, list[HopPair], list[int], list[float], int]]
-    cells: list[tuple[int, int]]  # each row's (curve, cell); cells are K-major
 
 
 def _plan(spec: ExperimentSpec) -> _Plan:
-    """The spec's rows, in spec order, over one hop pair per (condition,
-    SNR).  An SS row is selection combining over one satellite, whatever
-    its K.  The rows of one (kernel, condition) form one Monte Carlo curve:
-    the largest-K hop list at its lowest SNR, and its Ks and SNR factors
-    eta / eta_lowest, ascending.  A repeated SNR or K shares its cell."""
+    """The analytic table: the spec's rows, in spec order, over one hop
+    pair per (condition, SNR).  An SS row is selection combining over one
+    satellite, whatever its K.  The Monte Carlo curves are not part of it:
+    `_mc_column` compiles them from these rows."""
     points = [
         (scheme, cond, k, float(db))
         for scheme in spec.schemes
@@ -171,19 +160,7 @@ def _plan(spec: ExperimentSpec) -> _Plan:
     links = [(CONDITIONS[cond], LinkSNR.from_db(db)) for cond, db in pair_of]
     pairs = [HopPair(ns=(ns, link), sg=(sg, link)) for (ns, sg), link in links]
     rows = [(pair_of[c, db],) * (1 if s == "SS" else k) for s, c, k, db in points]
-    groups: dict[tuple[str, str], list[int]] = {}
-    for i, (scheme, cond, *_) in enumerate(points):
-        groups.setdefault(("MRC" if scheme == "MRC" else "SC", cond), []).append(i)
-    curves, cells = [], [(0, 0)] * len(points)
-    for c, ((kind, _), index) in enumerate(groups.items()):
-        ks = sorted({len(rows[i]) for i in index})
-        snrs = sorted({rows[i][0] for i in index}, key=lambda j: pairs[j].ns[1].eta)
-        for i in index:
-            cells[i] = c, ks.index(len(rows[i])) * len(snrs) + snrs.index(rows[i][0])
-        etas = [pairs[j].ns[1].eta for j in snrs]
-        factors = [eta / etas[0] for eta in etas]
-        curves.append((kind, [pairs[snrs[0]]] * ks[-1], ks, factors, index[0]))
-    return _Plan(points, pairs, rows, curves, cells)
+    return _Plan(points, pairs, rows)
 
 
 def _analytic_rows(spec: ExperimentSpec, plan: _Plan) -> list[RunRow]:
@@ -212,35 +189,47 @@ def _analytic_rows(spec: ExperimentSpec, plan: _Plan) -> list[RunRow]:
 
 
 def _mc_column(spec: ExperimentSpec, plan: _Plan, workers: int) -> list[OutageEstimate]:
-    """Every row's Monte Carlo estimate, in row order.  Each of the plan's
-    curves is drawn from one set seeded by (spec.mc.seed, index of its first
-    row), so results do not depend on the worker count; one
-    `mcsim.simulate_curves` call runs every (curve, block) pair as a task on
-    one pool of `workers` threads."""
+    """Every row's Monte Carlo estimate, in row order.  The plan's rows of
+    one (kernel, condition) form one curve: the largest-K hop list at its
+    lowest SNR, and its Ks and SNR factors eta / eta_lowest, ascending.
+    Each row reads its (K, SNR) cell, K-major; a repeated SNR or K shares
+    its cell.  Each curve is drawn from one set seeded by (spec.mc.seed,
+    index of its first row), so results do not depend on the worker count;
+    one `mcsim.simulate_curves` call runs every (curve, block) pair as a
+    task on one pool of `workers` threads."""
     from . import mcsim
 
-    runs = [
-        (kind, hops, ks, factors, replace(spec.mc, seed=_row_seed(spec.mc.seed, first)))
-        for kind, hops, ks, factors, first in plan.curves
-    ]
-    estimates = mcsim.simulate_curves(runs, spec.threshold, workers)
-    return [estimates[c][cell] for c, cell in plan.cells]
+    pairs, rows = plan.pairs, plan.rows
+    groups: dict[tuple[str, str], list[int]] = {}
+    for i, (scheme, cond, *_) in enumerate(plan.points):
+        groups.setdefault(("MRC" if scheme == "MRC" else "SC", cond), []).append(i)
+    curves, cells = [], [(0, 0)] * len(rows)
+    for c, ((kind, _), index) in enumerate(groups.items()):
+        ks = sorted({len(rows[i]) for i in index})
+        snrs = sorted({rows[i][0] for i in index}, key=lambda j: pairs[j].ns[1].eta)
+        for i in index:
+            cells[i] = c, ks.index(len(rows[i])) * len(snrs) + snrs.index(rows[i][0])
+        etas = [pairs[j].ns[1].eta for j in snrs]
+        cfg = replace(spec.mc, seed=mcsim._row_seed(spec.mc.seed, index[0]))
+        curves.append((kind, [pairs[snrs[0]]] * ks[-1], ks, [eta / etas[0] for eta in etas], cfg))
+    estimates = mcsim.simulate_curves(curves, spec.threshold, workers)
+    return [estimates[c][cell] for c, cell in cells]
 
 
 def run(spec: ExperimentSpec, workers: int = 1) -> list[RunRow]:
     """Compute all grid rows, returned in spec order.
 
     Rows are keyed (scheme, condition, K, snr_db).  `_plan` compiles the
-    spec once: one hop pair per (condition, SNR), each row as indices into
-    them, and each Monte Carlo curve as its hops, Ks and SNR factors.  The
-    calling thread first computes the analytic and asymptotic columns: one
-    `outage.op_sc_rows` call for the SS and SC rows and one
-    `outage.op_mrc_rows` call for the MRC rows, each reading every
+    analytic table once: one hop pair per (condition, SNR) and each row as
+    indices into them.  The calling thread first computes the analytic and
+    asymptotic columns: one `outage.op_sc_rows` call for the SS and SC rows
+    and one `outage.op_mrc_rows` call for the MRC rows, each reading every
     distinct single-hop law or uplink axis once, with nothing kept after
-    it returns.  A table without Monte Carlo returns those rows and makes
-    no pool.
+    it returns.  A table without Monte Carlo returns those rows, builds no
+    curve and makes no pool.
 
-    Only then does the Monte Carlo column start (`_mc_column`): every
+    Only then does the Monte Carlo column start: `_mc_column` compiles the
+    rows into curves, each its hops, Ks and SNR factors, and runs every
     (curve, block) task on one pool of `workers` threads.  The analytic
     column does not run beside the pool: it is mostly Python holding the
     GIL, and each GIL-releasing numpy call of a curve would wait up to the

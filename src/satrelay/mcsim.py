@@ -28,7 +28,7 @@ a curve of several K, the smallest K's rows draw as that K's curve alone.
 
 Trials are partitioned into fixed-size blocks; block i draws from an
 independent substream keyed by (seed, i) via SeedSequence spawn keys over
-an SFC64 generator.  Every call runs through `simulate_curves`, where each
+an SFC64 generator; `_row_seed` keys a run's curve seeds the same way.  Every call runs through `simulate_curves`, where each
 (curve, block) pair of its curves is one task on one pool of `workers`
 threads, the package's only threads.  The block layout never depends on
 the worker count, so sequential and parallel runs give identical estimates.
@@ -143,11 +143,18 @@ def _wilson(successes: int, trials: int, ci_level: float) -> OutageEstimate:
     )
 
 
+def _substream(seed: int, key: int) -> np.random.SeedSequence:
+    """The SeedSequence keyed by (seed, key): seed's low 64 bits, spawn key key."""
+    return np.random.SeedSequence(entropy=seed & 0xFFFFFFFFFFFFFFFF, spawn_key=(key,))
+
+
+def _row_seed(seed: int, row: int) -> int:
+    """The seed of a run's curve whose first row is `row`, from the run's seed."""
+    return int(_substream(seed, row).generate_state(1, np.uint64)[0])
+
+
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    entropy = seed & 0xFFFFFFFFFFFFFFFF
-    return np.random.Generator(
-        np.random.SFC64(np.random.SeedSequence(entropy=entropy, spawn_key=(block,)))
-    )
+    return np.random.Generator(np.random.SFC64(_substream(seed, block)))
 
 
 def _run_curves(curves, workers: int) -> list[list[OutageEstimate]]:
@@ -189,9 +196,12 @@ def _run_curves(curves, workers: int) -> list[list[OutageEstimate]]:
 
 
 def _grid(hops: list[HopPair], ks, factors) -> tuple[list[int], np.ndarray]:
-    """A curve's (ks, factors), once checked: each K passes the count rule
+    """A curve's (ks, factors), once checked: hops is nonempty, each K
+    passes the count rule
     and the ks ascend to len(hops); the factors are finite and ascend from
     exactly 1.0, and every link scaled by the last is a `LinkSNR`."""
+    if not hops:
+        raise ValueError("need at least one satellite")
     ks = [channel._count(k, "ks") for k in ks]
     if not (ks and ks[-1] == len(hops) and all(a < b for a, b in zip(ks, ks[1:]))):
         raise ValueError("a curve's satellite counts must ascend to its number of hop pairs")

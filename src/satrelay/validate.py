@@ -17,8 +17,7 @@ import numpy as np
 
 from . import channel, linkbudget, mcsim, outage
 from .channel import AVERAGE_SHADOWING, HEAVY_SHADOWING, LinkSNR, SumSRContext
-from .mcsim import MCConfig
-from .outage import HopPair, StaircaseConfig, Threshold
+from .outage import HopPair, MCConfig, StaircaseConfig, Threshold
 from .specfun import kummer_1f1, whittaker_m_ln
 
 PARAM_SETS = {

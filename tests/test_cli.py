@@ -550,7 +550,7 @@ class TestCurves:
         links = [LinkSNR.from_db(db) for db in (-3, 0, 6)]
         hops = [HopPair(ns=(ns, links[0]), sg=(sg, links[0]))] * 3
         factors = [link.eta / links[0].eta for link in links]
-        cfg = MCConfig(trials=20000, seed=cli._row_seed(7, 0))
+        cfg = MCConfig(trials=20000, seed=mcsim._row_seed(7, 0))
         curves = [("SC", hops, [1, 3], factors, cfg)]
         est = mcsim.simulate_curves(curves, Threshold.from_rate(0.5))[0]
         dbs = (-3, 0, 6)
@@ -594,7 +594,7 @@ class TestCurves:
                     i for i, r in enumerate(rows)
                     if r.condition == cond and ("MRC" if r.scheme == "MRC" else "SC") == kind
                 ]
-                cfg = replace(spec.mc, seed=cli._row_seed(7, index[0]))
+                cfg = replace(spec.mc, seed=mcsim._row_seed(7, index[0]))
                 factors = [links[db].eta / links[dbs[0]].eta for db in dbs]
                 hops = [pairs[dbs[0]]] * 3
                 est = mcsim.simulate_curves([(kind, hops, ks, factors, cfg)], thr)[0]
@@ -618,7 +618,7 @@ class TestCurves:
             links = [LinkSNR.from_db(rows[i].snr_db) for i in index[:11]]
             hops = [HopPair(ns=(ns, links[0]), sg=(sg, links[0]))] * 5
             factors = [link.eta / links[0].eta for link in links]
-            cfg = replace(spec.mc, seed=cli._row_seed(12, index[0]))
+            cfg = replace(spec.mc, seed=mcsim._row_seed(12, index[0]))
             assert [rows[i].mc for i in index] == mcsim.simulate_curves(
                 [("SC", hops, [1, 5], factors, cfg)], spec.threshold
             )[0]
@@ -656,7 +656,7 @@ class TestCurves:
             ns, sg = CONDITIONS[curve_rows[0].condition]
             link = LinkSNR.from_db(curve_rows[0].snr_db)
             hops = [HopPair(ns=(ns, link), sg=(sg, link))] * 6
-            cfg = replace(spec.mc, seed=cli._row_seed(11, first))
+            cfg = replace(spec.mc, seed=mcsim._row_seed(11, first))
             scheme = curve_rows[0].scheme
             assert [r.mc for r in curve_rows] == mcsim.simulate_curves(
                 [(scheme, hops, [2, 3, 4, 5, 6], [1.0], cfg)], spec.threshold
@@ -919,7 +919,7 @@ class TestThreads:
             started.clear()
             with pytest.raises(Broken, match="^broken sample_sum$"):
                 run(spec, 1)
-            assert started == [(cli._row_seed(spec.mc.seed, 0), 0)]
+            assert started == [(mcsim._row_seed(spec.mc.seed, 0), 0)]
             assert threading.active_count() == before
 
 
@@ -1017,13 +1017,14 @@ from satrelay import cli
 conf, out = sys.argv[2], sys.argv[3]
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["run", "--config", conf, "--no-mc", "--csv", out + "/a.csv"]) == 0
+import satrelay
+satrelay.MCConfig  # lives in `outage`, so it loads no Monte Carlo code
 deferred = ("satrelay.mcsim", "satrelay.linkbudget", "concurrent.futures", "statistics", "json")
 assert not [m for m in deferred if m in sys.modules], [m for m in deferred if m in sys.modules]
 
-import satrelay
 assert {"mcsim", "linkbudget", "MCConfig", "simulate_mrc", "LinkBudget"} <= set(dir(satrelay))
 assert getattr(satrelay, "mcsim") is sys.modules["satrelay.mcsim"]
-assert satrelay.MCConfig is satrelay.mcsim.MCConfig
+assert satrelay.MCConfig is satrelay.outage.MCConfig is satrelay.mcsim.MCConfig
 from satrelay import LinkBudget, simulate_mrc
 assert simulate_mrc is satrelay.mcsim.simulate_mrc
 assert LinkBudget is sys.modules["satrelay.linkbudget"].LinkBudget

@@ -357,7 +357,7 @@ class TestSimulateSC:
         assert all(second < first for first, second in zip(sizes[::2], sizes[1::2]))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least one satellite"):
             mcsim.simulate_sc([], THR, MCConfig(trials=10, seed=0))
 
 
@@ -429,6 +429,10 @@ class TestSimulateMRC:
             sc = mcsim.simulate_sc(hops, THR, cfg).p_hat
             mrc = mcsim.simulate_mrc(hops, THR, cfg).p_hat
             assert mrc <= sc
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="need at least one satellite"):
+            mcsim.simulate_mrc([], THR, MCConfig(trials=10, seed=0))
 
 
 class TestShortcutExactness:
@@ -503,7 +507,7 @@ class TestCurves:
 
     def test_rows_in_any_order(self):
         # A curve's factors ascend, one per SNR; putting a table's rows,
-        # repeated or unsorted, on their cells is `cli._plan`'s work.
+        # repeated or unsorted, on their cells is `cli._mc_column`'s work.
         # Factors out of order are refused, not reordered.
         hops, factors, _ = grid([4], [-3.0, 0.0, 4.5, 9.0])
         cfg = MCConfig(trials=50_000, seed=5)
@@ -514,8 +518,9 @@ class TestCurves:
 
     def test_malformed_curves_rejected(self):
         cfg, hops = MCConfig(trials=10, seed=0), [hop_at(3.0)] * 2
-        with pytest.raises(ValueError):
-            curve("SC", [], [1], [1.0], THR, cfg)
+        for kind in ("SC", "MRC"):
+            with pytest.raises(ValueError, match="need at least one satellite"):
+                curve(kind, [], [1], [1.0], THR, cfg)
         with pytest.raises(ValueError):  # SS curves are SC curves
             mcsim.simulate_curves([("SS", [hop_at(3.0)], [1], [1.0], cfg)], THR)
         for ks in ([1], [1, 3], [2, 1], [1, 1], []):  # not ascending to len(hops)
@@ -597,7 +602,7 @@ class TestKCurves:
 
     def test_rows_in_any_order(self):
         # Cells come back K-major over ascending Ks and SNRs; putting rows
-        # of any (K, SNR) order on them is `cli._plan`'s work.  Ks out of
+        # of any (K, SNR) order on them is `cli._mc_column`'s work.  Ks out of
         # order are refused, not reordered.
         hops, factors, rows = grid([2, 4], [0.0, 3.0])
         cfg = MCConfig(trials=50_000, seed=6)
